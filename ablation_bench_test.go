@@ -84,18 +84,18 @@ func BenchmarkAblationCellularUpdate(b *testing.B) {
 func BenchmarkAblationIslandStepping(b *testing.B) {
 	in := shop.GenerateJobShop("abl-isl", 10, 5, 105, 106)
 	prob := shopga.JobShopProblem(in, shop.Makespan)
-	for _, sequential := range []bool{true, false} {
+	for _, workers := range []int{1, 0} {
 		name := "goroutines"
-		if sequential {
+		if workers == 1 {
 			name = "sequential"
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				island.New(rng.New(uint64(i)), island.Config[[]int]{
 					Islands: 4, SubPop: 16, Interval: 5, Epochs: 2,
-					Sequential: sequential,
-					Engine:     core.Config[[]int]{Ops: shopga.SeqOps(in)},
-					Problem:    func(int) core.Problem[[]int] { return prob },
+					Workers: workers,
+					Engine:  core.Config[[]int]{Ops: shopga.SeqOps(in)},
+					Problem: func(int) core.Problem[[]int] { return prob },
 				}).Run()
 			}
 		})

@@ -17,7 +17,6 @@ import (
 	"repro/internal/fuzzy"
 	"repro/internal/hybrid"
 	"repro/internal/island"
-	"repro/internal/masterslave"
 	"repro/internal/op"
 	"repro/internal/qga"
 	"repro/internal/rng"
@@ -40,33 +39,26 @@ func BenchmarkTableII_SimpleGA(b *testing.B) {
 	}
 }
 
-// BenchmarkTableIII_MasterSlave times one parallel fitness evaluation of a
-// 256-individual population at several pool widths (Table III's
-// Parallel_FitnessValueEvaluation step).
+// BenchmarkTableIII_MasterSlave times one generation of a 256-individual
+// population at several worker counts (Table III's
+// Parallel_FitnessValueEvaluation, grown into the engine's sharded
+// pipeline: the workers run variation and evaluation per shard).
 func BenchmarkTableIII_MasterSlave(b *testing.B) {
 	in := shop.GenerateJobShop("bench-js", 15, 10, 901, 902)
 	prob := shopga.JobShopProblem(in, shop.Makespan)
-	r := rng.New(2)
-	genomes := make([][]int, 256)
-	for i := range genomes {
-		genomes[i] = decode.RandomOpSequence(in, r)
-	}
-	out := make([]float64, len(genomes))
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			ev := &masterslave.PoolEvaluator[[]int]{Workers: w}
-			defer ev.Close()
+			eng := core.New(prob, rng.New(2), core.Config[[]int]{
+				Pop: 256, Ops: shopga.SeqOps(in), Workers: w,
+				Term: core.Termination{MaxGenerations: 1 << 30},
+			})
+			defer eng.Close()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ev.EvalAll(genomes, prob.Evaluate, out)
+				eng.Step()
 			}
 		})
 	}
-	b.Run("batched", func(b *testing.B) {
-		ev := masterslave.BatchEvaluator[[]int]{Workers: 4, Batch: 32}
-		for i := 0; i < b.N; i++ {
-			ev.EvalAll(genomes, prob.Evaluate, out)
-		}
-	})
 }
 
 // BenchmarkTableIV_Cellular times one synchronous fine-grained generation

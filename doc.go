@@ -69,16 +69,17 @@
 // arithmetic, with precomputed flat operation tables and scalar fallback
 // for the irregular kinds. Property and fuzz tests pin each rung to the
 // one below bit for bit, and BENCH_hotpath.json records the measured gaps.
-// Problems expose the rungs through the core.LocalEvalProblem and
-// core.BatchEvalProblem seams; evaluators route spans to per-worker batch
-// closures via core.BatchSpanEvaluator.
-// Above the kernels, core.Config.Workers selects the sharded generation
-// pipeline: persistent workers execute whole shards of each generation
-// (selection, crossover, mutation, evaluation) end-to-end with per-shard
-// RNG substreams (rng.SplitN) and worker-owned scratches — each shard of 4
-// children is exactly one batch tile — allocation-free and bit-identical
-// for any worker count; Spec.Params.Workers threads the width through
-// every model.
+// Problems expose the batch rung through core.BatchEvalProblem, the
+// engine's only evaluation seam, and keep Evaluate as the concurrency-safe
+// scalar oracle.
+// Above the kernels, every core.Engine step is the sharded generation
+// pipeline: core.Config.Workers executors (0 or 1: one inline executor)
+// run whole shards of each generation (selection, crossover, mutation,
+// evaluation) end-to-end with per-shard RNG substreams (rng.SplitN) and
+// executor-owned scratches — each shard of 4 children is exactly one
+// batch tile — allocation-free and bit-identical for any worker count, so
+// the serial and master-slave models are one trajectory;
+// Spec.Params.Workers threads the width through every model.
 //
 // See README.md for the layout, the solver API and the performance
 // architecture, DESIGN.md for the system inventory and per-experiment

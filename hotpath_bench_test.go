@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/decode"
-	"repro/internal/masterslave"
 	"repro/internal/rng"
 	"repro/internal/shop"
 	"repro/internal/shopga"
@@ -124,37 +123,12 @@ func BenchmarkHotPath(b *testing.B) {
 		}
 	})
 
-	// End to end: one engine generation on the 15x10 job shop through the
-	// pooled kernel path, serial and with the persistent evaluation pool.
+	// End to end: one engine generation on the 15x10 job shop. N workers
+	// own whole shards of the generation and evaluate each shard with one
+	// batch call; shard-1 vs shard-4 is the parallel-step speedup the CI
+	// gate ratchets (TestShardedStepSpeedup).
 	js := jobShops[1]
 	prob := shopga.JobShopProblem(js, shop.Makespan)
-	b.Run("engine-step-15x10/serial", func(b *testing.B) {
-		eng := core.New(prob, rng.New(7), core.Config[[]int]{
-			Pop: 64, Ops: shopga.SeqOps(js),
-			Term: core.Termination{MaxGenerations: 1 << 30},
-		})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.Step()
-		}
-	})
-	b.Run("engine-step-15x10/pool-4", func(b *testing.B) {
-		ev := &masterslave.PoolEvaluator[[]int]{Workers: 4}
-		defer ev.Close()
-		eng := core.New(prob, rng.New(7), core.Config[[]int]{
-			Pop: 64, Ops: shopga.SeqOps(js), Evaluator: ev,
-			Term: core.Termination{MaxGenerations: 1 << 30},
-		})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng.Step()
-		}
-	})
-	// The sharded pipeline: whole generations (variation AND evaluation)
-	// executed shard-by-shard by persistent workers. shard-1 vs shard-4 is
-	// the parallel-step speedup the CI gate ratchets (TestShardedStepSpeedup).
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("engine-step-15x10/shard-%d", workers), func(b *testing.B) {
 			eng := core.New(prob, rng.New(7), core.Config[[]int]{

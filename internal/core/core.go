@@ -13,10 +13,11 @@
 //
 // The engine is generic over the genome type G. A Problem[G] supplies
 // random initialisation, objective evaluation (minimised), and cloning.
-// Fitness transforms implement the paper's equations (1) and (2); the
-// Evaluator seam lets the master-slave model replace step 7 with parallel
-// evaluation without touching the algorithm (which is exactly the survey's
-// point about that model).
+// Fitness transforms implement the paper's equations (1) and (2). Every
+// generation runs through one sharded pipeline whose executor count
+// (Config.Workers) parallelises steps 4-7 without touching the algorithm:
+// results are bit-identical for any worker count, which is exactly the
+// survey's point about the master-slave model.
 package core
 
 import (
@@ -41,8 +42,9 @@ type Problem[G any] interface {
 	// Random returns a new random genome.
 	Random(r *rng.RNG) G
 	// Evaluate returns the objective value of g; smaller is better.
-	// Implementations must be pure: they are called concurrently by
-	// parallel evaluators.
+	// Implementations must be pure and safe for concurrent use: migration
+	// (MakeIndividual), the cellular partitions and the hybrid grids call
+	// it from several goroutines.
 	Evaluate(g G) float64
 	// Clone returns an independent deep copy of g.
 	Clone(g G) G
@@ -59,35 +61,22 @@ type CloneIntoProblem[G any] interface {
 	CloneInto(dst, src G) G
 }
 
-// LocalEvalProblem is the optional worker-locality extension of Problem:
-// LocalEvaluator returns an evaluation closure that owns private scratch
-// (a decode workspace, say) and is therefore only safe on one goroutine at
-// a time. Parallel executors — the sharded engine pipeline and
-// masterslave.PoolEvaluator — call it once per persistent worker, so the
-// hot path stops round-tripping scratches through a sync.Pool. Closures
-// must compute exactly what Evaluate computes.
-type LocalEvalProblem[G any] interface {
-	Problem[G]
-	LocalEvaluator() func(G) float64
-}
-
 // BatchEvalProblem is the optional batch-evaluation extension of Problem:
 // BatchEvaluator returns a closure that fills out[i] with the objective of
-// genomes[i] for a whole contiguous span in one call. Like LocalEvaluator
-// closures it owns private scratch (a decode.BatchScratch, say) and is only
-// safe on one goroutine at a time; unlike them it sees the whole span, so
-// implementations can amortise instance tables across the span and decode
-// genomes in lockstep. Closures must compute exactly what Evaluate
-// computes, genome for genome — the engine treats batch and scalar paths
-// as interchangeable.
+// genomes[i] for a whole contiguous span in one call. The closure may own
+// private scratch (a decode.BatchScratch, say) and is only safe on one
+// goroutine at a time; the engine builds one per executor. Seeing the whole
+// span lets implementations amortise instance tables and decode genomes in
+// lockstep. Closures must compute exactly what Evaluate computes, genome
+// for genome. Problems without the extension are evaluated by a loop over
+// Evaluate.
 type BatchEvalProblem[G any] interface {
 	Problem[G]
 	BatchEvaluator() func(genomes []G, out []float64)
 }
 
 // FuncProblem adapts three closures to the Problem interface, plus
-// optional extras for the CloneIntoProblem, LocalEvalProblem and
-// BatchEvalProblem seams.
+// optional extras for the CloneIntoProblem and BatchEvalProblem seams.
 type FuncProblem[G any] struct {
 	RandomFn   func(r *rng.RNG) G
 	EvaluateFn func(g G) float64
@@ -95,13 +84,9 @@ type FuncProblem[G any] struct {
 	// CloneIntoFn, when set, copies src reusing dst's capacity; when nil,
 	// CloneInto falls back to a plain Clone.
 	CloneIntoFn func(dst, src G) G
-	// LocalEvalFn, when set, builds a single-goroutine evaluation closure
-	// owning private scratch; when nil, LocalEvaluator falls back to the
-	// shared EvaluateFn (which must then be safe for concurrent use).
-	LocalEvalFn func() func(G) float64
 	// BatchEvalFn, when set, builds a single-goroutine span-evaluation
-	// closure; when nil, BatchEvaluator falls back to looping a local (or
-	// shared) scalar evaluation, so the seam always yields the same values.
+	// closure; when nil, BatchEvaluator falls back to looping EvaluateFn,
+	// so the seam always yields the same values.
 	BatchEvalFn func() func(genomes []G, out []float64)
 }
 
@@ -123,26 +108,17 @@ func (p FuncProblem[G]) CloneInto(dst, src G) G {
 	return p.CloneIntoFn(dst, src)
 }
 
-// LocalEvaluator implements LocalEvalProblem, falling back to the shared
-// EvaluateFn when no LocalEvalFn was provided.
-func (p FuncProblem[G]) LocalEvaluator() func(G) float64 {
-	if p.LocalEvalFn == nil {
-		return p.EvaluateFn
-	}
-	return p.LocalEvalFn()
-}
-
 // BatchEvaluator implements BatchEvalProblem, falling back to a loop over
-// a private local evaluation closure (or the shared EvaluateFn) when no
-// BatchEvalFn was provided.
+// EvaluateFn when no BatchEvalFn was provided.
 func (p FuncProblem[G]) BatchEvaluator() func(genomes []G, out []float64) {
 	if p.BatchEvalFn != nil {
 		return p.BatchEvalFn()
 	}
-	eval := p.EvaluateFn
-	if p.LocalEvalFn != nil {
-		eval = p.LocalEvalFn()
-	}
+	return evalLoop(p.EvaluateFn)
+}
+
+// evalLoop adapts a scalar evaluation to the batch closure shape.
+func evalLoop[G any](eval func(G) float64) func(genomes []G, out []float64) {
 	return func(genomes []G, out []float64) {
 		for i, g := range genomes {
 			out[i] = eval(g)
@@ -198,7 +174,7 @@ type CrossoverInto[G any] func(r *rng.RNG, a, b, dst1, dst2 G) (G, G)
 type Mutation[G any] func(r *rng.RNG, g G)
 
 // Operators bundles the three GA operators of Table II, plus the optional
-// recycling crossover seam of the sharded pipeline.
+// recycling crossover seam.
 type Operators[G any] struct {
 	Select Selection[G]
 	Cross  Crossover[G]
@@ -207,107 +183,11 @@ type Operators[G any] struct {
 	// CrossInto, when set, is a factory for recycling crossover instances.
 	// It is a factory — not a bare CrossoverInto — because instances may
 	// keep private scratch (a JOX keep-mask, say); the engine calls it once
-	// per worker so the scratch is never shared between goroutines. Sharded
-	// steps route offspring through it to reuse the retired generation's
-	// genome storage, which is what drops steady-state crossover
-	// allocations to zero.
+	// per executor so the scratch is never shared between goroutines. Steps
+	// route offspring through it to reuse the retired generation's genome
+	// storage, which is what drops steady-state crossover allocations to
+	// zero.
 	CrossInto func() CrossoverInto[G]
-}
-
-// Evaluator computes objective values for a batch of genomes. The serial
-// implementation is the default; the masterslave package provides parallel
-// and simulated-cluster evaluators (the survey's Table III model).
-type Evaluator[G any] interface {
-	// EvalAll fills out[i] with eval(genomes[i]) for every i.
-	EvalAll(genomes []G, eval func(G) float64, out []float64)
-}
-
-// LocalEvals caches worker-local evaluation closures for one engine (one
-// problem). It is also the identity token parallel evaluators key their
-// per-worker state on: the engine creates exactly one per run, so an
-// evaluator reused across engines sees a different *LocalEvals pointer and
-// rebuilds instead of silently evaluating through a stale closure's
-// scratch. Closure w is only ever handed to worker w, which preserves the
-// single-goroutine-at-a-time contract of LocalEvalProblem closures.
-type LocalEvals[G any] struct {
-	mu      sync.Mutex
-	factory func() func(G) float64
-	workers []func(G) float64
-}
-
-// NewLocalEvals builds a cache over a LocalEvalProblem-style factory.
-func NewLocalEvals[G any](factory func() func(G) float64) *LocalEvals[G] {
-	if factory == nil {
-		panic("core: NewLocalEvals with nil factory")
-	}
-	return &LocalEvals[G]{factory: factory}
-}
-
-// For returns worker w's evaluation closure, building it on first use.
-func (c *LocalEvals[G]) For(w int) func(G) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.workers) <= w {
-		c.workers = append(c.workers, nil)
-	}
-	if c.workers[w] == nil {
-		c.workers[w] = c.factory()
-	}
-	return c.workers[w]
-}
-
-// BatchEvals caches worker-local span-evaluation closures for one engine,
-// mirroring LocalEvals for the BatchEvalProblem seam: one closure (one
-// BatchScratch) per persistent worker, keyed on the cache's identity so an
-// evaluator reused across engines rebuilds instead of evaluating through a
-// stale closure.
-type BatchEvals[G any] struct {
-	mu      sync.Mutex
-	factory func() func([]G, []float64)
-	workers []func([]G, []float64)
-}
-
-// NewBatchEvals builds a cache over a BatchEvalProblem-style factory.
-func NewBatchEvals[G any](factory func() func([]G, []float64)) *BatchEvals[G] {
-	if factory == nil {
-		panic("core: NewBatchEvals with nil factory")
-	}
-	return &BatchEvals[G]{factory: factory}
-}
-
-// For returns worker w's span-evaluation closure, building it on first use.
-func (c *BatchEvals[G]) For(w int) func([]G, []float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for len(c.workers) <= w {
-		c.workers = append(c.workers, nil)
-	}
-	if c.workers[w] == nil {
-		c.workers[w] = c.factory()
-	}
-	return c.workers[w]
-}
-
-// LocalBatchEvaluator is the optional Evaluator extension matching
-// LocalEvalProblem: EvalAllLocal receives, besides the shared eval
-// fallback, the run's LocalEvals cache, so a worker-pool evaluator can
-// hand each persistent worker its own closure (its own scratch) instead of
-// contending on a shared pool. The engine routes evaluation through this
-// method whenever both seams are present.
-type LocalBatchEvaluator[G any] interface {
-	Evaluator[G]
-	EvalAllLocal(genomes []G, eval func(G) float64, locals *LocalEvals[G], out []float64)
-}
-
-// BatchSpanEvaluator is the optional Evaluator extension matching
-// BatchEvalProblem: EvalAllBatches evaluates the population by handing each
-// persistent worker whole contiguous spans through its own span closure
-// from the run's BatchEvals cache, amortising one batch workspace across
-// every span the worker claims. It takes precedence over EvalAllLocal when
-// both seams are available; results must be identical either way.
-type BatchSpanEvaluator[G any] interface {
-	Evaluator[G]
-	EvalAllBatches(genomes []G, eval func(G) float64, batches *BatchEvals[G], out []float64)
 }
 
 // ParallelFor runs fn(i) for every i in [0, n) on up to workers goroutines
@@ -345,22 +225,4 @@ func ParallelFor(n, workers int, fn func(int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// SerialEvaluator evaluates the population one genome at a time.
-type SerialEvaluator[G any] struct{}
-
-// EvalAll implements Evaluator.
-func (SerialEvaluator[G]) EvalAll(genomes []G, eval func(G) float64, out []float64) {
-	for i, g := range genomes {
-		out[i] = eval(g)
-	}
-}
-
-// EvalAllBatches implements BatchSpanEvaluator: the whole population is one
-// span for the single (serial) worker. Batch closures return exactly the
-// scalar objectives, so routing the serial engine through the batch path
-// never changes a trajectory — it only removes per-genome call overhead.
-func (SerialEvaluator[G]) EvalAllBatches(genomes []G, eval func(G) float64, batches *BatchEvals[G], out []float64) {
-	batches.For(0)(genomes, out)
 }

@@ -56,27 +56,20 @@ type Config[G any] struct {
 	Fitness       Fitness // objective->fitness transform (default InverseFitness)
 	Term          Termination
 	Immigration   Immigration
-	Evaluator     Evaluator[G]   // default SerialEvaluator
 	OnGeneration  func(GenStats) // optional per-generation hook
 	RecordHistory bool           // keep GenStats of every generation in Result
 
-	// Workers > 0 selects the sharded generation pipeline: Step partitions
-	// the next generation into fixed-size shards and Workers persistent
-	// goroutines each run selection, crossover, mutation AND evaluation for
-	// whole shards end-to-end, drawing randomness from per-shard substreams
-	// (rng.SplitN) instead of the master stream. Results are bit-identical
-	// for any Workers >= 1 — the shard decomposition and its substreams
-	// depend only on Pop — but differ from the Workers == 0 master-path
-	// trajectory, which remains the survey's Table II reference. On the
-	// sharded path Evaluator is only used for the initial population:
-	// generation evaluation runs inside the shard workers (through the
-	// problem's LocalEvaluator seam when present), so a custom Evaluator
-	// that must observe every evaluation belongs with Workers == 0. Sharded
-	// engines require scheduling-safe operators (every bundled selection
-	// except op.SUS; all bundled crossovers/mutations) and should be
-	// Close()d when abandoned before Run completes. Immigration-mode
-	// generation composition is a master-path feature: enabling it falls
-	// back to the master path with Evaluator-parallel evaluation.
+	// Workers is the number of executors of the sharded generation
+	// pipeline (see sharded.go): Step partitions the next generation into
+	// fixed-size shards, and each executor runs selection, crossover,
+	// mutation AND evaluation for whole shards end-to-end, drawing
+	// randomness from per-shard substreams (rng.SplitN). The shard
+	// decomposition and its substreams depend only on Pop, so results are
+	// bit-identical for any Workers value. 0 and 1 both mean one inline
+	// executor on the calling goroutine; larger values add Workers-1
+	// persistent goroutines, which need scheduling-safe operators (every
+	// bundled selection except op.SUS; all bundled crossovers/mutations),
+	// and an engine abandoned before Run completes should be Close()d.
 	Workers int
 }
 
@@ -90,7 +83,7 @@ type Result[G any] struct {
 }
 
 // Engine runs the Table II loop. It is deterministic given the seed stream
-// passed to New; evaluators must not consume engine randomness.
+// passed to New; evaluation must not consume engine randomness.
 type Engine[G any] struct {
 	prob Problem[G]
 	cfg  Config[G]
@@ -106,17 +99,16 @@ type Engine[G any] struct {
 	history    []GenStats
 
 	// Generation double-buffering: Step writes the next generation into
-	// spare and swaps, so the per-generation individual, genome and
-	// objective slices are allocated once and reused for the whole run.
-	spare     []Individual[G]
-	children  []G
-	childObjs []float64
+	// spare and swaps, so the per-generation individual slice is allocated
+	// once and reused for the whole run.
+	spare []Individual[G]
 
 	// Genome recycling through the CloneIntoProblem seam: free holds the
-	// dead genomes of the previous generation, swapped out at the end of
-	// the last Step (nobody can reference them any more — elites and the
-	// incumbent best are always cloned, migration clones before
-	// injecting), and cloneInto reuses their capacity for new copies.
+	// master's dead genomes (retired elite slots, children displaced by
+	// elitism), which cloneInto reuses for the elite copies; the shards
+	// keep their own free lists (see sharded.go). Nobody can reference a
+	// retired genome any more — elites and the incumbent best are always
+	// cloned, migration clones before injecting.
 	free      []G
 	cloneInto func(dst, src G) G
 
@@ -129,21 +121,7 @@ type Engine[G any] struct {
 	// sorts, keeping the per-generation ranking allocation-free.
 	ordA, ordB []int
 
-	// localEvals/localBatch/batchEvals/batchSpan cache the optional
-	// evaluation seams (LocalEvalProblem / LocalBatchEvaluator /
-	// BatchEvalProblem / BatchSpanEvaluator) detected at New, so evalBatch
-	// does not re-assert interfaces per generation. The caches double as
-	// the identity tokens a shared evaluator keys its per-worker closures
-	// on (one cache per engine, hence per problem). Routing priority is
-	// batch span > local > plain EvalAll; all three produce identical
-	// objective values.
-	localEvals *LocalEvals[G]
-	localBatch LocalBatchEvaluator[G]
-	batchEvals *BatchEvals[G]
-	batchSpan  BatchSpanEvaluator[G]
-
-	// sharded is the Workers > 0 pipeline state (see sharded.go); nil for
-	// master-path engines.
+	// sharded is the generation pipeline state (see sharded.go).
 	sharded *shardedState[G]
 }
 
@@ -177,9 +155,6 @@ func New[G any](p Problem[G], r *rng.RNG, cfg Config[G]) *Engine[G] {
 	if cfg.Fitness == nil {
 		cfg.Fitness = InverseFitness()
 	}
-	if cfg.Evaluator == nil {
-		cfg.Evaluator = SerialEvaluator[G]{}
-	}
 	if cfg.Ops.Select == nil || cfg.Ops.Cross == nil || cfg.Ops.Mutate == nil {
 		panic("core: Config.Ops must provide Select, Cross and Mutate")
 	}
@@ -197,52 +172,22 @@ func New[G any](p Problem[G], r *rng.RNG, cfg Config[G]) *Engine[G] {
 	if ci, ok := p.(CloneIntoProblem[G]); ok {
 		e.cloneInto = ci.CloneInto
 	}
-	if lep, ok := p.(LocalEvalProblem[G]); ok {
-		e.localEvals = NewLocalEvals(lep.LocalEvaluator)
-	}
-	if lbe, ok := cfg.Evaluator.(LocalBatchEvaluator[G]); ok {
-		e.localBatch = lbe
-	}
-	if bep, ok := p.(BatchEvalProblem[G]); ok {
-		e.batchEvals = NewBatchEvals(bep.BatchEvaluator)
-	}
-	if bse, ok := cfg.Evaluator.(BatchSpanEvaluator[G]); ok {
-		e.batchSpan = bse
-	}
 	e.pop = make([]Individual[G], cfg.Pop)
 	genomes := make([]G, cfg.Pop)
 	for i := range e.pop {
 		genomes[i] = p.Random(r)
 	}
+	// The shard decomposition and its RNG substreams are derived after the
+	// initial population's draws and depend only on Pop — never on Workers.
+	e.sharded = newShardedState(e, cfg.Workers)
 	objs := make([]float64, cfg.Pop)
-	e.evalBatch(genomes, objs)
+	e.sharded.batch[0](genomes, objs)
+	e.evals += int64(cfg.Pop)
 	for i := range e.pop {
 		e.pop[i] = Individual[G]{Genome: genomes[i], Obj: objs[i], Fit: cfg.Fitness(objs[i])}
 	}
-	// Seed the per-generation scratch slices with the initialisation
-	// buffers; Step reuses them for the rest of the run.
-	e.children = genomes[:0]
-	e.childObjs = objs[:0]
 	e.refreshBest()
-	// The shard decomposition and its RNG substreams are derived after the
-	// initial population, so sharded runs share their initialisation with
-	// the master path, and depend only on Pop — never on Workers.
-	if cfg.Workers > 0 {
-		e.sharded = newShardedState(e, cfg.Workers)
-	}
 	return e
-}
-
-func (e *Engine[G]) evalBatch(genomes []G, out []float64) {
-	switch {
-	case e.batchSpan != nil && e.batchEvals != nil:
-		e.batchSpan.EvalAllBatches(genomes, e.prob.Evaluate, e.batchEvals, out)
-	case e.localBatch != nil && e.localEvals != nil:
-		e.localBatch.EvalAllLocal(genomes, e.prob.Evaluate, e.localEvals, out)
-	default:
-		e.cfg.Evaluator.EvalAll(genomes, e.prob.Evaluate, out)
-	}
-	e.evals += int64(len(genomes))
 }
 
 func (e *Engine[G]) refreshBest() {
@@ -366,11 +311,9 @@ type Snapshot[G any] struct {
 	Evaluations int64
 	Stagnation  int
 	// RNG is the master stream's state; Shards holds the per-shard
-	// substream states of the Workers > 0 pipeline (nil on the master
-	// path). The shard decomposition depends only on Pop, so a snapshot
-	// restores into any engine with the same Pop regardless of Workers —
-	// but a master-path snapshot cannot restore into a sharded engine or
-	// vice versa, because the two draw from different stream layouts.
+	// substream states, one per shard (ShardCount(Pop)). The shard
+	// decomposition depends only on Pop, so a snapshot restores into any
+	// engine with the same Pop regardless of Workers.
 	RNG    rng.State
 	Shards []rng.State
 }
@@ -387,6 +330,7 @@ func (e *Engine[G]) Snapshot() Snapshot[G] {
 		Evaluations: e.evals,
 		Stagnation:  e.stagnation,
 		RNG:         e.rng.State(),
+		Shards:      make([]rng.State, len(e.sharded.rngs)),
 	}
 	for i, ind := range e.pop {
 		s.Pop[i] = Individual[G]{Genome: e.prob.Clone(ind.Genome), Obj: ind.Obj, Fit: ind.Fit}
@@ -394,11 +338,8 @@ func (e *Engine[G]) Snapshot() Snapshot[G] {
 	if e.bestValid {
 		s.Best = Individual[G]{Genome: e.prob.Clone(e.best.Genome), Obj: e.best.Obj, Fit: e.best.Fit}
 	}
-	if e.sharded != nil {
-		s.Shards = make([]rng.State, len(e.sharded.rngs))
-		for i, r := range e.sharded.rngs {
-			s.Shards[i] = r.State()
-		}
+	for i, r := range e.sharded.rngs {
+		s.Shards[i] = r.State()
 	}
 	return s
 }
@@ -411,8 +352,8 @@ func (e *Engine[G]) Snapshot() Snapshot[G] {
 // Restore — callers that budget wall time across restarts shrink the
 // budget by the time already consumed instead (the serving layer does).
 // Restore fails, leaving the engine unchanged, when the snapshot's shape
-// does not fit: wrong population size, or a shard-stream layout that does
-// not match this engine's execution path.
+// does not fit: wrong population size, or a shard-stream count other than
+// ShardCount(Pop).
 func (e *Engine[G]) Restore(s Snapshot[G]) error {
 	if len(s.Pop) != e.cfg.Pop {
 		return fmt.Errorf("core: restore: snapshot population %d, engine expects %d", len(s.Pop), e.cfg.Pop)
@@ -420,12 +361,8 @@ func (e *Engine[G]) Restore(s Snapshot[G]) error {
 	if !s.HasBest {
 		return fmt.Errorf("core: restore: snapshot has no incumbent best")
 	}
-	if e.sharded != nil {
-		if len(s.Shards) != len(e.sharded.rngs) {
-			return fmt.Errorf("core: restore: snapshot has %d shard streams, sharded engine expects %d", len(s.Shards), len(e.sharded.rngs))
-		}
-	} else if len(s.Shards) != 0 {
-		return fmt.Errorf("core: restore: snapshot has %d shard streams, master-path engine expects none", len(s.Shards))
+	if len(s.Shards) != len(e.sharded.rngs) {
+		return fmt.Errorf("core: restore: snapshot has %d shard streams, engine expects %d", len(s.Shards), len(e.sharded.rngs))
 	}
 	pop := make([]Individual[G], len(s.Pop))
 	for i, ind := range s.Pop {
@@ -438,137 +375,15 @@ func (e *Engine[G]) Restore(s Snapshot[G]) error {
 	e.evals = s.Evaluations
 	e.stagnation = s.Stagnation
 	e.rng.SetState(s.RNG)
-	if e.sharded != nil {
-		for i := range e.sharded.rngs {
-			e.sharded.rngs[i].SetState(s.Shards[i])
-		}
+	for i := range e.sharded.rngs {
+		e.sharded.rngs[i].SetState(s.Shards[i])
 	}
 	// The discarded initial population and the double-buffer scratch hold
 	// genomes nothing references any more; drop them so the recycling paths
 	// start clean rather than resurrecting pre-restore storage.
 	e.spare = nil
-	e.children = nil
-	e.childObjs = nil
 	e.free = nil
 	return nil
-}
-
-// Step runs one generation: Selection, Crossover, Mutation, Evaluation,
-// elitist replacement (Table II lines 4-7). The next generation is written
-// into a double buffer that alternates with the current population, so the
-// per-generation slices are allocated once per engine, not once per Step.
-// With Config.Workers > 0 the whole generation is executed by the sharded
-// pipeline instead (see sharded.go); immigration-mode composition stays on
-// the master path.
-func (e *Engine[G]) Step() {
-	if e.sharded != nil && !e.cfg.Immigration.Enabled {
-		e.stepSharded()
-		return
-	}
-	e.gen++
-	n := e.cfg.Pop
-	// Harvest the genomes of the generation swapped out at the end of the
-	// previous Step: their slots in e.spare are about to be overwritten and
-	// no live reference to them can remain (elites and the incumbent best
-	// are always cloned, and migration code clones before injecting).
-	if e.cloneInto != nil {
-		e.free = e.free[:0]
-		for i := range e.spare {
-			e.free = append(e.free, e.spare[i].Genome)
-		}
-	}
-	next := e.spare
-	if cap(next) < n {
-		next = make([]Individual[G], n)
-	}
-	next = next[:n]
-
-	children := e.children[:0]
-	nElite := 0
-	if e.cfg.Immigration.Enabled {
-		nElite, children = e.immigrationOffspring(next, children)
-	} else {
-		for len(children) < n {
-			i1 := e.cfg.Ops.Select(e.rng, e.pop)
-			i2 := e.cfg.Ops.Select(e.rng, e.pop)
-			var c1, c2 G
-			if e.rng.Bool(e.cfg.CrossoverRate) {
-				c1, c2 = e.cfg.Ops.Cross(e.rng, e.pop[i1].Genome, e.pop[i2].Genome)
-			} else {
-				c1 = e.cloneGenome(e.pop[i1].Genome)
-				c2 = e.cloneGenome(e.pop[i2].Genome)
-			}
-			if e.rng.Bool(e.cfg.MutationRate) {
-				e.cfg.Ops.Mutate(e.rng, c1)
-			}
-			if e.rng.Bool(e.cfg.MutationRate) {
-				e.cfg.Ops.Mutate(e.rng, c2)
-			}
-			children = append(children, c1, c2)
-		}
-		children = children[:n]
-	}
-
-	objs := e.childObjs
-	if cap(objs) < len(children) {
-		objs = make([]float64, len(children))
-	}
-	objs = objs[:len(children)]
-	e.evalBatch(children, objs)
-	for i := range children {
-		next[nElite+i] = Individual[G]{Genome: children[i], Obj: objs[i], Fit: e.cfg.Fitness(objs[i])}
-	}
-
-	if e.cfg.Elite > 0 && !e.cfg.Immigration.Enabled {
-		e.applyElitism(next)
-	}
-	e.children = children[:0]
-	e.childObjs = objs[:0]
-	e.spare = e.pop
-	e.pop = next
-	e.refreshBest()
-	e.record()
-}
-
-// immigrationOffspring builds the next generation per Huang et al.: elites
-// are copied directly with their cached Obj/Fit (no evaluation budget is
-// spent on known genomes), the crossover share recombines selected parents,
-// and the rest are random immigrants. Elites are written to next[:nElite];
-// the genomes still needing evaluation are appended to children.
-func (e *Engine[G]) immigrationOffspring(next []Individual[G], children []G) (nElite int, _ []G) {
-	n := e.cfg.Pop
-	nBest := int(float64(n) * e.cfg.Immigration.BestFrac)
-	nRand := int(float64(n) * e.cfg.Immigration.RandomFrac)
-	nCross := n - nBest - nRand
-	// Elites: best nBest individuals of the current population, carried
-	// over with their cached objective and fitness.
-	order := sortedIndices(e.ordA, e.pop)
-	e.ordA = order
-	for i := 0; i < nBest && i < len(order); i++ {
-		src := e.pop[order[i]]
-		next[nElite] = Individual[G]{Genome: e.cloneGenome(src.Genome), Obj: src.Obj, Fit: src.Fit}
-		nElite++
-	}
-	nChildren := nBest + nCross - nElite
-	for len(children) < nChildren {
-		i1 := e.cfg.Ops.Select(e.rng, e.pop)
-		i2 := e.cfg.Ops.Select(e.rng, e.pop)
-		c1, c2 := e.cfg.Ops.Cross(e.rng, e.pop[i1].Genome, e.pop[i2].Genome)
-		if e.rng.Bool(e.cfg.MutationRate) {
-			e.cfg.Ops.Mutate(e.rng, c1)
-		}
-		if e.rng.Bool(e.cfg.MutationRate) {
-			e.cfg.Ops.Mutate(e.rng, c2)
-		}
-		children = append(children, c1)
-		if len(children) < nChildren {
-			children = append(children, c2)
-		}
-	}
-	for nElite+len(children) < n {
-		children = append(children, e.prob.Random(e.rng))
-	}
-	return nElite, children
 }
 
 // applyElitism copies the Elite best previous individuals over the worst

@@ -175,7 +175,7 @@ func TestDefaultsApplied(t *testing.T) {
 	if e.cfg.Term.MaxGenerations != 100 {
 		t.Errorf("default MaxGenerations = %d", e.cfg.Term.MaxGenerations)
 	}
-	if e.cfg.Elite != 1 || e.cfg.Fitness == nil || e.cfg.Evaluator == nil {
+	if e.cfg.Elite != 1 || e.cfg.Fitness == nil {
 		t.Error("defaults missing")
 	}
 }
@@ -367,15 +367,6 @@ func TestFitnessTransforms(t *testing.T) {
 	}
 	if f := inv(0); math.IsInf(f, 1) || f <= 0 {
 		t.Errorf("InverseFitness(0) must be large finite, got %v", f)
-	}
-}
-
-func TestSerialEvaluator(t *testing.T) {
-	ev := SerialEvaluator[int]{}
-	out := make([]float64, 3)
-	ev.EvalAll([]int{1, 2, 3}, func(g int) float64 { return float64(g * g) }, out)
-	if out[0] != 1 || out[1] != 4 || out[2] != 9 {
-		t.Errorf("EvalAll = %v", out)
 	}
 }
 

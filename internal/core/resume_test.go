@@ -70,6 +70,7 @@ func testResumeBitIdentical(t *testing.T, workers int) {
 	}
 }
 
+// Workers 0 runs the pipeline inline on the master goroutine.
 func TestEngineResumeBitIdenticalMasterPath(t *testing.T) {
 	testResumeBitIdentical(t, 0)
 }
@@ -78,8 +79,8 @@ func TestEngineResumeBitIdenticalSharded(t *testing.T) {
 	testResumeBitIdentical(t, 3)
 }
 
-// A snapshot taken on a sharded engine restores into a sharded engine of a
-// DIFFERENT worker count: the shard decomposition depends only on Pop.
+// A snapshot restores into an engine of a DIFFERENT worker count, the
+// inline executor included: the shard decomposition depends only on Pop.
 func TestEngineResumeAcrossWorkerCounts(t *testing.T) {
 	mk := func(workers int) *Engine[[]int] {
 		return New(sortProblem(12), rng.New(5), Config[[]int]{
@@ -109,6 +110,9 @@ func TestEngineRestoreShapeMismatches(t *testing.T) {
 	base := New(sortProblem(8), rng.New(1), Config[[]int]{Pop: 20, Ops: permOps()})
 	runTo(base, 2)
 	snap := base.Snapshot()
+	if len(snap.Shards) != ShardCount(20) {
+		t.Fatalf("snapshot carries %d shard streams, want %d", len(snap.Shards), ShardCount(20))
+	}
 
 	wrongPop := New(sortProblem(8), rng.New(1), Config[[]int]{Pop: 30, Ops: permOps()})
 	if err := wrongPop.Restore(snap); err == nil {
@@ -117,19 +121,16 @@ func TestEngineRestoreShapeMismatches(t *testing.T) {
 
 	sharded := New(sortProblem(8), rng.New(1), Config[[]int]{Pop: 20, Ops: permOps(), Workers: 2})
 	defer sharded.Close()
-	if err := sharded.Restore(snap); err == nil {
-		t.Error("master-path snapshot accepted by sharded engine")
+	for _, k := range []int{0, 1, ShardCount(20) + 1} {
+		bad := snap
+		bad.Shards = make([]rng.State, k)
+		copy(bad.Shards, snap.Shards)
+		if err := sharded.Restore(bad); err == nil {
+			t.Errorf("snapshot with %d shard streams accepted, engine has %d", k, ShardCount(20))
+		}
 	}
-
-	shSnap := func() Snapshot[[]int] {
-		e := New(sortProblem(8), rng.New(1), Config[[]int]{Pop: 20, Ops: permOps(), Workers: 2})
-		defer e.Close()
-		runTo(e, 2)
-		return e.Snapshot()
-	}()
-	master := New(sortProblem(8), rng.New(1), Config[[]int]{Pop: 20, Ops: permOps()})
-	if err := master.Restore(shSnap); err == nil {
-		t.Error("sharded snapshot accepted by master-path engine")
+	if err := sharded.Restore(snap); err != nil {
+		t.Errorf("well-formed snapshot rejected after failed restores: %v", err)
 	}
 
 	noBest := snap

@@ -7,47 +7,59 @@ import (
 	"repro/internal/rng"
 )
 
-// The sharded generation pipeline (Config.Workers > 0).
+// The sharded generation pipeline — the engine's only Step.
 //
-// The master-path Step serialises the entire variation phase — selection,
-// crossover, mutation, cloning — on one goroutine and, at best, fans out
-// only the fitness evaluation through an Evaluator. That is exactly the
-// master-slave bottleneck the parallel-GA literature works around by
-// batching whole sub-populations per device (Luo & El Baz's dual
-// heterogeneous island GA, arXiv:1903.10722) and by chunked rather than
-// per-task dispatch (Sun et al., arXiv:0809.3285).
+// A master that serialises the whole variation phase — selection,
+// crossover, mutation, cloning — and fans out only the fitness evaluation
+// hits exactly the master-slave bottleneck the parallel-GA literature
+// works around by batching whole sub-populations per device (Luo & El
+// Baz's dual heterogeneous island GA, arXiv:1903.10722) and by chunked
+// rather than per-task dispatch (Sun et al., arXiv:0809.3285).
 //
 // Here the next generation is partitioned into fixed-size shards of
-// shardSize children. Persistent workers claim whole shards from an atomic
-// cursor and run selection -> crossover -> mutation -> evaluation for
-// their shard end-to-end:
+// shardSize slots. Executors claim whole shards from an atomic cursor and
+// run selection -> crossover -> mutation -> evaluation for their shard
+// end-to-end:
 //
 //   - Randomness: shard s draws only from its own substream, derived once
 //     at New via rng.SplitN(shards). The decomposition and the substreams
 //     depend only on Pop, so results are bit-identical for ANY worker
-//     count, including 1 — the property TestShardedWorkerInvariance pins.
+//     count, 0 and 1 included — the property TestShardedWorkerInvariance
+//     pins.
+//   - Roles: each slot's role is a function of its index. Under Huang's
+//     immigration scheme the first nBest slots are elites, copied on the
+//     master with their cached Obj/Fit before the shards run and never
+//     evaluated; the next CrossFrac share are offspring (selection,
+//     crossover, mutation) and the rest are random immigrants. Without
+//     immigration every slot is an offspring and elitism replaces the
+//     worst children on the master afterwards.
 //   - Memory: each shard owns the free list of retired genomes from its own
-//     slot range and each worker owns its evaluation closure (private
-//     decode scratch via the LocalEvalProblem seam, or a whole-shard batch
-//     closure via BatchEvalProblem) and its recycling crossover instance
-//     (private operator scratch via Operators.CrossInto),
-//     so the steady-state step performs no allocation and no sync.Pool
-//     round-trips, and every worker writes a contiguous span of the next
+//     slot range and each executor owns its batch-evaluation closure
+//     (private decode scratch via the BatchEvalProblem seam) and its
+//     recycling crossover instance (private operator scratch via
+//     Operators.CrossInto), so the steady-state step performs no
+//     allocation, and every executor writes a contiguous span of the next
 //     generation (no false sharing on the population buffer).
 //   - Dispatch: shardSize is a small constant, so a 64-individual
 //     population yields 16 shards — ~4 claims per worker at Workers=4 —
 //     which keeps the tail balanced when evaluation costs are skewed
-//     without per-genome cursor traffic.
+//     without per-genome cursor traffic. Executor 0 is the calling
+//     goroutine; Workers-1 persistent goroutines join it.
 //
-// The previous population is read-only during a sharded step (selection
-// reads it from every worker), elitism/replacement and best-tracking stay
-// on the master between steps.
+// The previous population is read-only during a step (selection reads it
+// from every executor); elitism, replacement and best-tracking stay on the
+// master between steps.
 
-// shardSize is the number of children per shard (two selection/crossover
-// pairs). It is a fixed constant — NOT derived from Workers — because the
-// shard count decides how the RNG substreams are laid out; tying it to the
-// worker count would break cross-worker-count determinism.
+// shardSize is the number of slots per shard (two selection/crossover
+// pairs, and exactly one 4-wide batch-kernel tile). It is a fixed constant
+// — NOT derived from Workers — because the shard count decides how the RNG
+// substreams are laid out; tying it to the worker count would break
+// cross-worker-count determinism.
 const shardSize = 4
+
+// ShardCount returns the number of shards — and hence of shard RNG
+// streams in a Snapshot — of an engine with population pop.
+func ShardCount(pop int) int { return (pop + shardSize - 1) / shardSize }
 
 // shardRange is one shard's half-open slot range in the next generation.
 type shardRange struct{ lo, hi int }
@@ -59,6 +71,10 @@ type shardedState[G any] struct {
 	rngs    []*rng.RNG // per-shard substream, advanced only by its shard
 	free    [][]G      // per-shard free list of retired genomes
 
+	// The slot plan: [0, nBest) elites, [nBest, crossEnd) offspring,
+	// [crossEnd, Pop) random immigrants.
+	nBest, crossEnd int
+
 	// next is the generation buffer being filled, published to workers
 	// before they are woken each step.
 	next []Individual[G]
@@ -68,63 +84,57 @@ type shardedState[G any] struct {
 	wake    []chan struct{} // one buffered wake channel per spawned worker
 	started bool
 
-	// Per-executor (0 = master, 1..workers-1 = goroutines) evaluation
-	// closures and recycling crossover instances; both may hold private
-	// scratch and are created once, at New.
-	evals []func(G) float64
-	cross []CrossoverInto[G]
-
-	// Per-executor batch-evaluation closures (BatchEvalProblem seam) plus
-	// their gather/result buffers, capacity shardSize. When batch[exec] is
-	// non-nil a shard's children are evaluated in one call after the
-	// variation loop — evaluation draws no randomness, so the reordering
-	// leaves the RNG substreams, and hence the trajectory, untouched.
+	// Per-executor batch-evaluation closures and recycling crossover
+	// instances, both possibly holding private scratch, plus the gather and
+	// result buffers of the batch calls (capacity shardSize). All are
+	// created once, at New. Evaluation draws no randomness, so running it
+	// after a shard's variation loop leaves the trajectory untouched.
 	batch []func(genomes []G, out []float64)
+	cross []CrossoverInto[G]
 	gbuf  [][]G
 	obuf  [][]float64
 }
 
-// newShardedState builds the shard decomposition, its RNG substreams and
-// the per-executor closures. It must be called after the initial
-// population is built so sharded and master-path runs share their
-// initialisation stream.
+// newShardedState builds the shard decomposition, its RNG substreams, the
+// slot plan and the per-executor closures. It must be called after the
+// initial population's random draws: the substreams are split off the
+// master stream.
 func newShardedState[G any](e *Engine[G], workers int) *shardedState[G] {
 	n := e.cfg.Pop
-	nShards := (n + shardSize - 1) / shardSize
+	nShards := ShardCount(n)
 	if workers > nShards {
 		workers = nShards
 	}
-	sh := &shardedState[G]{workers: workers}
+	if workers < 1 {
+		workers = 1
+	}
+	sh := &shardedState[G]{workers: workers, crossEnd: n}
+	if im := e.cfg.Immigration; im.Enabled {
+		sh.nBest = int(float64(n) * im.BestFrac)
+		sh.crossEnd = n - int(float64(n)*im.RandomFrac)
+	}
 	sh.shards = make([]shardRange, nShards)
 	for s := range sh.shards {
-		lo := s * shardSize
-		hi := lo + shardSize
-		if hi > n {
-			hi = n
-		}
-		sh.shards[s] = shardRange{lo, hi}
+		sh.shards[s] = shardRange{s * shardSize, min((s+1)*shardSize, n)}
 	}
 	sh.rngs = e.rng.SplitN(nShards)
 	sh.free = make([][]G, nShards)
-	sh.evals = make([]func(G) float64, workers)
-	sh.cross = make([]CrossoverInto[G], workers)
 	sh.batch = make([]func([]G, []float64), workers)
+	sh.cross = make([]CrossoverInto[G], workers)
 	sh.gbuf = make([][]G, workers)
 	sh.obuf = make([][]float64, workers)
-	for k := range sh.evals {
-		if e.localEvals != nil {
-			sh.evals[k] = e.localEvals.For(k)
+	bep, isBatch := e.prob.(BatchEvalProblem[G])
+	for k := range sh.batch {
+		if isBatch {
+			sh.batch[k] = bep.BatchEvaluator()
 		} else {
-			sh.evals[k] = e.prob.Evaluate
+			sh.batch[k] = evalLoop(e.prob.Evaluate)
 		}
 		if e.cfg.Ops.CrossInto != nil {
 			sh.cross[k] = e.cfg.Ops.CrossInto()
 		}
-		if e.batchEvals != nil {
-			sh.batch[k] = e.batchEvals.For(k)
-			sh.gbuf[k] = make([]G, 0, shardSize)
-			sh.obuf[k] = make([]float64, shardSize)
-		}
+		sh.gbuf[k] = make([]G, 0, shardSize)
+		sh.obuf[k] = make([]float64, shardSize)
 	}
 	return sh
 }
@@ -166,14 +176,15 @@ func (e *Engine[G]) startWorkers() {
 	sh.started = true
 }
 
-// Close releases the sharded pipeline's persistent worker goroutines. The
-// engine stays usable: the next Step respawns them. Close is a no-op on
-// master-path engines (Workers == 0), is idempotent, and must not be
-// called concurrently with Step. Callers that abandon a sharded engine
-// before Run returns should Close it; the solver's model adapters do.
+// Close releases the pipeline's persistent worker goroutines. The engine
+// stays usable: the next Step respawns them. Close is a no-op on
+// single-executor engines (Workers <= 1), is idempotent, and must not be
+// called concurrently with Step. Callers that abandon a multi-worker
+// engine before Run returns should Close it; the solver's model adapters
+// do.
 func (e *Engine[G]) Close() {
 	sh := e.sharded
-	if sh == nil || !sh.started {
+	if !sh.started {
 		return
 	}
 	for _, ch := range sh.wake {
@@ -183,10 +194,13 @@ func (e *Engine[G]) Close() {
 	sh.started = false
 }
 
-// stepSharded is the Workers > 0 generation: harvest retired genome
-// storage into per-shard free lists, let the workers drain the shard
-// queue, then apply elitism and bookkeeping on the master.
-func (e *Engine[G]) stepSharded() {
+// Step runs one generation (Table II lines 4-7): harvest the retired
+// generation's genome storage, copy the immigration elites on the master,
+// let the executors drain the shard queue, then apply elitism and
+// bookkeeping on the master. The next generation is written into a double
+// buffer that alternates with the current population, so the
+// per-generation slices are allocated once per engine, not once per Step.
+func (e *Engine[G]) Step() {
 	sh := e.sharded
 	e.gen++
 	n := e.cfg.Pop
@@ -195,20 +209,30 @@ func (e *Engine[G]) stepSharded() {
 		next = make([]Individual[G], n)
 	}
 	next = next[:n]
-	// Harvest the retired generation shard by shard: shard s recycles the
-	// genomes that previously lived in its own slot range, so the free
-	// lists need no cross-worker synchronisation.
+	// Harvest the retired generation: the master recycles the elite slots,
+	// and shard s the rest of its own slot range, so the free lists need
+	// no cross-worker synchronisation.
 	if e.cloneInto != nil && len(e.spare) > 0 {
-		for s := range sh.shards {
+		e.free = e.free[:0]
+		for i := 0; i < sh.nBest && i < len(e.spare); i++ {
+			e.free = append(e.free, e.spare[i].Genome)
+		}
+		for s, rg := range sh.shards {
 			f := sh.free[s][:0]
-			hi := sh.shards[s].hi
-			if hi > len(e.spare) {
-				hi = len(e.spare)
-			}
-			for i := sh.shards[s].lo; i < hi; i++ {
+			for i := max(rg.lo, sh.nBest); i < min(rg.hi, len(e.spare)); i++ {
 				f = append(f, e.spare[i].Genome)
 			}
 			sh.free[s] = f
+		}
+	}
+	if sh.nBest > 0 {
+		order := sortedIndices(e.ordA, e.pop)
+		e.ordA = order
+		for i := 0; i < sh.nBest; i++ {
+			// A population shrunk below nBest (SetPopulation) repeats its
+			// best individuals rather than leaving elite slots unfilled.
+			src := e.pop[order[i%len(order)]]
+			next[i] = Individual[G]{Genome: e.cloneGenome(src.Genome), Obj: src.Obj, Fit: src.Fit}
 		}
 	}
 	sh.next = next
@@ -224,9 +248,9 @@ func (e *Engine[G]) stepSharded() {
 	if sh.workers > 1 {
 		sh.wg.Wait()
 	}
-	e.evals += int64(n)
+	e.evals += int64(n - sh.nBest)
 
-	if e.cfg.Elite > 0 {
+	if e.cfg.Elite > 0 && !e.cfg.Immigration.Enabled {
 		e.applyElitism(next)
 	}
 	e.spare = e.pop
@@ -240,36 +264,34 @@ func (e *Engine[G]) stepSharded() {
 // genomes) from the cursor is the work-stealing that re-balances skewed
 // evaluation costs across workers.
 func (e *Engine[G]) runShards(exec int) {
-	sh := e.sharded
-	eval := sh.evals[exec]
-	cross := sh.cross[exec]
-	nShards := int64(len(sh.shards))
+	nShards := int64(len(e.sharded.shards))
 	for {
-		s := sh.cursor.Add(1) - 1
+		s := e.sharded.cursor.Add(1) - 1
 		if s >= nShards {
 			return
 		}
-		e.runShard(int(s), exec, eval, cross)
+		e.runShard(int(s), exec)
 	}
 }
 
-// runShard produces and evaluates the children of shard s, writing them to
-// the shard's contiguous slot range of the next generation. With a batch
-// closure the variation loop only places genomes; the whole shard is then
-// decoded in one lockstep batch call (shardSize == the batch kernels'
-// interleave width, so a full shard is exactly one tile).
-func (e *Engine[G]) runShard(s, exec int, eval func(G) float64, cross CrossoverInto[G]) {
+// runShard fills the non-elite slots of shard s — offspring pairs, then
+// random immigrants — and evaluates them with one batch call (a full
+// shard is exactly one lockstep tile of the batch kernels).
+func (e *Engine[G]) runShard(s, exec int) {
 	sh := e.sharded
 	rg := sh.shards[s]
 	r := sh.rngs[s]
 	free := sh.free[s]
-	batch := sh.batch[exec]
-	for i := rg.lo; i < rg.hi; i += 2 {
+	cross := sh.cross[exec]
+	lo := max(rg.lo, sh.nBest)
+	end := min(rg.hi, sh.crossEnd)
+	for i := lo; i < end; i += 2 {
 		i1 := e.cfg.Ops.Select(r, e.pop)
 		i2 := e.cfg.Ops.Select(r, e.pop)
 		p1, p2 := e.pop[i1].Genome, e.pop[i2].Genome
 		var c1, c2 G
-		if r.Bool(e.cfg.CrossoverRate) {
+		// Under Huang's scheme every offspring pair recombines.
+		if e.cfg.Immigration.Enabled || r.Bool(e.cfg.CrossoverRate) {
 			if cross != nil {
 				var d1, d2 G
 				d1, d2, free = take2(free)
@@ -292,28 +314,31 @@ func (e *Engine[G]) runShard(s, exec int, eval func(G) float64, cross CrossoverI
 		if r.Bool(e.cfg.MutationRate) {
 			e.cfg.Ops.Mutate(r, c2)
 		}
-		if batch != nil {
-			sh.next[i].Genome = c1
+		sh.next[i].Genome = c1
+		if i+1 < end {
 			sh.next[i+1].Genome = c2
-			continue
+		} else if e.cloneInto != nil {
+			// The pair straddles the offspring range's end: recycle the
+			// second child's storage.
+			free = append(free, c2)
 		}
-		o1 := eval(c1)
-		o2 := eval(c2)
-		sh.next[i] = Individual[G]{Genome: c1, Obj: o1, Fit: e.cfg.Fitness(o1)}
-		sh.next[i+1] = Individual[G]{Genome: c2, Obj: o2, Fit: e.cfg.Fitness(o2)}
+	}
+	for i := max(lo, end); i < rg.hi; i++ {
+		sh.next[i].Genome = e.prob.Random(r)
 	}
 	sh.free[s] = free
-	if batch != nil {
-		g := sh.gbuf[exec][:0]
-		for i := rg.lo; i < rg.hi; i++ {
-			g = append(g, sh.next[i].Genome)
-		}
-		o := sh.obuf[exec][:rg.hi-rg.lo]
-		batch(g, o)
-		for k, i := 0, rg.lo; i < rg.hi; i, k = i+1, k+1 {
-			sh.next[i].Obj = o[k]
-			sh.next[i].Fit = e.cfg.Fitness(o[k])
-		}
-		sh.gbuf[exec] = g
+	if lo >= rg.hi {
+		return
 	}
+	g := sh.gbuf[exec][:0]
+	for i := lo; i < rg.hi; i++ {
+		g = append(g, sh.next[i].Genome)
+	}
+	o := sh.obuf[exec][:len(g)]
+	sh.batch[exec](g, o)
+	for k, i := 0, lo; i < rg.hi; i, k = i+1, k+1 {
+		sh.next[i].Obj = o[k]
+		sh.next[i].Fit = e.cfg.Fitness(o[k])
+	}
+	sh.gbuf[exec] = g
 }

@@ -6,8 +6,8 @@ import (
 	"repro/internal/rng"
 )
 
-// shardedProblem is a CloneInto+LocalEval []int problem whose evaluation
-// depends on every gene, for trajectory comparisons.
+// shardedProblem is a CloneInto []int problem whose evaluation depends on
+// every gene, for trajectory comparisons.
 func shardedProblem(n int) FuncProblem[[]int] {
 	return FuncProblem[[]int]{
 		RandomFn: func(r *rng.RNG) []int { return r.Perm(n) },
@@ -49,12 +49,12 @@ func shardedOps() Operators[[]int] {
 	}
 }
 
-// runSharded runs a sharded engine for gens generations and returns the
-// best objective, evaluation count and best genome.
-func runSharded(t *testing.T, workers, pop, gens int) (float64, int64, []int) {
+// runSharded runs an engine for gens generations and returns the best
+// objective, evaluation count and best genome.
+func runSharded(t *testing.T, workers, pop, gens int, imm Immigration) (float64, int64, []int) {
 	t.Helper()
 	eng := New(shardedProblem(12), rng.New(99), Config[[]int]{
-		Pop: pop, Workers: workers,
+		Pop: pop, Workers: workers, Immigration: imm,
 		Ops:  shardedOps(),
 		Term: Termination{MaxGenerations: gens},
 	})
@@ -63,15 +63,15 @@ func runSharded(t *testing.T, workers, pop, gens int) (float64, int64, []int) {
 	return res.Best.Obj, res.Evaluations, res.Best.Genome
 }
 
-// TestShardedWorkerInvariance is the engine-level determinism contract:
-// the shard decomposition and its RNG substreams depend only on Pop, so
-// any worker count — 1 included — produces bit-identical results.
-func TestShardedWorkerInvariance(t *testing.T) {
-	baseObj, baseEvals, baseGenome := runSharded(t, 1, 40, 30)
-	for _, w := range []int{2, 3, 8, 64} {
-		obj, evals, genome := runSharded(t, w, 40, 30)
+// checkWorkerInvariance runs the engine at workers 0 and at every count in
+// ws, requiring bit-identical best objective, evaluations and best genome.
+func checkWorkerInvariance(t *testing.T, pop, gens int, imm Immigration, ws []int) {
+	t.Helper()
+	baseObj, baseEvals, baseGenome := runSharded(t, 0, pop, gens, imm)
+	for _, w := range ws {
+		obj, evals, genome := runSharded(t, w, pop, gens, imm)
 		if obj != baseObj || evals != baseEvals {
-			t.Errorf("workers=%d: (%v, %d) != workers=1 (%v, %d)", w, obj, evals, baseObj, baseEvals)
+			t.Errorf("workers=%d: (%v, %d) != workers=0 (%v, %d)", w, obj, evals, baseObj, baseEvals)
 		}
 		for i := range genome {
 			if genome[i] != baseGenome[i] {
@@ -82,9 +82,29 @@ func TestShardedWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedSharesInitialisation checks that a sharded engine and a
-// master-path engine with the same seed build the same initial population:
-// the shard substreams are split off only after initialisation.
+// TestShardedWorkerInvariance is the engine-level determinism contract:
+// the shard decomposition and its RNG substreams depend only on Pop, so
+// any worker count — the inline executor of 0 and 1 included — produces
+// bit-identical results.
+func TestShardedWorkerInvariance(t *testing.T) {
+	checkWorkerInvariance(t, 40, 30, Immigration{}, []int{1, 2, 3, 8, 64})
+}
+
+// TestImmigrationWorkerInvariance: Huang's immigration composition lives in
+// the shard plan (elites on the master, offspring and immigrants in the
+// shards, every draw from the owning shard's substream), so it is
+// worker-count invariant too — including an odd elite count, where an
+// offspring pair straddles a shard boundary.
+func TestImmigrationWorkerInvariance(t *testing.T) {
+	imm := Immigration{Enabled: true, BestFrac: 0.2, CrossFrac: 0.6, RandomFrac: 0.2}
+	for _, pop := range []int{20, 26} {
+		checkWorkerInvariance(t, pop, 15, imm, []int{1, 4})
+	}
+}
+
+// TestShardedSharesInitialisation checks that engines of different worker
+// counts with the same seed build the same initial population: the shard
+// substreams are split off only after initialisation.
 func TestShardedSharesInitialisation(t *testing.T) {
 	p := shardedProblem(10)
 	mk := func(workers int) *Engine[[]int] {
@@ -99,29 +119,9 @@ func TestShardedSharesInitialisation(t *testing.T) {
 		ga, gb := a.Population()[i].Genome, b.Population()[i].Genome
 		for k := range ga {
 			if ga[k] != gb[k] {
-				t.Fatalf("initial individual %d differs between master-path and sharded engines", i)
+				t.Fatalf("initial individual %d differs between 0 and 4 workers", i)
 			}
 		}
-	}
-}
-
-// TestShardedImmigrationFallsBack: immigration-mode composition is a
-// master-path feature; a Workers > 0 engine with Immigration enabled must
-// still run it (and remain deterministic).
-func TestShardedImmigrationFallsBack(t *testing.T) {
-	mk := func() Result[[]int] {
-		eng := New(shardedProblem(8), rng.New(3), Config[[]int]{
-			Pop: 20, Workers: 4, Ops: shardedOps(),
-			Immigration: Immigration{Enabled: true, BestFrac: 0.2, CrossFrac: 0.6, RandomFrac: 0.2},
-			Term:        Termination{MaxGenerations: 15},
-		})
-		defer eng.Close()
-		return eng.Run()
-	}
-	a, b := mk(), mk()
-	if a.Best.Obj != b.Best.Obj || a.Evaluations != b.Evaluations {
-		t.Errorf("immigration fallback not deterministic: (%v,%d) vs (%v,%d)",
-			a.Best.Obj, a.Evaluations, b.Best.Obj, b.Evaluations)
 	}
 }
 
@@ -148,7 +148,7 @@ func TestShardedCloseRespawns(t *testing.T) {
 }
 
 // noSeamProblem hides every optional seam of a FuncProblem (CloneInto,
-// LocalEvaluator, BatchEvaluator), leaving only the base Problem interface.
+// BatchEvaluator), leaving only the base Problem interface.
 type noSeamProblem struct{ p FuncProblem[[]int] }
 
 func (n noSeamProblem) Random(r *rng.RNG) []int  { return n.p.Random(r) }
@@ -160,50 +160,64 @@ func (n noSeamProblem) Clone(g []int) []int      { return n.p.Clone(g) }
 // must not change a single trajectory — evaluation draws no randomness and
 // batch closures return exactly the scalar objectives.
 func TestShardedBatchSeamTrajectoryInvariance(t *testing.T) {
-	run := func(p Problem[[]int], workers int) Result[[]int] {
+	run := func(p Problem[[]int], workers int, imm Immigration) Result[[]int] {
 		eng := New(p, rng.New(41), Config[[]int]{
-			Pop: 36, Workers: workers, Ops: shardedOps(),
+			Pop: 36, Workers: workers, Ops: shardedOps(), Immigration: imm,
 			Term: Termination{MaxGenerations: 25},
 		})
 		defer eng.Close()
 		return eng.Run()
 	}
 	fp := shardedProblem(11)
-	for _, workers := range []int{0, 1, 4} {
-		with, without := run(fp, workers), run(noSeamProblem{fp}, workers)
-		if with.Best.Obj != without.Best.Obj || with.Evaluations != without.Evaluations {
-			t.Errorf("workers=%d: batch seam changed trajectory: (%v,%d) vs (%v,%d)",
-				workers, with.Best.Obj, with.Evaluations, without.Best.Obj, without.Evaluations)
+	// A span closure with its own evaluation order, so the batch call is a
+	// genuinely different code path from the scalar loop.
+	fp.BatchEvalFn = func() func([][]int, []float64) {
+		return func(gs [][]int, out []float64) {
+			for i := len(gs) - 1; i >= 0; i-- {
+				out[i] = fp.EvaluateFn(gs[i])
+			}
 		}
-		for i := range with.Best.Genome {
-			if with.Best.Genome[i] != without.Best.Genome[i] {
-				t.Errorf("workers=%d: best genome diverges at %d", workers, i)
-				break
+	}
+	imms := []Immigration{{}, {Enabled: true, BestFrac: 0.25, CrossFrac: 0.5, RandomFrac: 0.25}}
+	for _, imm := range imms {
+		for _, workers := range []int{0, 1, 4} {
+			with, without := run(fp, workers, imm), run(noSeamProblem{fp}, workers, imm)
+			if with.Best.Obj != without.Best.Obj || with.Evaluations != without.Evaluations {
+				t.Errorf("workers=%d immigration=%v: batch seam changed trajectory: (%v,%d) vs (%v,%d)",
+					workers, imm.Enabled, with.Best.Obj, with.Evaluations, without.Best.Obj, without.Evaluations)
+			}
+			for i := range with.Best.Genome {
+				if with.Best.Genome[i] != without.Best.Genome[i] {
+					t.Errorf("workers=%d immigration=%v: best genome diverges at %d", workers, imm.Enabled, i)
+					break
+				}
 			}
 		}
 	}
 }
 
-// TestShardedStepAllocs is the zero-alloc guard of the sharded pipeline:
-// once warm, a full sharded Step must stay within a small constant
-// allocation budget independent of the population size (the ISSUE-5
-// acceptance bound is <= 8 allocs/op).
+// TestShardedStepAllocs is the zero-alloc guard of the pipeline: once
+// warm, a full Step must stay within a small constant allocation budget
+// independent of the population size and of the worker count, the inline
+// executor included (bound: <= 8 allocs/op).
 func TestShardedStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	for _, pop := range []int{64, 256} {
-		eng := New(shardedProblem(15), rng.New(8), Config[[]int]{
-			Pop: pop, Workers: 4, Ops: shardedOps(),
-			Term: Termination{MaxGenerations: 1 << 30},
-		})
-		for i := 0; i < 60; i++ { // warm the free lists and spawn the workers
-			eng.Step()
-		}
-		avg := testing.AllocsPerRun(50, eng.Step)
-		eng.Close()
-		if avg > 8 {
-			t.Errorf("Pop=%d: sharded Step allocates %.1f/op, want <= 8", pop, avg)
+	for _, workers := range []int{0, 4} {
+		for _, pop := range []int{64, 256} {
+			eng := New(shardedProblem(15), rng.New(8), Config[[]int]{
+				Pop: pop, Workers: workers, Ops: shardedOps(),
+				Term: Termination{MaxGenerations: 1 << 30},
+			})
+			for i := 0; i < 60; i++ { // warm the free lists and spawn the workers
+				eng.Step()
+			}
+			avg := testing.AllocsPerRun(50, eng.Step)
+			eng.Close()
+			if avg > 8 {
+				t.Errorf("Workers=%d Pop=%d: Step allocates %.1f/op, want <= 8", workers, pop, avg)
+			}
 		}
 	}
 }

@@ -142,10 +142,6 @@ type Config[G any] struct {
 	// which goroutine steps it cannot matter.
 	Workers int
 
-	// Sequential disables the per-epoch goroutines (results are identical;
-	// used by benchmarks to separate algorithmic and scheduling effects).
-	Sequential bool
-
 	// OnEpoch, when set, is called after every migration epoch with the
 	// epoch's stats — the model's streaming-progress seam. It runs on the
 	// model's own goroutine, between epochs, so it never races the island
@@ -290,7 +286,8 @@ func (m *Model[G]) stopped() bool {
 }
 
 // stepAll advances every island by the migration interval on one shared
-// bounded pool (core.ParallelFor, Config.Workers wide) unless Sequential.
+// bounded pool (core.ParallelFor, Config.Workers wide; 1 steps them on
+// the calling goroutine).
 // Islands only touch their own state and RNGs, so the result is
 // independent of goroutine scheduling — and of the pool width.
 func (m *Model[G]) stepAll() {
@@ -304,11 +301,7 @@ func (m *Model[G]) stepAll() {
 			e.Step()
 		}
 	}
-	w := m.cfg.Workers
-	if m.cfg.Sequential {
-		w = 1
-	}
-	core.ParallelFor(len(m.engines), w, stepIsland)
+	core.ParallelFor(len(m.engines), m.cfg.Workers, stepIsland)
 	m.gen += steps
 }
 

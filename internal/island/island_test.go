@@ -178,16 +178,16 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestDeterminismAndParallelEquivalence(t *testing.T) {
-	run := func(sequential bool) Result[[]int] {
+	run := func(workers int) Result[[]int] {
 		cfg := baseConfig(10)
-		cfg.Sequential = sequential
+		cfg.Workers = workers
 		return New(rng.New(123), cfg).Run()
 	}
-	seq1, seq2 := run(true), run(true)
+	seq1, seq2 := run(1), run(1)
 	if seq1.Best.Obj != seq2.Best.Obj || seq1.Evaluations != seq2.Evaluations {
 		t.Fatalf("sequential runs diverged: %v/%v", seq1.Best.Obj, seq2.Best.Obj)
 	}
-	par := run(false)
+	par := run(4)
 	if par.Best.Obj != seq1.Best.Obj || par.Evaluations != seq1.Evaluations {
 		t.Fatalf("parallel diverged from sequential: %v/%v evals %d/%d",
 			par.Best.Obj, seq1.Best.Obj, par.Evaluations, seq1.Evaluations)
@@ -330,7 +330,7 @@ func TestPerIslandHeterogeneous(t *testing.T) {
 	cfg := baseConfig(8)
 	cfg.Islands = 2
 	cfg.Epochs = 3
-	cfg.Sequential = true // counters below are not synchronised
+	cfg.Workers = 1 // counters below are not synchronised
 	cfg.PerIsland = func(i int, base core.Config[[]int]) core.Config[[]int] {
 		ops := base.Ops
 		inner := ops.Mutate

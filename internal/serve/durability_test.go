@@ -285,6 +285,49 @@ func TestServerRestartColdOnBadCheckpoint(t *testing.T) {
 	}
 }
 
+// TestServerRestartColdOnShardlessIslandCheckpoint: island checkpoints
+// written before every deme engine ran the sharded pipeline carry no
+// shard streams. Recovery must downgrade such a checkpoint to a logged
+// cold start — the documented contract — rather than resubmit it warm and
+// fail the job inside the engine's restore.
+func TestServerRestartColdOnShardlessIslandCheckpoint(t *testing.T) {
+	spec := solver.Spec{
+		Problem: solver.ProblemSpec{Instance: "ft06"},
+		Model:   "island",
+		Params:  solver.Params{Pop: 32, Islands: 4, Interval: 2, Migrants: 1},
+		Budget:  solver.Budget{Generations: 20},
+		Seed:    19,
+	}
+	cp, _ := midCheckpoint(t, spec, 4)
+	for d := range cp.Demes {
+		cp.Demes[d].Shards = nil
+	}
+
+	dir := t.TempDir()
+	seedRunningJob(t, openStore(t, dir), "j000044", spec, cp)
+
+	logs := &logBuf{}
+	_, c := newTestServer(t, serve.Config{Store: openStore(t, dir), Logf: logs.Logf})
+	final, err := c.Await(testCtx(t), "j000044")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != solver.JobDone || final.Result == nil {
+		t.Fatalf("final %+v", final)
+	}
+	if !logs.contains("checkpoint invalid") || !logs.contains("restarted job j000044 cold") {
+		t.Errorf("cold-start downgrade not logged: %q", logs.all())
+	}
+	want, err := solver.Solve(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Result.BestObjective != want.BestObjective || final.Result.Evaluations != want.Evaluations {
+		t.Errorf("cold restart (best %v, evals %d), want the plain run's (best %v, evals %d)",
+			final.Result.BestObjective, final.Result.Evaluations, want.BestObjective, want.Evaluations)
+	}
+}
+
 // TestServerRestartColdWithoutCheckpoint: a running record with no
 // checkpoint at all (crash before the first snapshot) restarts cold.
 func TestServerRestartColdWithoutCheckpoint(t *testing.T) {

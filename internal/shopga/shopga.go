@@ -35,34 +35,20 @@ func isMakespan(obj shop.Objective) bool {
 	return reflect.ValueOf(obj).Pointer() == makespanPtr
 }
 
-// scratches is a pool of decode workspaces pre-sized for one instance. All
-// Problem evaluation closures below draw from such a pool, which makes them
-// safe under every parallel evaluator (master-slave pools, islands,
-// cellular partitions) while keeping the steady-state hot path
-// allocation-free.
-func scratches(in *shop.Instance) *sync.Pool {
-	return &sync.Pool{New: func() interface{} { return decode.NewScratch(in) }}
-}
-
-// pooledEval wraps a scratch-parameterised evaluation into the two
-// evaluation seams every Problem below exposes: the shared EvaluateFn
-// (round-trips a sync.Pool scratch per call — safe anywhere) and the
-// LocalEvalFn factory (one private scratch per closure — what the sharded
-// engine pipeline and masterslave.PoolEvaluator hand to each persistent
-// worker, removing the pool round-trips from the hot path).
-func pooledEval[G any](in *shop.Instance, evalWith func(G, *decode.Scratch) float64) (func(G) float64, func() func(G) float64) {
-	pool := scratches(in)
-	eval := func(g G) float64 {
+// pooledEval wraps a scratch-parameterised evaluation into the shared
+// EvaluateFn of every Problem below: each call round-trips a decode
+// workspace pre-sized for the instance through a sync.Pool, which keeps it
+// safe for concurrent callers (cellular partitions, hybrid grids,
+// migration) while the steady state stays allocation-free. The engine's
+// generations go through the per-executor BatchEvalFn closures instead.
+func pooledEval[G any](in *shop.Instance, evalWith func(G, *decode.Scratch) float64) func(G) float64 {
+	pool := &sync.Pool{New: func() interface{} { return decode.NewScratch(in) }}
+	return func(g G) float64 {
 		s := pool.Get().(*decode.Scratch)
 		v := evalWith(g, s)
 		pool.Put(s)
 		return v
 	}
-	local := func() func(G) float64 {
-		s := decode.NewScratch(in)
-		return func(g G) float64 { return evalWith(g, s) }
-	}
-	return eval, local
 }
 
 // batchEval builds the BatchEvalFn factory of the problems below: each
@@ -113,13 +99,12 @@ func FlowShopProblem(in *shop.Instance, obj shop.Objective) core.Problem[[]int] 
 			b.FlowShopMakespans(gs, out)
 		}
 	}
-	eval, local := pooledEval(in, evalWith)
+	eval := pooledEval(in, evalWith)
 	return core.FuncProblem[[]int]{
 		RandomFn:    func(r *rng.RNG) []int { return decode.RandomPermutation(in, r) },
 		EvaluateFn:  eval,
 		CloneFn:     cloneInts,
 		CloneIntoFn: cloneIntsInto,
-		LocalEvalFn: local,
 		BatchEvalFn: batchEval(in, batch),
 	}
 }
@@ -146,13 +131,12 @@ func JobShopProblem(in *shop.Instance, obj shop.Objective) core.Problem[[]int] {
 			b.JobShopMakespans(gs, out)
 		}
 	}
-	eval, local := pooledEval(in, evalWith)
+	eval := pooledEval(in, evalWith)
 	return core.FuncProblem[[]int]{
 		RandomFn:    func(r *rng.RNG) []int { return decode.RandomOpSequence(in, r) },
 		EvaluateFn:  eval,
 		CloneFn:     cloneInts,
 		CloneIntoFn: cloneIntsInto,
-		LocalEvalFn: local,
 		BatchEvalFn: batchEval(in, batch),
 	}
 }
@@ -187,13 +171,12 @@ func OpenShopProblem(in *shop.Instance, rule decode.OpenRule, obj shop.Objective
 			b.OpenShopMakespans(gs, rule, out)
 		}
 	}
-	eval, local := pooledEval(in, evalWith)
+	eval := pooledEval(in, evalWith)
 	return core.FuncProblem[[]int]{
 		RandomFn:    func(r *rng.RNG) []int { return decode.RandomOpSequence(in, r) },
 		EvaluateFn:  eval,
 		CloneFn:     cloneInts,
 		CloneIntoFn: cloneIntsInto,
-		LocalEvalFn: local,
 		BatchEvalFn: batchEval(in, batch),
 	}
 }
@@ -215,7 +198,7 @@ func GTProblem(in *shop.Instance, obj shop.Objective) core.Problem[[]float64] {
 			b.GifflerThompsonMakespans(gs, out)
 		}
 	}
-	eval, local := pooledEval(in, evalWith)
+	eval := pooledEval(in, evalWith)
 	return core.FuncProblem[[]float64]{
 		RandomFn: func(r *rng.RNG) []float64 {
 			g := make([]float64, total)
@@ -227,7 +210,6 @@ func GTProblem(in *shop.Instance, obj shop.Objective) core.Problem[[]float64] {
 		EvaluateFn:  eval,
 		CloneFn:     cloneKeys,
 		CloneIntoFn: cloneKeysInto,
-		LocalEvalFn: local,
 		BatchEvalFn: batchEval(in, batch),
 	}
 }
@@ -280,7 +262,7 @@ func FlexibleProblem(in *shop.Instance, obj shop.Objective) core.Problem[FlexGen
 			}
 		}
 	}
-	eval, local := pooledEval(in, evalWith)
+	eval := pooledEval(in, evalWith)
 	return core.FuncProblem[FlexGenome]{
 		RandomFn: func(r *rng.RNG) FlexGenome {
 			return FlexGenome{
@@ -291,7 +273,6 @@ func FlexibleProblem(in *shop.Instance, obj shop.Objective) core.Problem[FlexGen
 		EvaluateFn:  eval,
 		CloneFn:     CloneFlex,
 		CloneIntoFn: CloneFlexInto,
-		LocalEvalFn: local,
 		BatchEvalFn: batchFn,
 	}
 }
@@ -320,13 +301,12 @@ func FixedAssignmentProblem(in *shop.Instance, assign []int, obj shop.Objective)
 			}
 		}
 	}
-	eval, local := pooledEval(in, evalWith)
+	eval := pooledEval(in, evalWith)
 	return core.FuncProblem[[]int]{
 		RandomFn:    func(r *rng.RNG) []int { return decode.RandomOpSequence(in, r) },
 		EvaluateFn:  eval,
 		CloneFn:     cloneInts,
 		CloneIntoFn: cloneIntsInto,
-		LocalEvalFn: local,
 		BatchEvalFn: batchFn,
 	}
 }

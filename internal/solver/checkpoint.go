@@ -55,7 +55,8 @@ type Checkpoint struct {
 	// RNG is the engine stream (serial, ms) or the island model's
 	// model-level stream (migrant selection, replacement, topology draws).
 	// Hybrid runs have no model-level stream and leave it at its zero
-	// value, which is never fed back to an RNG.
+	// value, which is never fed back to an RNG. Shards holds the engine's
+	// per-shard substreams, exactly core.ShardCount(len(Pop)) of them.
 	RNG    rng.State   `json:"rng"`
 	Shards []rng.State `json:"shards,omitempty"`
 
@@ -75,17 +76,19 @@ type Checkpoint struct {
 
 // DemeState is one deme's slice of an epoch-structured checkpoint: the
 // deme's population with objectives, its incumbent, its counters, and its
-// randomness — an engine RNG stream for island demes, a derivation seed
+// randomness — an engine RNG stream plus its per-shard substreams for
+// island demes (packed like the flat Checkpoint.Shards), a derivation seed
 // for hybrid grids (the cellular model's entire randomness is one seed).
-// Exactly one of RNG and Seed is meaningful per model.
+// RNG and Shards are meaningful for island demes, Seed for hybrid grids.
 type DemeState struct {
 	Pop           []Genome  `json:"pop"`
 	Objs          []float64 `json:"objs"`
 	Best          *Genome   `json:"best"`
 	BestObjective float64   `json:"best_objective"`
 
-	RNG  *rng.State `json:"rng,omitempty"`
-	Seed uint64     `json:"seed,omitempty"`
+	RNG    *rng.State  `json:"rng,omitempty"`
+	Shards []rng.State `json:"shards,omitempty"`
+	Seed   uint64      `json:"seed,omitempty"`
 
 	Generation  int   `json:"generation"`
 	Evaluations int64 `json:"evaluations"`
@@ -287,6 +290,9 @@ func unpackSnapshot[G any](run *Run, enc encoding[G], cp *Checkpoint) (core.Snap
 	if cp.Generation < 0 || cp.Evaluations < 0 {
 		return snap, fmt.Errorf("solver: checkpoint counters out of range")
 	}
+	if err := checkShards(cp.Shards, len(cp.Pop)); err != nil {
+		return snap, fmt.Errorf("solver: checkpoint %w", err)
+	}
 	snap.Pop = make([]core.Individual[G], len(cp.Pop))
 	for i := range cp.Pop {
 		g, err := enc.unpack(cp.Pop[i])
@@ -313,6 +319,16 @@ func unpackSnapshot[G any](run *Run, enc encoding[G], cp *Checkpoint) (core.Snap
 	snap.RNG = cp.RNG
 	snap.Shards = cp.Shards
 	return snap, nil
+}
+
+// checkShards requires one shard RNG stream per engine shard. Checkpoints
+// written before every engine ran the sharded pipeline carry none, so they
+// fail here and the recovery layer restarts them cold.
+func checkShards(shards []rng.State, pop int) error {
+	if want := core.ShardCount(pop); len(shards) != want {
+		return fmt.Errorf("has %d shard streams, population %d needs %d", len(shards), pop, want)
+	}
+	return nil
 }
 
 // packDeme converts one deme's population and incumbent into the wire
@@ -403,6 +419,7 @@ func packIslandCheckpoint[G any](run *Run, enc encoding[G], snap island.Snapshot
 		ds := packDeme(enc, es.Pop, es.Best)
 		r := es.RNG
 		ds.RNG = &r
+		ds.Shards = es.Shards
 		ds.Generation = es.Generation
 		ds.Evaluations = es.Evaluations
 		ds.Stagnation = es.Stagnation
@@ -431,6 +448,9 @@ func unpackIslandSnapshot[G any](run *Run, enc encoding[G], cp *Checkpoint) (isl
 			return island.Snapshot[G]{}, fmt.Errorf("solver: checkpoint deme %d has no RNG stream", d)
 		}
 		pop, best, err := unpackDeme(enc, ds)
+		if err == nil {
+			err = checkShards(ds.Shards, len(ds.Pop))
+		}
 		if err != nil {
 			return island.Snapshot[G]{}, fmt.Errorf("solver: checkpoint deme %d: %w", d, err)
 		}
@@ -442,6 +462,7 @@ func unpackIslandSnapshot[G any](run *Run, enc encoding[G], cp *Checkpoint) (isl
 		es.Evaluations = ds.Evaluations
 		es.Stagnation = ds.Stagnation
 		es.RNG = *ds.RNG
+		es.Shards = ds.Shards
 		snap.Demes = append(snap.Demes, es)
 		demeSum += ds.Evaluations
 	}

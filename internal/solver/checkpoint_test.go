@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // collectCheckpoints runs a spec with the given cadence and returns the
@@ -213,11 +215,43 @@ func TestCheckpointIslandValidation(t *testing.T) {
 	corrupt("deme objs mismatched", func(cp *Checkpoint) { cp.Demes[0].Objs = cp.Demes[0].Objs[:1] })
 	corrupt("deme incumbent missing", func(cp *Checkpoint) { cp.Demes[0].Best = nil })
 	corrupt("deme RNG missing", func(cp *Checkpoint) { cp.Demes[0].RNG = nil })
+	corrupt("deme shard streams missing", func(cp *Checkpoint) { cp.Demes[1].Shards = nil })
+	corrupt("deme shard streams truncated", func(cp *Checkpoint) { cp.Demes[0].Shards = cp.Demes[0].Shards[:1] })
 	corrupt("deme gene out of range", func(cp *Checkpoint) { cp.Demes[0].Pop[0].Seq[0] = 99 })
 	corrupt("deme NaN objective", func(cp *Checkpoint) { cp.Demes[0].Objs[0] = math.NaN() })
 	corrupt("negative epoch", func(cp *Checkpoint) { cp.Epoch = -1 })
 	corrupt("evals below deme sum", func(cp *Checkpoint) { cp.Evaluations = 1 })
 	corrupt("wrong model pin", func(cp *Checkpoint) { cp.Model = "hybrid" })
+}
+
+// TestValidateCheckpointShardStreams: the shard-stream count is part of
+// a checkpoint's shape. An ms checkpoint with its streams cut down, or a
+// checkpoint without any (written before every engine ran the sharded
+// pipeline), fails ValidateCheckpoint — the gate the daemon downgrades to
+// a cold start — instead of failing the resumed run inside the engine.
+func TestValidateCheckpointShardStreams(t *testing.T) {
+	spec := ckSpec("ms", EncSeq, ProblemSpec{Instance: "ft06"})
+	spec.Params.Pop = 32
+	_, cps := collectCheckpoints(t, spec, 10, nil)
+	base := cps[0]
+	if len(base.Shards) != 8 {
+		t.Fatalf("pop-32 checkpoint carries %d shard streams, want 8", len(base.Shards))
+	}
+	if err := ValidateCheckpoint(spec, base); err != nil {
+		t.Fatalf("intact checkpoint rejected: %v", err)
+	}
+	for _, keep := range []int{0, 1, 7} {
+		cp := *base
+		cp.Shards = base.Shards[:keep]
+		if err := ValidateCheckpoint(spec, &cp); err == nil {
+			t.Errorf("checkpoint with %d of 8 shard streams passed validation", keep)
+		}
+	}
+	cp := *base
+	cp.Shards = append(append([]rng.State(nil), base.Shards...), base.Shards[0])
+	if err := ValidateCheckpoint(spec, &cp); err == nil {
+		t.Error("checkpoint with 9 of 8 shard streams passed validation")
+	}
 }
 
 func TestCheckpointResumeRejectsUnsupportedModel(t *testing.T) {

@@ -243,7 +243,8 @@ func runEngine[G any](run *Run, enc encoding[G], workers int) (*Result, error) {
 	return coreResult(enc, res), nil
 }
 
-// runSerial is the panmictic Table II GA.
+// runSerial is the panmictic Table II GA: the engine's pipeline on one
+// inline executor.
 func runSerial[G any](_ context.Context, run *Run, enc encoding[G]) (*Result, error) {
 	return runEngine(run, enc, 0)
 }
@@ -253,9 +254,9 @@ func runSerial[G any](_ context.Context, run *Run, enc encoding[G]) (*Result, er
 // generation and run selection → crossover → mutation → evaluation for
 // them end-to-end, drawing from per-shard RNG substreams. The survey's
 // defining Table III property — parallelisation does not change the
-// algorithm — survives in its modern form: the trajectory is bit-identical
-// for ANY workers value, 1 included (TestMasterSlaveWorkerInvariance), it
-// just no longer coincides with the serial model's master-path trajectory.
+// algorithm — holds exactly: the trajectory is bit-identical for ANY
+// workers value (TestMasterSlaveWorkerInvariance) and coincides with the
+// serial model's (TestSerialEqualsMasterSlave).
 func runMasterSlave[G any](_ context.Context, run *Run, enc encoding[G]) (*Result, error) {
 	workers := run.Spec.Params.Workers
 	if workers <= 0 {
