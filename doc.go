@@ -79,7 +79,10 @@
 // executor-owned scratches — each shard of 4 children is exactly one
 // batch tile — allocation-free and bit-identical for any worker count, so
 // the serial and master-slave models are one trajectory;
-// Spec.Params.Workers threads the width through every model.
+// Spec.Params.Workers threads the width through every model. Variation
+// inside a shard is linear and branch-free: JOX and OX are compaction
+// kernels pinned to reference bodies, and elitism takes its few elites
+// from an O(n·k) stable selection instead of sorting the population.
 //
 // See README.md for the layout, the solver API and the performance
 // architecture, DESIGN.md for the system inventory and per-experiment

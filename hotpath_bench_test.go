@@ -7,8 +7,9 @@ package repro
 // objective directly). The measured baseline is recorded in
 // BENCH_hotpath.json; regenerate it with
 //
-//	go test -run='^$' -bench=BenchmarkHotPath -benchtime=2s .
+//	go test -run='^$' -bench=BenchmarkHotPath -benchtime=2s . ./internal/core/
 //
+// (internal/core holds the engine-internal elitism row).
 // CI runs the suite with -benchtime=1x as a smoke test so the kernels and
 // their alloc counters stay exercised on every PR.
 
@@ -20,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/decode"
+	"repro/internal/op"
 	"repro/internal/rng"
 	"repro/internal/shop"
 	"repro/internal/shopga"
@@ -122,6 +124,32 @@ func BenchmarkHotPath(b *testing.B) {
 			_ = decode.GifflerThompsonMakespan(gt, pri, s)
 		}
 	})
+
+	// Variation rows: one warm recycling crossover (two children into
+	// recycled storage) on the engine-step job shop and on the flow shop
+	// row's permutations — the operators SeqOps and PermOps hand the
+	// sharded pipeline. The elitism-160 row lives in internal/core's
+	// BenchmarkHotPath (the pass is engine-internal).
+	variation := []struct {
+		name string
+		into core.CrossoverInto[[]int]
+		a, b []int
+	}{
+		{"variation-15x10/jox", op.JOXInto(len(jobShops[1].Jobs))(),
+			decode.RandomOpSequence(jobShops[1], r), decode.RandomOpSequence(jobShops[1], r)},
+		{"variation-fs-20/ox", op.OXInto()(), decode.RandomPermutation(fs, r), decode.RandomPermutation(fs, r)},
+	}
+	for _, v := range variation {
+		b.Run(v.name, func(b *testing.B) {
+			vr := rng.New(11)
+			d1, d2 := v.into(vr, v.a, v.b, nil, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d1, d2 = v.into(vr, v.a, v.b, d1, d2)
+			}
+		})
+	}
 
 	// End to end: one engine generation on the 15x10 job shop. N workers
 	// own whole shards of the generation and evaluate each shard with one

@@ -118,7 +118,7 @@ type Engine[G any] struct {
 	statBuf []float64
 
 	// ordA, ordB are the reused index buffers of the elitism/immigration
-	// sorts, keeping the per-generation ranking allocation-free.
+	// rankings, keeping the per-generation ranking allocation-free.
 	ordA, ordB []int
 
 	// sharded is the generation pipeline state (see sharded.go).
@@ -387,18 +387,15 @@ func (e *Engine[G]) Restore(s Snapshot[G]) error {
 }
 
 // applyElitism copies the Elite best previous individuals over the worst
-// children, recycling the displaced children's genome storage.
+// children, recycling the displaced children's genome storage. The i-th
+// best previous individual replaces the i-th worst child when it is
+// strictly better.
 func (e *Engine[G]) applyElitism(next []Individual[G]) {
-	prevOrder := sortedIndices(e.ordA, e.pop)
-	nextOrder := sortedIndices(e.ordB, next)
-	e.ordA, e.ordB = prevOrder, nextOrder
-	k := e.cfg.Elite
-	if k > len(prevOrder) {
-		k = len(prevOrder)
-	}
+	k := min(e.cfg.Elite, len(e.pop), len(next))
+	e.ordA = rankedIndices(e.ordA, e.pop, k, false)
+	e.ordB = rankedIndices(e.ordB, next, k, true)
 	for i := 0; i < k; i++ {
-		eliteIdx := prevOrder[i]
-		worstIdx := nextOrder[len(nextOrder)-1-i]
+		eliteIdx, worstIdx := e.ordA[i], e.ordB[i]
 		if e.pop[eliteIdx].Obj < next[worstIdx].Obj {
 			if e.cloneInto != nil {
 				e.free = append(e.free, next[worstIdx].Genome)
@@ -412,27 +409,36 @@ func (e *Engine[G]) applyElitism(next []Individual[G]) {
 	}
 }
 
-// sortedIndices returns population indices ordered by ascending objective,
-// reusing buf's capacity so the per-generation rankings do not allocate.
-func sortedIndices[G any](buf []int, pop []Individual[G]) []int {
-	idx := buf
-	if cap(idx) < len(pop) {
-		idx = make([]int, len(pop))
-	}
-	idx = idx[:len(pop)]
-	for i := range idx {
-		idx[i] = i
-	}
-	// Insertion sort: populations are small and this avoids a sort.Slice
-	// closure allocation in the per-generation hot path.
-	for i := 1; i < len(idx); i++ {
-		j := i
-		for j > 0 && pop[idx[j-1]].Obj > pop[idx[j]].Obj {
-			idx[j-1], idx[j] = idx[j], idx[j-1]
-			j--
+// rankedIndices writes into buf (reusing its capacity) the ends of the
+// stable ascending-objective order of pop, where ties rank by index:
+// the first min(k, len(pop)) indices, best first, or with worst set the
+// last ones, worst first. Each of the k rounds is one scan for the
+// successor of the previous pick, so the cost is O(len(pop)*k) with no
+// sort and no allocation once buf is warm; elitism and immigration need
+// only a few ranks of a whole population.
+func rankedIndices[G any](buf []int, pop []Individual[G], k int, worst bool) []int {
+	// before reports whether i precedes j in the requested order.
+	before := func(i, j int) bool {
+		if worst {
+			i, j = j, i
 		}
+		oi, oj := pop[i].Obj, pop[j].Obj
+		return oi < oj || (oi == oj && i < j)
 	}
-	return idx
+	buf = buf[:0]
+	for len(buf) < min(k, len(pop)) {
+		pick := -1
+		for i := range pop {
+			if len(buf) > 0 && !before(buf[len(buf)-1], i) {
+				continue
+			}
+			if pick < 0 || before(i, pick) {
+				pick = i
+			}
+		}
+		buf = append(buf, pick)
+	}
+	return buf
 }
 
 func (e *Engine[G]) record() {

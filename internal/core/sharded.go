@@ -226,12 +226,11 @@ func (e *Engine[G]) Step() {
 		}
 	}
 	if sh.nBest > 0 {
-		order := sortedIndices(e.ordA, e.pop)
-		e.ordA = order
+		e.ordA = rankedIndices(e.ordA, e.pop, sh.nBest, false)
 		for i := 0; i < sh.nBest; i++ {
 			// A population shrunk below nBest (SetPopulation) repeats its
 			// best individuals rather than leaving elite slots unfilled.
-			src := e.pop[order[i%len(order)]]
+			src := e.pop[e.ordA[i%len(e.ordA)]]
 			next[i] = Individual[G]{Genome: e.cloneGenome(src.Genome), Obj: src.Obj, Fit: src.Fit}
 		}
 	}

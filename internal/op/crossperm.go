@@ -50,62 +50,40 @@ func pmxChild(a, b []int, c1, c2 int) []int {
 }
 
 // OX is the order crossover: each child keeps a segment of one parent and
-// fills the rest with the other parent's values in cyclic order.
+// fills the rest with the other parent's values in cyclic order from the
+// segment's end. It runs OXInto's kernel (oxChildInto) on fresh scratch
+// and fresh children.
 func OX(r *rng.RNG, a, b []int) ([]int, []int) {
-	c1, c2 := twoCuts(r, len(a))
-	return oxChild(a, b, c1, c2, true), oxChild(b, a, c1, c2, true)
+	var k oxKernel
+	return k.cross(r, a, b, nil, nil)
 }
 
 // LOX is the linear order crossover used by Kokosiński & Studzienny [32]:
 // as OX but the remainder fills left-to-right rather than cyclically.
 func LOX(r *rng.RNG, a, b []int) ([]int, []int) {
 	c1, c2 := twoCuts(r, len(a))
-	return oxChild(a, b, c1, c2, false), oxChild(b, a, c1, c2, false)
+	return loxChild(a, b, c1, c2), loxChild(b, a, c1, c2)
 }
 
-func oxChild(a, b []int, c1, c2 int, cyclic bool) []int {
-	n := len(a)
-	child := make([]int, n)
-	used := make(map[int]bool, c2-c1)
-	for i := c1; i < c2; i++ {
-		child[i] = a[i]
-		used[a[i]] = true
+// loxChild keeps a's segment [c1, c2) and fills positions [0, c1) then
+// [c2, n) with b's remaining values in b's order.
+func loxChild(a, b []int, c1, c2 int) []int {
+	child := make([]int, len(a))
+	used := make([]bool, len(a))
+	copy(child[c1:c2], a[c1:c2])
+	for _, v := range a[c1:c2] {
+		used[v] = true
 	}
-	fillPositions := make([]int, 0, n-(c2-c1))
-	if cyclic {
-		for k := 0; k < n; k++ {
-			pos := (c2 + k) % n
-			if pos >= c1 && pos < c2 {
-				continue
-			}
-			fillPositions = append(fillPositions, pos)
-		}
-	} else {
-		for pos := 0; pos < n; pos++ {
-			if pos >= c1 && pos < c2 {
-				continue
-			}
-			fillPositions = append(fillPositions, pos)
-		}
-	}
-	src := make([]int, 0, n)
-	if cyclic {
-		for k := 0; k < n; k++ {
-			src = append(src, b[(c2+k)%n])
-		}
-	} else {
-		src = append(src, b...)
-	}
-	fi := 0
-	for _, v := range src {
+	pos := 0
+	for _, v := range b {
 		if used[v] {
 			continue
 		}
-		child[fillPositions[fi]] = v
-		fi++
-		if fi == len(fillPositions) {
-			break
+		if pos == c1 {
+			pos = c2
 		}
+		child[pos] = v
+		pos++
 	}
 	return child
 }

@@ -11,35 +11,13 @@ import "repro/internal/rng"
 // positions are filled with the other jobs' tokens in the order they appear
 // in the second parent. It preserves each parent's relative job orderings,
 // which is why it is the workhorse crossover for operation-based job shop
-// chromosomes (Park et al. [26] build several variants of it).
+// chromosomes (Park et al. [26] build several variants of it). It runs
+// JOXInto's kernel on fresh scratch and fresh children.
 func JOX(numJobs int) func(r *rng.RNG, a, b []int) ([]int, []int) {
 	return func(r *rng.RNG, a, b []int) ([]int, []int) {
-		keep := make([]bool, numJobs)
-		for j := range keep {
-			keep[j] = r.Bool(0.5)
-		}
-		return joxChild(a, b, keep), joxChild(b, a, keep)
+		k := joxKernel{keep: make([]int, numJobs)}
+		return k.cross(r, a, b, nil, nil)
 	}
-}
-
-func joxChild(a, b []int, keep []bool) []int {
-	n := len(a)
-	child := make([]int, n)
-	bi := 0
-	for i := 0; i < n; i++ {
-		if keep[a[i]] {
-			child[i] = a[i]
-			continue
-		}
-		for bi < len(b) && keep[b[bi]] {
-			bi++
-		}
-		if bi < len(b) {
-			child[i] = b[bi]
-			bi++
-		}
-	}
-	return child
 }
 
 // SeqOnePoint keeps the first parent's prefix up to a random cut and

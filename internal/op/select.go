@@ -5,6 +5,12 @@
 // describes — job permutations ([]int with unique values), operation
 // sequences ([]int permutations with repetition) and random keys
 // ([]float64).
+//
+// The crossovers the default operator bundles hand the engine (JOX, OX,
+// uniform) also come as recycling *Into factories whose instances own
+// their scratch and write children into retired genomes (crossinto.go).
+// JOX and OX have a single branch-free kernel each, shared by the plain
+// and the *Into forms and pinned to reference bodies in the test files.
 package op
 
 import (
