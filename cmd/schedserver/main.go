@@ -14,6 +14,10 @@
 //	schedserver -addr :8410 -self http://10.0.0.1:8410 \
 //	  -peers http://10.0.0.1:8410,http://10.0.0.2:8410
 //
+// -peers and -fed-failover are fleet-wide: give every node the same
+// values. A node without -fed-failover ships no shard checkpoints, so its
+// shards degrade instead of failing over when it dies.
+//
 //	curl -s localhost:8410/v1/models
 //	curl -s -X POST localhost:8410/v1/jobs -d '{"problem":{"instance":"ft10"},"model":"island"}'
 //	curl -s localhost:8410/v1/jobs/j000001
@@ -70,7 +74,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		peers         = fs.String("peers", "", "comma-separated federation fleet base URLs, self included (empty: no federation)")
 		self          = fs.String("self", "", "this node's base URL as it appears in -peers (default: http://<addr>)")
 		epochTimeout  = fs.Int64("fed-epoch-timeout-ms", 5000, "migration-epoch barrier wait before degrading a peer, in milliseconds")
-		fedFailover   = fs.Bool("fed-failover", false, "resume shards lost to a dead fleet node from their last epoch checkpoint on a surviving node")
+		fedFailover   = fs.Bool("fed-failover", false, "shard failover, set on every node: shards ship epoch checkpoints to the job's owner, which resumes a shard lost with its node on a survivor")
 		probeMS       = fs.Int64("fed-probe-interval-ms", 500, "delay between health probes of a silent peer before declaring it dead")
 	)
 	switch err := fs.Parse(args); {

@@ -54,9 +54,11 @@
 // thereafter, surfaced as a peer_degraded event and a counter on
 // GET /v1/stats, the Prometheus endpoint) while the submitting node
 // always reduces a best-of-fleet Result with per-node provenance. With
-// -fed-failover, degradation is the fallback, not the first response:
-// shards piggyback their newest epoch checkpoint on owner-bound migrant
-// batches, and a shard lost with its node is health-probed, then
+// -fed-failover (fleet-wide, like -peers), degradation is the fallback,
+// not the first response: shards hosted away from the owner piggyback
+// their newest epoch checkpoint on owner-bound migrant batches (a fleet
+// without failover ships none), and a shard lost with its node is
+// health-probed, then
 // resumed warm from that checkpoint on the least-loaded survivor, the
 // rebinding broadcast fleet-wide so barriers wait for it again.
 //

@@ -14,6 +14,8 @@ package repro
 // their alloc counters stay exercised on every PR.
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
@@ -25,6 +27,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/shop"
 	"repro/internal/shopga"
+	"repro/internal/solver"
 )
 
 func BenchmarkHotPath(b *testing.B) {
@@ -150,6 +153,37 @@ func BenchmarkHotPath(b *testing.B) {
 			}
 		})
 	}
+
+	// Federation wire: one marshal + unmarshal of a fed2-shaped shard
+	// checkpoint (ft10, 2 islands x 100, so 200 packed genomes) — what a
+	// failover-enabled shard pushes to its owner every epoch. wire_bytes
+	// is the encoded size.
+	b.Run("checkpoint-wire-ft10-200", func(b *testing.B) {
+		var cp *solver.Checkpoint
+		_, err := solver.SolveWithCheckpoints(context.Background(), solver.Spec{
+			Problem: solver.ProblemSpec{Instance: "ft10"},
+			Model:   "island",
+			Params:  solver.Params{Pop: 200, Islands: 2, Workers: 1},
+			Budget:  solver.Budget{Generations: 20},
+			Seed:    7,
+		}, solver.CheckpointOptions{Every: 10, Save: func(c *solver.Checkpoint) { cp = c }})
+		if err != nil || cp == nil {
+			b.Fatalf("no shard checkpoint: %v", err)
+		}
+		var raw []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if raw, err = json.Marshal(cp); err != nil {
+				b.Fatal(err)
+			}
+			var back solver.Checkpoint
+			if err = json.Unmarshal(raw, &back); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(raw)), "wire_bytes")
+	})
 
 	// End to end: one engine generation on the 15x10 job shop. N workers
 	// own whole shards of the generation and evaluate each shard with one

@@ -34,10 +34,15 @@
 // reduction with per-node provenance, degraded peers marked.
 //
 // Failover. With Config.FailoverEnabled, degradation is the fallback,
-// not the first response. Every shard piggybacks its newest epoch
-// checkpoint (per-deme population, RNG streams, epoch counter) on the
-// migrant batch pushed to the owner's node, which tracks the latest
-// checkpoint per shard rank. When a shard's job dies with its node, the
+// not the first response. It is a fleet-wide setting, like the peer list:
+// the shard's node decides whether to ship checkpoints and the owner's
+// node whether to use them. Every shard hosted away from the owner's
+// node piggybacks its newest epoch checkpoint (per-deme population, RNG
+// streams, epoch counter) on the migrant batch pushed to the owner's
+// node, which tracks the latest checkpoint per shard rank; a shard on
+// the owner's node ships nothing, since it would die with the owner, and
+// a fleet without failover ships no checkpoints at all. Genomes travel in
+// solver.Genome's packed frame. When a shard's job dies with its node, the
 // owner health-probes the peer (bounded retries); if the peer is
 // confirmed dead and a checkpoint exists, the owner resubmits the shard
 // — resumed warm from that checkpoint — onto the least-loaded surviving
@@ -45,8 +50,9 @@
 // degradation and re-route its batches. The resumed shard replays its
 // checkpointed epochs without waiting at barriers the fleet has already
 // passed (fast-forward), then rejoins the exchange. Only a shard that
-// never checkpointed (died during epoch 0), a peer that is merely slow
-// (probe succeeds), or a failed resubmission falls back to degradation.
+// never checkpointed (died during epoch 0, or its node runs without
+// failover), a peer that is merely slow (probe succeeds), or a failed
+// resubmission falls back to degradation.
 package federation
 
 import (
@@ -112,7 +118,9 @@ type Config struct {
 	RetryBackoff time.Duration
 	// FailoverEnabled turns on shard failover: lost shards are resumed
 	// from their last piggybacked checkpoint on a surviving node instead
-	// of being degraded (see the package doc's Failover paragraph).
+	// of being degraded (see the package doc's Failover paragraph). Set it
+	// on every node: shards only ship checkpoints from nodes that have it,
+	// and only owners that have it track and use them.
 	FailoverEnabled bool
 	// ProbeRetries bounds the health probes of a silent peer before it is
 	// declared dead (default 3).
@@ -508,7 +516,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // owns the key, or buffers it when no local shard has started yet.
 func (n *Node) deliver(b *serve.MigrantBatch) {
 	n.mu.Lock()
-	if b.Checkpoint != nil && n.owned[b.Key] {
+	if b.Checkpoint != nil && n.cfg.FailoverEnabled && n.owned[b.Key] {
 		km := n.ckpts[b.Key]
 		if km == nil {
 			km = map[int]*solver.Checkpoint{}
@@ -593,8 +601,11 @@ func (st *run) deliver(b *serve.MigrantBatch) {
 
 // ShardStarted implements solver.MigrantExchange: register the run's
 // inbox, consume any pre-registered fast-forward epoch, and adopt
-// batches that arrived before the shard started.
-func (n *Node) ShardStarted(key string, rank, nodes int, epochTimeoutMS int64) {
+// batches that arrived before the shard started. It asks for the shard's
+// checkpoints only when failover is enabled here and the owner lives on
+// another node: a shard co-hosted with its owner dies with it, so its
+// checkpoint could never be resumed from.
+func (n *Node) ShardStarted(key string, rank, nodes int, epochTimeoutMS int64) (wantCheckpoints bool) {
 	timeout := n.cfg.EpochTimeout
 	if epochTimeoutMS > 0 {
 		timeout = time.Duration(epochTimeoutMS) * time.Millisecond
@@ -632,6 +643,8 @@ func (n *Node) ShardStarted(key string, rank, nodes int, epochTimeoutMS int64) {
 		}
 	}
 	n.shards.Add(1)
+	owner := ownerRank(key)
+	return n.cfg.FailoverEnabled && owner >= 0 && owner != n.rank
 }
 
 // MigrantRejected implements solver.MigrantExchange.
@@ -725,7 +738,7 @@ func (n *Node) clientRetries() int {
 
 // ExchangeMigrants implements solver.MigrantExchange: one epoch barrier.
 // Ship the local elites to every live peer (the batch bound for the
-// owner's node carries the shard's newest checkpoint), wait (bounded) for
+// owner's node carries cp, when the shard ships one), wait (bounded) for
 // each live peer's batch for this epoch, degrade the ones that miss it,
 // and return the arrived migrants in sender-rank order. Barriers below
 // the run's fast-forward epoch collect without waiting.

@@ -1,10 +1,15 @@
 package federation_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -442,5 +447,165 @@ func TestFederatedSingleNode(t *testing.T) {
 	}
 	if len(res.Nodes) != 0 || res.BestGenome != nil {
 		t.Errorf("single-node run carries federation artifacts: nodes %v, genome %v", res.Nodes, res.BestGenome)
+	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestFederatedCheckpointGating: shards ship epoch checkpoints only when
+// failover can use them. Without failover no migrant batch on the wire
+// carries a checkpoint and the owner tracks none; with it, every shard
+// hosted away from the owner ships its checkpoints to the owner's node
+// alone, and the owner tracks one per remote rank (never its own).
+func TestFederatedCheckpointGating(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		failover bool
+		size     int
+	}{{"off", false, 2}, {"on", true, 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ownerHost atomic.Pointer[string]
+			var batches, withCP, strayCP atomic.Int64
+			spy := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+				if r.URL.Path != "/v1/federation/migrants" || r.Body == nil {
+					return http.DefaultTransport.RoundTrip(r)
+				}
+				body, err := io.ReadAll(r.Body)
+				r.Body.Close()
+				if err != nil {
+					return nil, err
+				}
+				var b struct {
+					Checkpoint json.RawMessage `json:"checkpoint"`
+				}
+				if err := json.Unmarshal(body, &b); err != nil {
+					t.Errorf("batch on the wire does not parse: %v", err)
+				}
+				batches.Add(1)
+				if len(b.Checkpoint) > 0 && string(b.Checkpoint) != "null" {
+					withCP.Add(1)
+					if h := ownerHost.Load(); h == nil || r.URL.Host != *h {
+						strayCP.Add(1)
+					}
+				}
+				r2 := r.Clone(r.Context())
+				r2.Body = io.NopCloser(bytes.NewReader(body))
+				return http.DefaultTransport.RoundTrip(r2)
+			})
+			fleet := newFleet(t, tc.size, federation.Config{
+				FailoverEnabled: tc.failover,
+				NewClient: func(base string) *client.Client {
+					return &client.Client{BaseURL: base, HTTPClient: &http.Client{Transport: spy}, RequestTimeout: 2 * time.Second}
+				},
+			})
+			owner := fleet[0]
+			host := strings.TrimPrefix(owner.URL, "http://")
+			ownerHost.Store(&host)
+			remote := make([]int, 0, tc.size-1)
+			for _, fn := range fleet[1:] {
+				remote = append(remote, fn.Node.Rank())
+			}
+			sort.Ints(remote)
+
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			defer cancel()
+			spec := fedSpec(13)
+			spec.Budget = solver.Budget{Generations: 400}
+			job, err := owner.Node.SubmitFederated(ctx, spec)
+			if err != nil {
+				t.Fatalf("SubmitFederated: %v", err)
+			}
+			go func() {
+				for range job.Events() {
+				}
+			}()
+			done := make(chan struct{})
+			var res *solver.Result
+			var awaitErr error
+			go func() {
+				defer close(done)
+				res, awaitErr = job.Await(ctx)
+			}()
+			// Sample the owner's tracked checkpoints until the run ends
+			// (ownership state is released with it).
+			sawAll, sawAny, sawOwn := false, false, false
+		poll:
+			for {
+				for _, ranks := range owner.Node.TrackedCheckpointRanks() {
+					sawAny = sawAny || len(ranks) > 0
+					sawAll = sawAll || fmt.Sprint(ranks) == fmt.Sprint(remote)
+					for _, r := range ranks {
+						sawOwn = sawOwn || r == owner.Node.Rank()
+					}
+				}
+				select {
+				case <-done:
+					break poll
+				case <-time.After(time.Millisecond):
+				}
+			}
+			if awaitErr != nil {
+				t.Fatalf("Await: %v", awaitErr)
+			}
+			for _, nr := range res.Nodes {
+				if nr.Degraded {
+					t.Errorf("healthy fleet: node %s degraded", nr.Node)
+				}
+			}
+			if batches.Load() == 0 {
+				t.Fatal("no migrant batch crossed the wire")
+			}
+			if !tc.failover && withCP.Load() != 0 {
+				t.Errorf("failover off, %d of %d batches carried a checkpoint", withCP.Load(), batches.Load())
+			}
+			if !tc.failover && sawAny {
+				t.Error("failover off, the owner tracked checkpoints")
+			}
+			if sawOwn {
+				t.Error("the owner tracked a checkpoint of its own shard")
+			}
+			if tc.failover {
+				if withCP.Load() == 0 {
+					t.Error("failover on, no batch carried a checkpoint")
+				}
+				if !sawAll {
+					t.Errorf("owner never tracked a checkpoint for every remote rank %v", remote)
+				}
+			}
+			if strayCP.Load() != 0 {
+				t.Errorf("%d checkpoints shipped to a node that does not own the run", strayCP.Load())
+			}
+		})
+	}
+}
+
+// TestResubmitRejectsOldWireCheckpoint: a resubmitted checkpoint whose
+// genomes use the retired int-array form is a 400 at parse time, never a
+// job.
+func TestResubmitRejectsOldWireCheckpoint(t *testing.T) {
+	fleet := newFleet(t, 2, federation.Config{})
+	spec := fedSpec(3)
+	spec.Params.FedKey, spec.Params.FedNodes, spec.Params.FedRank = "f0-x-1", 2, 1
+	rawSpec, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"spec":` + string(rawSpec) + `,"fleet_epoch":2,"checkpoint":{"model":"island","encoding":"seq","epoch":1,` +
+		`"demes":[{"pop":[{"seq":[0,1,2,3,4,5]}],"objs":[60],"best":{"seq":[0,1,2,3,4,5]},"best_objective":60}]}}`
+	resp, err := http.Post(fleet[0].URL+"/v1/federation/resubmit", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb serve.ErrorBody
+	_ = json.NewDecoder(resp.Body).Decode(&eb)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, "parsing resubmit") {
+		t.Errorf("old-format resubmit: %d %q, want 400 parsing resubmit", resp.StatusCode, eb.Error)
+	}
+	if n := fleet[0].Srv.Service().Stats().Jobs; n[solver.JobPending]+n[solver.JobRunning] != 0 {
+		t.Errorf("rejected resubmit left jobs behind: %v", n)
 	}
 }

@@ -108,7 +108,8 @@ type MigrantBatch struct {
 	// Checkpoint piggybacks the sender shard's newest epoch checkpoint on
 	// the batch pushed to the job's owner node, which tracks it so a shard
 	// lost to a node death can be resumed on a surviving node instead of
-	// degraded. Batches to non-owner peers omit it.
+	// degraded. Only failover-enabled nodes send it, and only for shards
+	// hosted away from the owner; batches to non-owner peers omit it.
 	Checkpoint *solver.Checkpoint `json:"checkpoint,omitempty"`
 }
 

@@ -179,7 +179,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, hdr http.Head
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return decodeAPIError(resp)
 	}
@@ -187,6 +187,15 @@ func (c *Client) attempt(ctx context.Context, method, path string, hdr http.Head
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// drainClose reads what is left of a response body (bounded) before
+// closing it: the transport returns a connection to its idle pool only
+// after the body hit EOF, so an unread body — a bodyless success, or the
+// newline json.Decoder leaves behind — would cost a fresh dial per call.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, 64<<10))
+	body.Close()
 }
 
 func decodeAPIError(resp *http.Response) error {
@@ -327,7 +336,7 @@ func (c *Client) Stats(ctx context.Context) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return "", decodeAPIError(resp)
 	}
@@ -404,7 +413,7 @@ func (c *Client) openStream(ctx context.Context, id string, after int64) (*http.
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
+		defer drainClose(resp.Body)
 		return nil, decodeAPIError(resp)
 	}
 	return resp, nil

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/serve/client"
 	"repro/internal/solver"
 )
@@ -239,5 +241,47 @@ func TestClientEventsReconnectGivesUp(t *testing.T) {
 		case <-deadline:
 			t.Fatal("event channel never closed")
 		}
+	}
+}
+
+// TestClientReusesConnections: bodyless successes (PushMigrants) and API
+// errors both leave the connection reusable, so 50 sequential calls ride
+// one TCP connection instead of dialling 50.
+func TestClientReusesConnections(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		status int
+		body   string
+	}{
+		{"accepted", http.StatusAccepted, "{}\n"},
+		{"rejected", http.StatusBadRequest, `{"error":"bad batch"}` + "\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var dials atomic.Int64
+			ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(tc.status)
+				fmt.Fprint(w, tc.body)
+			}))
+			ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+				if s == http.StateNew {
+					dials.Add(1)
+				}
+			}
+			ts.Start()
+			t.Cleanup(ts.Close)
+			tr := &http.Transport{}
+			t.Cleanup(tr.CloseIdleConnections)
+			c := &client.Client{BaseURL: ts.URL, HTTPClient: &http.Client{Transport: tr}, MaxRetries: -1}
+			for i := 0; i < 50; i++ {
+				err := c.PushMigrants(context.Background(), serve.MigrantBatch{Key: "k", Epoch: i, From: 1})
+				if (err != nil) != (tc.status >= 400) {
+					t.Fatalf("push %d: %v", i, err)
+				}
+			}
+			if got := dials.Load(); got != 1 {
+				t.Errorf("50 pushes opened %d connections, want 1", got)
+			}
+		})
 	}
 }

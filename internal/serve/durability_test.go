@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -325,6 +327,193 @@ func TestServerRestartColdOnShardlessIslandCheckpoint(t *testing.T) {
 	if final.Result.BestObjective != want.BestObjective || final.Result.Evaluations != want.Evaluations {
 		t.Errorf("cold restart (best %v, evals %d), want the plain run's (best %v, evals %d)",
 			final.Result.BestObjective, final.Result.Evaluations, want.BestObjective, want.Evaluations)
+	}
+}
+
+// oldWireCheckpoint marshals an island checkpoint with its genomes in the
+// retired int-array object form ({"seq":[...]}), as daemons wrote them
+// before genomes became packed strings.
+func oldWireCheckpoint(t *testing.T, cp *solver.Checkpoint) []byte {
+	t.Helper()
+	type oldGenome struct {
+		Seq    []int     `json:"seq,omitempty"`
+		Keys   []float64 `json:"keys,omitempty"`
+		Assign []int     `json:"assign,omitempty"`
+	}
+	mustRaw := func(v any) json.RawMessage {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(mustRaw(cp), &top); err != nil {
+		t.Fatal(err)
+	}
+	demes := make([]map[string]json.RawMessage, len(cp.Demes))
+	for i, d := range cp.Demes {
+		if err := json.Unmarshal(mustRaw(d), &demes[i]); err != nil {
+			t.Fatal(err)
+		}
+		pop := make([]oldGenome, len(d.Pop))
+		for j, g := range d.Pop {
+			pop[j] = oldGenome(g)
+		}
+		demes[i]["pop"] = mustRaw(pop)
+		demes[i]["best"] = mustRaw(oldGenome(*d.Best))
+	}
+	top["demes"] = mustRaw(demes)
+	return mustRaw(top)
+}
+
+// TestServerRestartColdOnOldWireCheckpoint: a durable island checkpoint
+// written with the retired int-array genome form no longer decodes.
+// Recovery downgrades it to a logged cold start and the job completes as
+// the plain run — an upgrade never fails a job.
+func TestServerRestartColdOnOldWireCheckpoint(t *testing.T) {
+	spec := solver.Spec{
+		Problem: solver.ProblemSpec{Instance: "ft06"},
+		Model:   "island",
+		Params:  solver.Params{Pop: 32, Islands: 4, Interval: 2, Migrants: 1},
+		Budget:  solver.Budget{Generations: 20},
+		Seed:    23,
+	}
+	cp, _ := midCheckpoint(t, spec, 4)
+	data := oldWireCheckpoint(t, cp)
+	if !strings.Contains(string(data), `"pop":[{"seq":[`) {
+		t.Fatalf("checkpoint not in the old wire form: %.200s", data)
+	}
+
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	seedRunningJob(t, st, "j000045", spec, nil)
+	if err := st.AppendCheckpoint("j000045", data); err != nil {
+		t.Fatalf("AppendCheckpoint: %v", err)
+	}
+
+	logs := &logBuf{}
+	_, c := newTestServer(t, serve.Config{Store: openStore(t, dir), Logf: logs.Logf})
+	final, err := c.Await(testCtx(t), "j000045")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != solver.JobDone || final.Result == nil {
+		t.Fatalf("final %+v", final)
+	}
+	if !logs.contains("checkpoint decode") || !logs.contains("restarted job j000045 cold") {
+		t.Errorf("cold-start downgrade not logged: %q", logs.all())
+	}
+	want, err := solver.Solve(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Result.BestObjective != want.BestObjective || final.Result.Evaluations != want.Evaluations {
+		t.Errorf("cold restart (best %v, evals %d), want the plain run's (best %v, evals %d)",
+			final.Result.BestObjective, final.Result.Evaluations, want.BestObjective, want.Evaluations)
+	}
+}
+
+// TestServerQuarantinesOldWireResultRecord pins the upgrade behaviour for
+// finished federated shard jobs whose record carries result.best_genome in
+// the retired int-array form: the record no longer parses, so recovery
+// quarantines it (record.json.corrupt) and drops it with its idempotency
+// key, while the daemon starts cleanly, serves its other jobs and runs new
+// ones.
+func TestServerQuarantinesOldWireResultRecord(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	sub := time.Now().Add(-time.Minute)
+	shardSpec := solver.Spec{
+		Problem: solver.ProblemSpec{Instance: "ft06"},
+		Model:   "island",
+		Params:  solver.Params{Pop: 32, Islands: 2, FedKey: "f0-upgrade-1", FedNodes: 2, FedRank: 1},
+		Budget:  solver.Budget{Generations: 20},
+		Seed:    9,
+	}
+	err := st.PutRecord(&jobstore.Record{
+		ID: "j000051", Spec: shardSpec, State: solver.JobDone, IdempotencyKey: "key-shard",
+		Submitted: sub, Started: sub, Finished: sub.Add(time.Second),
+		Result: &solver.Result{BestObjective: 58, Evaluations: 640, Generations: 20},
+	})
+	if err != nil {
+		t.Fatalf("PutRecord: %v", err)
+	}
+	// Rewrite the shard record's result with its best genome in the old
+	// object form, as a daemon of the previous release persisted it.
+	path := filepath.Join(dir, "j000051", "record.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	var result map[string]any
+	if err := json.Unmarshal(raw, &top); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(top["result"], &result); err != nil {
+		t.Fatal(err)
+	}
+	result["best_genome"] = map[string]any{"seq": []int{0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5}}
+	if top["result"], err = json.Marshal(result); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = json.Marshal(top); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"best_genome":{"seq":[`) {
+		t.Fatalf("record not in the old wire form: %s", raw)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A plain finished job next to it, with no genome in its result.
+	err = st.PutRecord(&jobstore.Record{
+		ID: "j000052", Spec: durableSpec(8), State: solver.JobDone, IdempotencyKey: "key-plain",
+		Submitted: sub, Started: sub, Finished: sub.Add(time.Second),
+		Result: &solver.Result{BestObjective: 55, Evaluations: 270, Generations: 8},
+	})
+	if err != nil {
+		t.Fatalf("PutRecord: %v", err)
+	}
+
+	_, c := newTestServer(t, serve.Config{Store: openStore(t, dir)})
+	ctx := testCtx(t)
+	jobs, err := c.Jobs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 || jobs[0].ID != "j000052" || jobs[0].State != solver.JobDone {
+		t.Fatalf("restored jobs %+v, want only the plain j000052", jobs)
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Fatalf("old-form shard record not quarantined: %v", err)
+	}
+	if _, err := c.Job(ctx, "j000051"); err == nil {
+		t.Error("quarantined shard job still served")
+	}
+	// The plain job's key still dedupes; the shard job's key is gone, so a
+	// resubmission under it becomes a new job.
+	again, err := c.SubmitIdempotent(ctx, durableSpec(8), "key-plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.ID != "j000052" {
+		t.Errorf("key-plain resubmit got %s, want the restored j000052", again.ID)
+	}
+	fresh, err := c.SubmitIdempotent(ctx, durableSpec(8), "key-shard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID == "j000051" || fresh.ID == "j000052" {
+		t.Fatalf("key-shard resubmit got %s, want a new job", fresh.ID)
+	}
+	final, err := c.Await(ctx, fresh.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != solver.JobDone || final.Result == nil {
+		t.Fatalf("new job after recovery: %+v", final)
 	}
 }
 

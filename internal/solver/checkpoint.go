@@ -14,16 +14,6 @@ import (
 	"repro/internal/shopga"
 )
 
-// Genome is the encoding-agnostic wire form of one chromosome: exactly one
-// field group is populated per encoding (Seq for perm/seq, Keys for keys,
-// Assign+Seq for flex). Keeping it flat and JSON-tagged is what lets a
-// checkpoint round-trip through the job store without generic machinery.
-type Genome struct {
-	Seq    []int     `json:"seq,omitempty"`
-	Keys   []float64 `json:"keys,omitempty"`
-	Assign []int     `json:"assign,omitempty"`
-}
-
 // Checkpoint is a resumable snapshot of a run (see SupportsCheckpoint).
 // Engine-driven models (serial, ms) fill the flat section: the full
 // population with its objectives, the incumbent, the loop counters, and

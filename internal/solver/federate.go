@@ -47,15 +47,21 @@ type MigrantExchange interface {
 	// job fleet-wide, rank/nodes are this shard's coordinates, and
 	// epochTimeoutMS the spec's barrier timeout override (0 keeps the
 	// node's default). After a failover two shards of one key may run on
-	// the same node, so exchange state is keyed (key, rank).
-	ShardStarted(key string, rank, nodes int, epochTimeoutMS int64)
+	// the same node, so exchange state is keyed (key, rank). The answer
+	// says whether the exchange can use the shard's epoch checkpoints
+	// (a failover-enabled node whose owner lives elsewhere); when it is
+	// false the island runner never snapshots for the exchange and every
+	// ExchangeMigrants call gets cp == nil.
+	ShardStarted(key string, rank, nodes int, epochTimeoutMS int64) (wantCheckpoints bool)
 	// ExchangeMigrants runs one epoch barrier: ship the local elites,
 	// wait (bounded) for the peers' epoch batches, and return whatever
 	// arrived in rank order. ctx is the shard job's context — barrier
 	// waits must abort on cancellation. cp, when non-nil, is the shard's
 	// newest epoch checkpoint; implementations piggyback it on the
 	// outbound batch so the owner can resubmit the shard elsewhere if
-	// this node dies (nil during epoch 0: nothing to resume from yet).
+	// this node dies. It is nil when ShardStarted declined checkpoints,
+	// and during epoch 0 (nothing to resume from yet) unless the shard
+	// itself resumed from one.
 	ExchangeMigrants(ctx context.Context, key string, rank, epoch int, out []Migrant, cp *Checkpoint) ExchangeReport
 	// MigrantRejected reports an inbound migrant that failed the
 	// per-encoding unpack validation and was dropped (the damaged-migrant

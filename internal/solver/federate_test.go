@@ -224,9 +224,74 @@ func TestReconstructSchedule(t *testing.T) {
 // nopExchange satisfies MigrantExchange with no fleet behind it.
 type nopExchange struct{}
 
-func (nopExchange) ShardStarted(string, int, int, int64) {}
+func (nopExchange) ShardStarted(string, int, int, int64) bool { return false }
 func (nopExchange) ExchangeMigrants(_ context.Context, _ string, _, _ int, _ []Migrant, _ *Checkpoint) ExchangeReport {
 	return ExchangeReport{}
 }
 func (nopExchange) MigrantRejected(string)    {}
 func (nopExchange) ShardFinished(string, int) {}
+
+// cpRecorder is a fleetless exchange that answers ShardStarted with want
+// and records, per ExchangeMigrants call, whether a checkpoint came along.
+type cpRecorder struct {
+	nopExchange
+	want bool
+	cps  []*Checkpoint // indexed by epoch
+}
+
+func (r *cpRecorder) ShardStarted(string, int, int, int64) bool { return r.want }
+func (r *cpRecorder) ExchangeMigrants(_ context.Context, _ string, _, epoch int, _ []Migrant, cp *Checkpoint) ExchangeReport {
+	if epoch != len(r.cps) {
+		panic("cpRecorder: epochs out of order")
+	}
+	r.cps = append(r.cps, cp)
+	return ExchangeReport{}
+}
+
+// TestShardCheckpointGating: a shard only snapshots for its exchange when
+// ShardStarted asked for checkpoints. Declined, every barrier gets
+// cp == nil; wanted, every barrier from epoch 1 on gets the checkpoint
+// taken after the previous epoch. Either way the run itself is the same, and the
+// durability save keeps its own cadence.
+func TestShardCheckpointGating(t *testing.T) {
+	spec := smallSpec("island")
+	spec.Params.Interval = 2
+	spec.Params.FedKey, spec.Params.FedNodes, spec.Params.FedRank = "f0-x-1", 2, 1
+	spec.Budget.Generations = 30
+
+	results := map[bool]*Result{}
+	for _, want := range []bool{false, true} {
+		ex := &cpRecorder{want: want}
+		saves := 0
+		ck := &ckptSeam{every: 4, save: func(*Checkpoint) { saves++ }}
+		res, err := solve(context.Background(), spec, nil, ck, ex)
+		if err != nil {
+			t.Fatalf("want=%v: %v", want, err)
+		}
+		results[want] = res
+		if len(ex.cps) < 3 {
+			t.Fatalf("want=%v: only %d barriers", want, len(ex.cps))
+		}
+		for epoch, cp := range ex.cps {
+			switch {
+			case !want && cp != nil:
+				t.Errorf("declined checkpoints, epoch %d still got one", epoch)
+			case want && epoch == 0 && cp != nil:
+				t.Errorf("epoch 0 got a checkpoint before any epoch completed")
+			case want && epoch > 0 && cp == nil:
+				t.Errorf("wanted checkpoints, epoch %d got none", epoch)
+			case want && epoch > 0 && cp.Epoch != epoch:
+				// Checkpoint.Epoch counts completed epochs: the snapshot
+				// taken after epoch e-1 resumes at epoch e.
+				t.Errorf("epoch %d got a checkpoint resuming at epoch %d", epoch, cp.Epoch)
+			}
+		}
+		if saves == 0 {
+			t.Errorf("want=%v: durability seam never saved", want)
+		}
+	}
+	off, on := results[false], results[true]
+	if off.BestObjective != on.BestObjective || off.Evaluations != on.Evaluations || off.Generations != on.Generations {
+		t.Errorf("checkpoint shipping changed the run: %+v vs %+v", off, on)
+	}
+}

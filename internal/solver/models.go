@@ -294,54 +294,13 @@ func runIsland[G any](ctx context.Context, run *Run, enc encoding[G]) (*Result, 
 	}
 	fed := run.exchange != nil && run.Spec.Params.FedKey != ""
 	ckActive := run.ck.active()
-
-	// The epoch observer is also the checkpoint seam: island state only
-	// sits at a resumable boundary between epochs, so snapshots are taken
-	// from OnEpoch (which runs on the model's goroutine, after the epoch's
-	// island goroutines joined). A federated shard snapshots EVERY epoch —
 	// shardCP is what the next ExchangeMigrants piggybacks for the owner's
-	// failover — while the durability seam saves on its generation cadence
-	// converted to epochs.
-	var mdl *island.Model[G]
+	// failover; shipCP says whether the exchange wants one at all.
 	var shardCP *Checkpoint
-	var baseElapsed int64
-	if run.ck != nil && run.ck.resume != nil {
-		baseElapsed = run.ck.resume.ElapsedMS
-	}
-	saveEvery := 1
-	if ckActive {
-		saveEvery = run.ck.every / iv
-		if saveEvery < 1 {
-			saveEvery = 1
-		}
-	}
-	start := time.Now()
-	if run.emit != nil || fed || ckActive {
-		icfg.OnEpoch = func(es island.EpochStats) {
-			if run.emit != nil {
-				run.observeEpoch(es.Epoch, es.Generation, es.Islands, es.BestObj, migrationEdges(es.Exchanges))
-			}
-			doSave := ckActive && (es.Epoch+1)%saveEvery == 0
-			if !fed && !doSave {
-				return
-			}
-			cp := packIslandCheckpoint(run, enc, mdl.Snapshot())
-			cp.ElapsedMS = baseElapsed + time.Since(start).Milliseconds()
-			if fed {
-				shardCP = cp
-			}
-			if doSave {
-				// The save sink owns its checkpoint (the Service stamps
-				// EventSeq on it); give it a copy so the shard's wire copy
-				// stays immutable.
-				cpCopy := *cp
-				run.ck.save(&cpCopy)
-			}
-		}
-	}
+	shipCP := false
 	if fed {
 		ex, key, rank := run.exchange, run.Spec.Params.FedKey, run.Spec.Params.FedRank
-		ex.ShardStarted(key, rank, run.Spec.Params.FedNodes, run.Spec.Params.FedEpochTimeoutMS)
+		shipCP = ex.ShardStarted(key, rank, run.Spec.Params.FedNodes, run.Spec.Params.FedEpochTimeoutMS)
 		defer ex.ShardFinished(key, rank)
 		icfg.Exchange = func(epoch int, elites []core.Individual[G]) []G {
 			out := make([]Migrant, len(elites))
@@ -364,6 +323,49 @@ func runIsland[G any](ctx context.Context, run *Run, enc encoding[G]) (*Result, 
 			return gs
 		}
 	}
+
+	// The epoch observer is also the checkpoint seam: island state only
+	// sits at a resumable boundary between epochs, so snapshots are taken
+	// from OnEpoch (which runs on the model's goroutine, after the epoch's
+	// island goroutines joined). A shard whose exchange wants checkpoints
+	// snapshots EVERY epoch into shardCP, while the durability seam saves
+	// on its generation cadence converted to epochs.
+	var mdl *island.Model[G]
+	var baseElapsed int64
+	if run.ck != nil && run.ck.resume != nil {
+		baseElapsed = run.ck.resume.ElapsedMS
+	}
+	saveEvery := 1
+	if ckActive {
+		saveEvery = run.ck.every / iv
+		if saveEvery < 1 {
+			saveEvery = 1
+		}
+	}
+	start := time.Now()
+	if run.emit != nil || shipCP || ckActive {
+		icfg.OnEpoch = func(es island.EpochStats) {
+			if run.emit != nil {
+				run.observeEpoch(es.Epoch, es.Generation, es.Islands, es.BestObj, migrationEdges(es.Exchanges))
+			}
+			doSave := ckActive && (es.Epoch+1)%saveEvery == 0
+			if !shipCP && !doSave {
+				return
+			}
+			cp := packIslandCheckpoint(run, enc, mdl.Snapshot())
+			cp.ElapsedMS = baseElapsed + time.Since(start).Milliseconds()
+			if shipCP {
+				shardCP = cp
+			}
+			if doSave {
+				// The save sink owns its checkpoint (the Service stamps
+				// EventSeq on it); give it a copy so the shard's wire copy
+				// stays immutable.
+				cpCopy := *cp
+				run.ck.save(&cpCopy)
+			}
+		}
+	}
 	mdl = island.New(run.RNG, icfg)
 	if run.ck != nil && run.ck.resume != nil {
 		snap, uerr := unpackIslandSnapshot(run, enc, run.ck.resume)
@@ -373,7 +375,7 @@ func runIsland[G any](ctx context.Context, run *Run, enc encoding[G]) (*Result, 
 		if rerr := mdl.Restore(snap); rerr != nil {
 			return nil, rerr
 		}
-		if fed {
+		if shipCP {
 			// A resumed failover shard re-offers its resume point until the
 			// first fresh epoch snapshot replaces it, so a second node loss
 			// still finds a checkpoint at the owner.
