@@ -68,8 +68,11 @@
 // into a reusable Scratch workspace, and batch kernels (BatchScratch) that
 // decode whole slices of genomes in 4-wide lockstep — hiding the scalar
 // decoder's completion-time dependency chain behind neighbouring genomes'
-// arithmetic, with precomputed flat operation tables and scalar fallback
-// for the irregular kinds. Property and fuzz tests pin each rung to the
+// arithmetic, with precomputed instance tables (one packed op word per
+// job-shop operation, each genome's state in one int32 row, a sentinel op
+// per job absorbing over-long tokens) and scalar fallback for the
+// irregular kinds and for instances whose completion times could
+// overflow int32. Property and fuzz tests pin each rung to the
 // one below bit for bit, and BENCH_hotpath.json records the measured gaps.
 // Problems expose the batch rung through core.BatchEvalProblem, the
 // engine's only evaluation seam, and keep Evaluate as the concurrency-safe

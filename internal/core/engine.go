@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 // Termination bundles the stopping criteria of the engine; any satisfied
@@ -111,11 +111,6 @@ type Engine[G any] struct {
 	// cloned, migration clones before injecting.
 	free      []G
 	cloneInto func(dst, src G) G
-
-	// statBuf is the reused objective scratch of record(), so observed
-	// runs (OnGeneration, RecordHistory) stay allocation-free per
-	// generation like unobserved ones.
-	statBuf []float64
 
 	// ordA, ordB are the reused index buffers of the elitism/immigration
 	// rankings, keeping the per-generation ranking allocation-free.
@@ -445,26 +440,31 @@ func (e *Engine[G]) record() {
 	if e.cfg.OnGeneration == nil && !e.cfg.RecordHistory {
 		return
 	}
-	objs := e.statBuf
-	if cap(objs) < len(e.pop) {
-		objs = make([]float64, len(e.pop))
-	}
-	objs = objs[:len(e.pop)]
-	e.statBuf = objs
+	// Mean and sample std in stats.Summarize's summation order, so
+	// GenStats match it bit for bit without its copy and sort.
 	bestGen := e.pop[0].Obj
-	for i, ind := range e.pop {
-		objs[i] = ind.Obj
+	var sum float64
+	for _, ind := range e.pop {
+		sum += ind.Obj
 		if ind.Obj < bestGen {
 			bestGen = ind.Obj
 		}
 	}
-	sum := stats.Summarize(objs)
+	mean, std := sum/float64(len(e.pop)), 0.0
+	if len(e.pop) > 1 {
+		var ss float64
+		for _, ind := range e.pop {
+			d := ind.Obj - mean
+			ss += d * d
+		}
+		std = math.Sqrt(ss / float64(len(e.pop)-1))
+	}
 	gs := GenStats{
 		Generation:  e.gen,
 		BestObj:     bestGen,
 		BestSoFar:   e.best.Obj,
-		MeanObj:     sum.Mean,
-		StdObj:      sum.Std,
+		MeanObj:     mean,
+		StdObj:      std,
 		Evaluations: e.evals,
 	}
 	if e.cfg.RecordHistory {

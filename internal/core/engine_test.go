@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // sortProblem: genome is a permutation; objective counts displaced elements
@@ -330,6 +331,56 @@ func TestOnGenerationHook(t *testing.T) {
 	e.Run()
 	if calls != 7 {
 		t.Errorf("hook called %d times", calls)
+	}
+}
+
+// TestRecordMatchesSummarize: the inline mean/std of record() must equal
+// stats.Summarize's bit for bit on random populations of every size,
+// including duplicate objectives and wide magnitudes.
+func TestRecordMatchesSummarize(t *testing.T) {
+	var got GenStats
+	e := New(sortProblem(5), rng.New(3), Config[[]int]{
+		Pop: 10, Ops: permOps(), OnGeneration: func(gs GenStats) { got = gs },
+	})
+	r := rng.New(77)
+	for trial := 0; trial < 500; trial++ {
+		pop := make([]Individual[[]int], 1+r.Intn(200))
+		scale := math.Pow(10, float64(r.Intn(12)-3))
+		objs := make([]float64, len(pop))
+		for i := range pop {
+			pop[i].Obj = math.Round(r.Float64()*scale*float64(1+r.Intn(3))) / float64(1+r.Intn(7))
+			objs[i] = pop[i].Obj
+		}
+		e.pop = pop
+		e.record()
+		want := stats.Summarize(objs)
+		if got.MeanObj != want.Mean || got.StdObj != want.Std || got.BestObj != want.Min {
+			t.Fatalf("trial %d (n=%d): record mean/std/best %v/%v/%v, Summarize %v/%v/%v",
+				trial, len(pop), got.MeanObj, got.StdObj, got.BestObj, want.Mean, want.Std, want.Min)
+		}
+	}
+}
+
+// TestObservedStepAllocs: observing a run through OnGeneration must not
+// cost a warm Step any allocation.
+func TestObservedStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	var last GenStats
+	eng := New(shardedProblem(15), rng.New(8), Config[[]int]{
+		Pop: 64, Ops: shardedOps(), Term: Termination{MaxGenerations: 1 << 30},
+		OnGeneration: func(gs GenStats) { last = gs },
+	})
+	for i := 0; i < 60; i++ {
+		eng.Step()
+	}
+	if avg := testing.AllocsPerRun(50, eng.Step); avg != 0 {
+		t.Errorf("observed Step allocates %.1f/op, want 0", avg)
+	}
+	eng.Close()
+	if last.Generation == 0 {
+		t.Error("OnGeneration never called")
 	}
 }
 

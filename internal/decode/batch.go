@@ -6,16 +6,17 @@ import (
 	"repro/internal/shop"
 )
 
-// This file holds the batch (struct-of-arrays) evaluation layer: the third
-// rung of the evaluation ladder after the schedule-building oracles and the
+// This file holds the batch evaluation layer: the third rung of the
+// evaluation ladder after the schedule-building oracles and the
 // per-genome Scratch kernels. The GPU follow-up works to the survey (Luo &
 // El Baz, arXiv:1903.10722 and 1903.10741) evaluate whole populations per
-// kernel launch over shared precomputed instance tables; the CPU analogue
-// below decodes an entire shard of genomes per call over flat operation
-// tables, so the instance data is laid out once — densely, in int32 — and
-// stays cache-resident across the whole sweep instead of being re-derived
-// through Jobs[j].Ops[k].Times[0] pointer chains for every operation of
-// every genome.
+// kernel launch over dense, shared instance tables, with each individual's
+// state kept on-chip; the CPU analogue below decodes an entire shard of
+// genomes per call over tables built once per instance (one packed uint64
+// word per job-shop operation, an int32 duration table for the flow shop),
+// and keeps each in-flight genome's job-shop state in one small int32 row,
+// instead of re-deriving Jobs[j].Ops[k].Times[0] pointer chains and
+// spreading state over separate per-job and per-machine arrays.
 //
 // The regular-dependency kernels (flow shop's completion-row recurrence and
 // the job shop's token decode) get true flat-table batch sweeps; the
@@ -31,57 +32,79 @@ import (
 // completion feeds the next max), so the scalar kernels are latency-bound;
 // interleaving batchW independent chains keeps the out-of-order core's
 // execution ports busy while each chain waits on its own previous
-// completion. The per-slot state rows are struct-of-arrays — slot t owns
-// rows [t*n, (t+1)*n) / [t*m, (t+1)*m) — the same layout a SIMD/GPU
-// lockstep sweep would use, per the survey's thread-block-per-individual
-// designs. Remainder genomes (batch size not a multiple of batchW), groups
-// with mixed sequence lengths, and irregular instances fall back to the
-// scalar kernels: bit-identical results, unbatched speed.
+// completion, per the survey's thread-block-per-individual designs.
+// Remainder genomes (batch size not a multiple of batchW), groups with
+// mixed sequence lengths, and instances whose tables or completion times
+// do not fit the narrow types fall back to the scalar kernels:
+// bit-identical results, unbatched speed.
 const batchW = 4
 
 // BatchScratch is a reusable workspace for batch evaluation of genome
 // shards on one instance. It holds instance-derived flat operation tables
-// (durations, machine ids, offsets, flattened setups) precomputed once at
-// construction, plus per-tile-slot completion/ready state rows. All storage
-// is allocated up front: batch calls never allocate, for any batch size.
-// A BatchScratch is not safe for concurrent use; parallel executors hold
-// one per worker (the core.BatchEvalProblem seam hands each persistent
-// worker its own).
+// precomputed once at construction, plus per-slot decode state. All
+// storage is allocated up front: batch calls never allocate, for any batch
+// size. A BatchScratch is not safe for concurrent use; parallel executors
+// hold one per worker (the core.BatchEvalProblem seam hands each
+// persistent worker its own).
+//
+// The job-shop sweep keeps each slot's whole decode state in one int32
+// row of rowLen columns:
+//
+//	[cursor(n) | jobReady(n) | machFree(m) | sentinel(n) | lastJob(m+n)]
+//
+// where lastJob, present only with setups, holds one column per machine
+// and per sentinel column c, at c+m+n. cursor[j] indexes ops, the
+// packed operation table: job j's operations in route order followed by
+// one sentinel op. An op word holds the row column its completion is
+// written to in the low 32 bits (2n+machine for a real op, job j's
+// private sentinel column for the sentinel) and the duration in the high
+// 32 bits. Real ops advance the cursor by one; the sentinel has duration 0
+// and advance 0, so an over-long token lands on its own job's sentinel
+// and changes nothing: the sentinel column only ever holds an earlier
+// ready time of its job, so the max picks the current one and the zero
+// duration writes it back. No per-token exhaustion branch.
 type BatchScratch struct {
 	in *shop.Instance
 	n  int // jobs
 	m  int // machines
 
-	// Flat instance tables, indexed by flattened operation id off[j]+k.
-	// Durations and machine ids are int32 for cache density (two ops per
-	// 8 bytes instead of two 24-byte slice headers per op); wide guards
-	// the narrowing.
-	off     []int // n+1 flattened op offsets
-	opsPer  []int // ops of job j (off[j+1]-off[j], kept for branch-light checks)
+	// dur and release are the flow shop's tables: durations by flattened
+	// op id (j*m+stage on a regular instance) and per-job release dates.
+	// wide is set when any duration does not fit int32.
 	dur     []int32
-	mach    []int32
-	release []int // per-job release dates
-	// setup, when the instance has sequence-dependent setups, is the
-	// flattened Setup tensor: setup[(m*n+prev)*n+next].
-	setup []int32
-
-	// wide is set when any duration or setup does not fit int32; the batch
-	// sweeps then fall back to the scalar kernels (identical results,
-	// unbatched speed).
-	wide bool
+	release []int
+	wide    bool
 
 	// regular is set when every job has exactly m operations (so the flat
 	// op id of (job, stage) is j*m+stage); the flow-shop lockstep sweep
 	// requires it, since all interleaved jobs advance stage-for-stage.
 	regular bool
 
-	// Per-slot state rows, flat [batchW x n] and [batchW x m]. The
-	// completion arithmetic stays int so batch results are bit-identical
-	// to the scalar kernels at any magnitude the tables admit.
-	jobReady []int
-	nextID   []int // absolute flattened-op cursors, nextID[t*n+j] in [off[j], off[j+1]]
+	// ops is the packed job-shop operation table (see above), or nil when
+	// the int32 row cannot hold every completion time: a negative time,
+	// or max release + total processing time (plus each op's largest
+	// setup) above MaxInt32. The job-shop sweep then falls back to the
+	// scalar kernel.
+	ops []uint64
+	// setup, with sequence-dependent setups, is the per-op setup table:
+	// setup[id*(n+1)+k] is the setup op id pays after job k-1 on its
+	// machine, k = 0 meaning the machine's first op (the initial setup
+	// Setup[mach][j][j]). Sentinel rows are zero. The lastJob columns hold
+	// k = last job + 1, so the lookup needs no first-op branch.
+	setup []int32
+
+	// rowLen is the length of a job-shop state row; initRow is a fresh
+	// row (cursors at each job's first op, ready times at the releases,
+	// everything else zero) copied over a slot's row before each sweep.
+	// state holds the batchW rows.
+	rowLen  int
+	initRow []int32
+	state   []int32
+
+	// machFree is the flow shop's interleaved completion rows, flat
+	// [m x batchW]. The flow arithmetic stays int so batch results are
+	// bit-identical to the scalar kernel at any magnitude dur admits.
 	machFree []int
-	lastJob  []int // only with setups
 
 	scalar *Scratch
 }
@@ -91,60 +114,117 @@ type BatchScratch struct {
 func NewBatchScratch(in *shop.Instance) *BatchScratch {
 	n := len(in.Jobs)
 	m := in.NumMachines
-	total := in.TotalOps()
 	b := &BatchScratch{
 		in: in, n: n, m: m,
-		off:      make([]int, n+1),
-		opsPer:   make([]int, n),
-		dur:      make([]int32, total),
-		mach:     make([]int32, total),
+		dur:      make([]int32, in.TotalOps()),
 		release:  make([]int, n),
-		jobReady: make([]int, batchW*n),
-		nextID:   make([]int, batchW*n),
 		machFree: make([]int, batchW*m),
+		regular:  true,
 		scalar:   NewScratch(in),
 	}
 	id := 0
 	for j, job := range in.Jobs {
-		b.off[j] = id
-		b.opsPer[j] = len(job.Ops)
 		b.release[j] = job.Release
+		if len(job.Ops) != m {
+			b.regular = false
+		}
 		for k := range job.Ops {
-			op := &job.Ops[k]
-			t := op.Times[0]
+			t := job.Ops[k].Times[0]
 			if t > math.MaxInt32 || t < math.MinInt32 {
 				b.wide = true
 			}
 			b.dur[id] = int32(t)
-			b.mach[id] = int32(op.Machines[0])
 			id++
 		}
 	}
-	b.off[n] = id
-	b.regular = true
-	for j := 0; j < n; j++ {
-		if b.opsPer[j] != m {
-			b.regular = false
-			break
+	if jobShopFitsInt32(in) {
+		b.packJobShop()
+	}
+	return b
+}
+
+// jobShopFitsInt32 is the job-shop sweep's narrowing guard. With
+// non-negative times every completion time is at most the latest release
+// plus the total processing time plus, on setup instances, each op's
+// largest setup; when that bound fits int32 the int32 arithmetic is exact
+// and bit-identical to the scalar kernel's int arithmetic. The sum is
+// accumulated in int64 with every term checked first, so it cannot overflow.
+func jobShopFitsInt32(in *shop.Instance) bool {
+	n := len(in.Jobs)
+	var bound int64
+	for _, job := range in.Jobs {
+		if job.Release < 0 || job.Release > math.MaxInt32 {
+			return false
+		}
+		if r := int64(job.Release); r > bound {
+			bound = r
 		}
 	}
-	if in.Setup != nil {
-		b.setup = make([]int32, m*n*n)
-		b.lastJob = make([]int, batchW*m)
-		for mm := 0; mm < m; mm++ {
-			for prev := 0; prev < n; prev++ {
-				row := in.Setup[mm][prev]
-				base := (mm*n + prev) * n
-				for next, s := range row {
-					if s > math.MaxInt32 || s < math.MinInt32 {
-						b.wide = true
+	for j, job := range in.Jobs {
+		for k := range job.Ops {
+			op := &job.Ops[k]
+			t := op.Times[0]
+			if in.Setup != nil {
+				mi, worst := op.Machines[0], 0
+				for prev := 0; prev < n; prev++ {
+					s := in.Setup[mi][prev][j]
+					if s < 0 {
+						return false
 					}
-					b.setup[base+next] = int32(s)
+					if s > worst {
+						worst = s
+					}
 				}
+				if worst > math.MaxInt32 {
+					return false
+				}
+				bound += int64(worst)
+			}
+			if t < 0 || t > math.MaxInt32 {
+				return false
+			}
+			if bound += int64(t); bound > math.MaxInt32 {
+				return false
 			}
 		}
 	}
-	return b
+	return true
+}
+
+// packJobShop builds the packed op table, the per-op setup table and the
+// fresh state row of the job-shop sweep.
+func (b *BatchScratch) packJobShop() {
+	in, n, m := b.in, b.n, b.m
+	b.rowLen = 3*n + m
+	if in.Setup != nil {
+		b.rowLen += m + n
+	}
+	b.ops = make([]uint64, in.TotalOps()+n)
+	if in.Setup != nil {
+		b.setup = make([]int32, len(b.ops)*(n+1))
+	}
+	b.initRow = make([]int32, b.rowLen)
+	b.state = make([]int32, batchW*b.rowLen)
+	id := 0
+	for j, job := range in.Jobs {
+		b.initRow[j] = int32(id)
+		b.initRow[n+j] = int32(job.Release)
+		for k := range job.Ops {
+			op := &job.Ops[k]
+			mi := op.Machines[0]
+			b.ops[id] = uint64(2*n+mi) | uint64(op.Times[0])<<32
+			if in.Setup != nil {
+				row := b.setup[id*(n+1) : (id+1)*(n+1)]
+				row[0] = int32(in.Setup[mi][j][j])
+				for prev := 0; prev < n; prev++ {
+					row[prev+1] = int32(in.Setup[mi][prev][j])
+				}
+			}
+			id++
+		}
+		b.ops[id] = uint64(2*n + m + j) // sentinel: duration 0
+		id++
+	}
 }
 
 // Scalar exposes the embedded per-genome Scratch, for callers that mix
@@ -245,7 +325,7 @@ func (b *BatchScratch) flowShopQuad(p0, p1, p2, p3 []int, out []float64) {
 // scalar kernel.
 func (b *BatchScratch) JobShopMakespans(seqs [][]int, out []float64) {
 	i := 0
-	if !b.wide {
+	if b.ops != nil {
 		for ; i+batchW <= len(seqs); i += batchW {
 			q := seqs[i : i+batchW]
 			if !quadLen(q[0], q[1], q[2], q[3]) {
@@ -263,136 +343,127 @@ func (b *BatchScratch) JobShopMakespans(seqs [][]int, out []float64) {
 	}
 }
 
-// quadState resets the four slots' job-ready times, absolute op cursors
-// and machine-free rows, returning the per-slot row slices.
-func (b *BatchScratch) quadState() (jr, ni, mf [batchW][]int) {
-	n, m := b.n, b.m
-	for t := 0; t < batchW; t++ {
-		jr[t] = b.jobReady[t*n : t*n+n : t*n+n]
-		ni[t] = b.nextID[t*n : t*n+n : t*n+n]
-		mf[t] = b.machFree[t*m : t*m+m : t*m+m]
-		copy(jr[t], b.release)
-		copy(ni[t], b.off[:n])
-		row := mf[t]
-		for i := range row {
-			row[i] = 0
-		}
+// quadRows resets the four slots' state rows to the fresh row and returns
+// them.
+func (b *BatchScratch) quadRows() (r [batchW][]int32) {
+	l := b.rowLen
+	for t := range r {
+		r[t] = b.state[t*l : (t+1)*l : (t+1)*l]
+		copy(r[t], b.initRow)
 	}
-	return jr, ni, mf
+	return r
+}
+
+// advance is the cursor step of the op in row column col: 1 below the
+// sentinel columns, which start at 2n+m, and 0 on a sentinel. Computed
+// from the sign of col-(2n+m), so the sweep stays branch-free.
+func advance(col, sentinel int) int32 {
+	return int32(uint32(col-sentinel) >> 31)
+}
+
+// makespans stores each slot's makespan: the latest machine-free time.
+// With non-negative times machFree only grows, so its final maximum is the
+// running maximum completion the scalar kernel tracks.
+func (b *BatchScratch) makespans(r [batchW][]int32, out []float64) {
+	lo := 2 * b.n
+	for t := range r {
+		ms := int32(0)
+		for _, f := range r[t][lo : lo+b.m] {
+			if f > ms {
+				ms = f
+			}
+		}
+		out[t] = float64(ms)
+	}
 }
 
 // jobShopQuad runs the semi-active token decode for four equal-length
-// sequences in lockstep (no setups). Each slot owns its own state rows;
-// the four token decodes per position are independent, overlapping the
-// per-genome ready-time chains that bound the scalar kernel.
+// sequences in lockstep (no setups). Each token reads its job's cursor,
+// one op word, the job's ready time and the op's column, and writes the
+// three back; the four slots' chains are independent, overlapping the
+// per-genome ready-time chains that bound the scalar kernel. A token
+// outside [0,n) panics on the cursor slice, as it does in the scalar
+// kernel.
 func (b *BatchScratch) jobShopQuad(s0, s1, s2, s3 []int, out []float64) {
-	jr, ni, mf := b.quadState()
-	jr0, jr1, jr2, jr3 := jr[0], jr[1], jr[2], jr[3]
-	ni0, ni1, ni2, ni3 := ni[0], ni[1], ni[2], ni[3]
-	mf0, mf1, mf2, mf3 := mf[0], mf[1], mf[2], mf[3]
-	off, mach, dur := b.off, b.mach, b.dur
-	var ms0, ms1, ms2, ms3 int
-	for p := 0; p < len(s0); p++ {
-		if j := s0[p]; ni0[j] != off[j+1] {
-			id := ni0[j]
-			mi := int(mach[id])
-			st := jr0[j]
-			if f := mf0[mi]; f > st {
-				st = f
-			}
-			end := st + int(dur[id])
-			jr0[j], mf0[mi], ni0[j] = end, end, id+1
-			if end > ms0 {
-				ms0 = end
-			}
+	n := b.n
+	sent := 2*n + b.m
+	r := b.quadRows()
+	r0, r1, r2, r3 := r[0], r[1], r[2], r[3]
+	c0, c1, c2, c3 := r0[:n:n], r1[:n:n], r2[:n:n], r3[:n:n]
+	ops := b.ops
+	s1, s2, s3 = s1[:len(s0)], s2[:len(s0)], s3[:len(s0)]
+	for p, j := range s0 {
+		id := c0[j]
+		w := ops[id]
+		col := int(uint32(w))
+		st := r0[n+j]
+		if f := r0[col]; f > st {
+			st = f
 		}
-		if j := s1[p]; ni1[j] != off[j+1] {
-			id := ni1[j]
-			mi := int(mach[id])
-			st := jr1[j]
-			if f := mf1[mi]; f > st {
-				st = f
-			}
-			end := st + int(dur[id])
-			jr1[j], mf1[mi], ni1[j] = end, end, id+1
-			if end > ms1 {
-				ms1 = end
-			}
+		end := st + int32(w>>32)
+		r0[n+j], r0[col], c0[j] = end, end, id+advance(col, sent)
+
+		j = s1[p]
+		id = c1[j]
+		w = ops[id]
+		col = int(uint32(w))
+		st = r1[n+j]
+		if f := r1[col]; f > st {
+			st = f
 		}
-		if j := s2[p]; ni2[j] != off[j+1] {
-			id := ni2[j]
-			mi := int(mach[id])
-			st := jr2[j]
-			if f := mf2[mi]; f > st {
-				st = f
-			}
-			end := st + int(dur[id])
-			jr2[j], mf2[mi], ni2[j] = end, end, id+1
-			if end > ms2 {
-				ms2 = end
-			}
+		end = st + int32(w>>32)
+		r1[n+j], r1[col], c1[j] = end, end, id+advance(col, sent)
+
+		j = s2[p]
+		id = c2[j]
+		w = ops[id]
+		col = int(uint32(w))
+		st = r2[n+j]
+		if f := r2[col]; f > st {
+			st = f
 		}
-		if j := s3[p]; ni3[j] != off[j+1] {
-			id := ni3[j]
-			mi := int(mach[id])
-			st := jr3[j]
-			if f := mf3[mi]; f > st {
-				st = f
-			}
-			end := st + int(dur[id])
-			jr3[j], mf3[mi], ni3[j] = end, end, id+1
-			if end > ms3 {
-				ms3 = end
-			}
+		end = st + int32(w>>32)
+		r2[n+j], r2[col], c2[j] = end, end, id+advance(col, sent)
+
+		j = s3[p]
+		id = c3[j]
+		w = ops[id]
+		col = int(uint32(w))
+		st = r3[n+j]
+		if f := r3[col]; f > st {
+			st = f
 		}
+		end = st + int32(w>>32)
+		r3[n+j], r3[col], c3[j] = end, end, id+advance(col, sent)
 	}
-	out[0], out[1], out[2], out[3] = float64(ms0), float64(ms1), float64(ms2), float64(ms3)
+	b.makespans(r, out)
 }
 
 // jobShopSetupQuad is jobShopQuad with detached sequence-dependent setups:
-// the setup of a token is read from the flattened tensor keyed by the
-// machine's previous job, exactly as jobShopDecode does.
+// each op column c has a last-job column c+m+n, and the setup is read from
+// the op's setup row keyed by it, exactly as jobShopDecode does.
 func (b *BatchScratch) jobShopSetupQuad(s0, s1, s2, s3 []int, out []float64) {
-	n, m := b.n, b.m
-	jr, ni, mf := b.quadState()
-	var lj [batchW][]int
-	for t := 0; t < batchW; t++ {
-		lj[t] = b.lastJob[t*m : t*m+m : t*m+m]
-		row := lj[t]
-		for i := range row {
-			row[i] = -1
-		}
-	}
-	off, mach, dur, setup := b.off, b.mach, b.dur, b.setup
-	var ms [batchW]int
+	n := b.n
+	sent, last, stride := 2*n+b.m, b.m+n, n+1
+	r := b.quadRows()
+	ops, setup := b.ops, b.setup
 	seqs := [batchW][]int{s0, s1, s2, s3}
-	for p := 0; p < len(s0); p++ {
-		for t := 0; t < batchW; t++ {
+	for p := range s0 {
+		for t, row := range r {
 			j := seqs[t][p]
-			id := ni[t][j]
-			if id == off[j+1] {
-				continue
-			}
-			mi := int(mach[id])
-			prev := lj[t][mi]
-			if prev < 0 {
-				prev = j
-			}
-			lj[t][mi] = j
-			st := jr[t][j]
-			if f := mf[t][mi] + int(setup[(mi*n+prev)*n+j]); f > st {
+			id := row[:n][j]
+			w := ops[id]
+			col := int(uint32(w))
+			st := row[n+j]
+			if f := row[col] + setup[int(id)*stride+int(row[col+last])]; f > st {
 				st = f
 			}
-			end := st + int(dur[id])
-			jr[t][j], mf[t][mi], ni[t][j] = end, end, id+1
-			if end > ms[t] {
-				ms[t] = end
-			}
+			end := st + int32(w>>32)
+			row[n+j], row[col], row[col+last] = end, end, int32(j+1)
+			row[j] = id + advance(col, sent)
 		}
 	}
-	for t := 0; t < batchW; t++ {
-		out[t] = float64(ms[t])
-	}
+	b.makespans(r, out)
 }
 
 // GifflerThompsonMakespans fills out[i] with the active-schedule makespan

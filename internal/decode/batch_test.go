@@ -180,6 +180,62 @@ func TestBatchWideFallback(t *testing.T) {
 	}
 }
 
+// TestBatchNarrowingBound: the job-shop sweep runs on int32 rows only when
+// every completion time provably fits — max release + total processing
+// time (+ each op's largest setup) <= MaxInt32. Past the bound the sweep
+// must take the scalar fallback even though each value fits int32 alone;
+// at the bound it must run and stay exact.
+func TestBatchNarrowingBound(t *testing.T) {
+	const max32 = 1<<31 - 1
+	job := func(release int, ops ...[2]int) shop.Job {
+		j := shop.Job{Release: release}
+		for _, o := range ops {
+			j.Ops = append(j.Ops, shop.Operation{Machines: []int{o[0]}, Times: []int{o[1]}})
+		}
+		return j
+	}
+	cases := []struct {
+		name  string
+		in    *shop.Instance
+		batch bool
+	}{
+		{"total work past int32", &shop.Instance{Kind: shop.JobShop, NumMachines: 2, Jobs: []shop.Job{
+			job(0, [2]int{0, 1 << 30}, [2]int{1, 1 << 30}),
+			job(0, [2]int{1, 1 << 30}, [2]int{0, 1 << 30}),
+		}}, false},
+		{"release + work past int32", &shop.Instance{Kind: shop.JobShop, NumMachines: 2, Jobs: []shop.Job{
+			job(max32-5, [2]int{0, 3}, [2]int{1, 3}),
+			job(0, [2]int{1, 2}, [2]int{0, 2}),
+		}}, false},
+		{"setups past int32", shop.WithSetupTimes(&shop.Instance{Kind: shop.JobShop, NumMachines: 2, Jobs: []shop.Job{
+			job(0, [2]int{0, 1}, [2]int{1, 1}),
+			job(0, [2]int{1, 1}, [2]int{0, 1}),
+		}}, 1<<30, 1<<30, 5), false},
+		{"exactly at the bound", &shop.Instance{Kind: shop.JobShop, NumMachines: 2, Jobs: []shop.Job{
+			job(max32-10, [2]int{0, 3}, [2]int{1, 3}),
+			job(0, [2]int{1, 2}, [2]int{0, 2}),
+		}}, true},
+	}
+	// One lockstep quad, then a remainder genome for the scalar kernel.
+	seqs := [][]int{{0, 1, 0, 1}, {1, 0, 1, 0}, {0, 0, 1, 1}, {0, 1, 1, 0}, {1, 1, 0, 0, 1}}
+	for _, c := range cases {
+		b := NewBatchScratch(c.in)
+		if b.wide {
+			t.Fatalf("%s: every value fits int32, yet wide is set", c.name)
+		}
+		if got := b.ops != nil; got != c.batch {
+			t.Fatalf("%s: lockstep sweep enabled = %v, want %v", c.name, got, c.batch)
+		}
+		out := make([]float64, len(seqs))
+		b.JobShopMakespans(seqs, out)
+		for i, seq := range seqs {
+			if want := float64(JobShopMakespan(c.in, seq, b.Scalar())); out[i] != want {
+				t.Fatalf("%s genome %d: batch %v, kernel %v", c.name, i, out[i], want)
+			}
+		}
+	}
+}
+
 // TestBatchRandomInstancesAllSizes is the broad property sweep: fresh random
 // instances of the batch-kernel kinds, every batch size in 1..257 worth
 // hitting, one shared BatchScratch per instance.
@@ -259,13 +315,63 @@ func FuzzBatchJobShopEquivalence(f *testing.F) {
 	})
 }
 
+// FuzzBatchJobShopTokens feeds arbitrary token streams — fuzzer bytes
+// mapped to job ids in [0,n), any multiplicity — through the job-shop
+// sweep, so over-long tokens (the sentinel ops), short sequences and
+// tokens of exhausted or operation-less jobs are all exercised, with and
+// without setups, on ragged routes and non-zero releases. The bytes are
+// split into four equal-length sequences (one lockstep quad) plus a
+// remainder genome for the scalar fallback.
+func FuzzBatchJobShopTokens(f *testing.F) {
+	f.Add(int32(1), 4, 3, []byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(int32(2), 1, 1, []byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(int32(3), 9, 7, []byte("over-long, short and exhausted tokens in one stream"))
+	f.Add(int32(4), 5, 4, []byte{})
+	f.Fuzz(func(t *testing.T, seed int32, n, m int, data []byte) {
+		if n < 1 || n > 16 || m < 1 || m > 12 || seed < 1 || seed > 1<<30 || len(data) > 4096 {
+			t.Skip()
+		}
+		l := len(data) / 4
+		seqs := make([][]int, batchW+1)
+		for i := range seqs {
+			seqs[i] = make([]int, 0, l)
+		}
+		for i, c := range data {
+			g := batchW
+			if l > 0 && i/l < batchW {
+				g = i / l
+			}
+			seqs[g] = append(seqs[g], int(c)%n)
+		}
+		for _, withSetups := range []bool{false, true} {
+			in := shop.GenerateJobShop("fuzz-tok", n, m, seed, seed+1)
+			for j := range in.Jobs {
+				in.Jobs[j].Ops = in.Jobs[j].Ops[:(int(seed)+j)%(m+1)]
+				in.Jobs[j].Release = (int(seed) * (j + 1)) % 23
+			}
+			if withSetups {
+				shop.WithSetupTimes(in, 0, 7, seed+2)
+			}
+			b := NewBatchScratch(in)
+			out := make([]float64, len(seqs))
+			b.JobShopMakespans(seqs, out)
+			for i, seq := range seqs {
+				if want := float64(JobShopMakespan(in, seq, NewScratch(in))); out[i] != want {
+					t.Fatalf("setups=%v genome %d %v: batch %v, kernel %v", withSetups, i, seq, out[i], want)
+				}
+			}
+		}
+	})
+}
+
 // TestBatchZeroAlloc is the batch-path contract: once a BatchScratch is
 // built, batch calls allocate nothing for any batch size, ragged or not.
 func TestBatchZeroAlloc(t *testing.T) {
 	r := rng.New(25)
 	js := shop.GenerateJobShop("z-bjs", 15, 10, 912, 913)
+	jss := shop.WithSetupTimes(shop.GenerateJobShop("z-bjss", 15, 10, 914, 915), 1, 9, 916)
 	fs := shop.GenerateFlowShop("z-bfs", 20, 5, 911)
-	bj, bf := NewBatchScratch(js), NewBatchScratch(fs)
+	bj, bjs, bf := NewBatchScratch(js), NewBatchScratch(jss), NewBatchScratch(fs)
 	seqs := make([][]int, 100) // ragged: 64 + 36
 	perms := make([][]int, 100)
 	for i := range seqs {
@@ -275,6 +381,9 @@ func TestBatchZeroAlloc(t *testing.T) {
 	out := make([]float64, 100)
 	if n := testing.AllocsPerRun(50, func() { bj.JobShopMakespans(seqs, out) }); n != 0 {
 		t.Errorf("JobShopMakespans allocates %v per batch", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { bjs.JobShopMakespans(seqs, out) }); n != 0 {
+		t.Errorf("JobShopMakespans with setups allocates %v per batch", n)
 	}
 	if n := testing.AllocsPerRun(50, func() { bf.FlowShopMakespans(perms, out) }); n != 0 {
 		t.Errorf("FlowShopMakespans allocates %v per batch", n)
