@@ -66,13 +66,16 @@
 // ladder in internal/decode: schedule-building oracle decoders (reference
 // semantics, final results), allocation-free makespan kernels decoding
 // into a reusable Scratch workspace, and batch kernels (BatchScratch) that
-// decode whole slices of genomes in 4-wide lockstep — hiding the scalar
-// decoder's completion-time dependency chain behind neighbouring genomes'
-// arithmetic, with precomputed instance tables (one packed op word per
-// job-shop operation, each genome's state in one int32 row, a sentinel op
-// per job absorbing over-long tokens) and scalar fallback for the
-// irregular kinds and for instances whose completion times could
-// overflow int32. Property and fuzz tests pin each rung to the
+// decode whole slices of genomes per call over precomputed instance
+// tables: the flow shop sweeps each permutation once per block of five
+// stages with that block's machine-free times in registers (block-major
+// int32 duration tables, the last block zero-padded), and the job shop
+// decodes four genomes in lockstep — hiding the scalar decoder's
+// completion-time dependency chain behind neighbouring genomes'
+// arithmetic — with one packed op word per operation, each genome's state
+// in one int32 row and a sentinel op per job absorbing over-long tokens.
+// Both fall back to the scalar kernel for the irregular kinds and for
+// instances whose completion times could overflow int32. Property and fuzz tests pin each rung to the
 // one below bit for bit, and BENCH_hotpath.json records the measured gaps.
 // Problems expose the batch rung through core.BatchEvalProblem, the
 // engine's only evaluation seam, and keep Evaluate as the concurrency-safe

@@ -51,10 +51,10 @@ import (
 // master between steps.
 
 // shardSize is the number of slots per shard (two selection/crossover
-// pairs, and exactly one 4-wide batch-kernel tile). It is a fixed constant
-// — NOT derived from Workers — because the shard count decides how the RNG
-// substreams are laid out; tying it to the worker count would break
-// cross-worker-count determinism.
+// pairs, and exactly one 4-wide job-shop batch-kernel tile). It is a fixed
+// constant — NOT derived from Workers — because the shard count decides
+// how the RNG substreams are laid out; tying it to the worker count would
+// break cross-worker-count determinism.
 const shardSize = 4
 
 // ShardCount returns the number of shards — and hence of shard RNG
@@ -275,7 +275,7 @@ func (e *Engine[G]) runShards(exec int) {
 
 // runShard fills the non-elite slots of shard s — offspring pairs, then
 // random immigrants — and evaluates them with one batch call (a full
-// shard is exactly one lockstep tile of the batch kernels).
+// shard is exactly one lockstep tile of the job-shop batch kernel).
 func (e *Engine[G]) runShard(s, exec int) {
 	sh := e.sharded
 	rg := sh.shards[s]

@@ -13,10 +13,12 @@ import (
 // kernel launch over dense, shared instance tables, with each individual's
 // state kept on-chip; the CPU analogue below decodes an entire shard of
 // genomes per call over tables built once per instance (one packed uint64
-// word per job-shop operation, an int32 duration table for the flow shop),
-// and keeps each in-flight genome's job-shop state in one small int32 row,
-// instead of re-deriving Jobs[j].Ops[k].Times[0] pointer chains and
-// spreading state over separate per-job and per-machine arrays.
+// word per job-shop operation, block-major int32 duration tables for the
+// flow shop) and keeps each in-flight genome's state as close to the core
+// as it fits: a flow-shop sweep holds its machine-free times in registers,
+// a job-shop slot holds its state in one small int32 row, instead of
+// re-deriving Jobs[j].Ops[k].Times[0] pointer chains and spreading state
+// over separate per-job and per-machine arrays.
 //
 // The regular-dependency kernels (flow shop's completion-row recurrence and
 // the job shop's token decode) get true flat-table batch sweeps; the
@@ -26,18 +28,24 @@ import (
 // bit-identical to its scalar kernel — which is itself oracle-pinned to the
 // schedule path — across all shop kinds and batch sizes 1..257.
 
-// batchW is the interleave width of the batch kernels: they decode batchW
-// genomes in lockstep, advancing all of them one sequence position at a
-// time. A single genome's decode is one long dependency chain (each
-// completion feeds the next max), so the scalar kernels are latency-bound;
-// interleaving batchW independent chains keeps the out-of-order core's
-// execution ports busy while each chain waits on its own previous
-// completion, per the survey's thread-block-per-individual designs.
-// Remainder genomes (batch size not a multiple of batchW), groups with
-// mixed sequence lengths, and instances whose tables or completion times
-// do not fit the narrow types fall back to the scalar kernels:
-// bit-identical results, unbatched speed.
+// batchW is the interleave width of the job-shop batch sweep: it decodes
+// batchW genomes in lockstep, advancing all of them one token at a time.
+// A single genome's decode is one long dependency chain (each completion
+// feeds the next max), so the scalar kernel is latency-bound; interleaving
+// batchW independent chains keeps the out-of-order core's execution ports
+// busy while each chain waits on its own previous completion, per the
+// survey's thread-block-per-individual designs. Remainder genomes (batch
+// size not a multiple of batchW), groups with mixed sequence lengths, and
+// instances whose completion times do not fit int32 fall back to the
+// scalar kernel: bit-identical results, unbatched speed.
 const batchW = 4
+
+// flowBlock is the stage width of the flow-shop register-block sweep: it
+// processes a permutation flowBlock stages per pass, with that block's
+// machine-free times in local variables the compiler keeps in registers.
+// Five covers Taillard's m in {5, 10, 20} exactly; other m zero-pad the
+// last block.
+const flowBlock = 5
 
 // BatchScratch is a reusable workspace for batch evaluation of genome
 // shards on one instance. It holds instance-derived flat operation tables
@@ -46,6 +54,13 @@ const batchW = 4
 // size. A BatchScratch is not safe for concurrent use; parallel executors
 // hold one per worker (the core.BatchEvalProblem seam hands each
 // persistent worker its own).
+//
+// The flow-shop sweep reads durations from flowTab, block-major:
+// flowTab[blk*n+j][k] is job j's duration on stage blk*flowBlock+k, zero
+// past the last stage. A zero-duration padded stage only copies the
+// running completion forward (its machine is free no later than the job
+// arrives), so padding changes no real stage and the padded machine-free
+// time equals the last real stage's.
 //
 // The job-shop sweep keeps each slot's whole decode state in one int32
 // row of rowLen columns:
@@ -68,17 +83,22 @@ type BatchScratch struct {
 	n  int // jobs
 	m  int // machines
 
-	// dur and release are the flow shop's tables: durations by flattened
-	// op id (j*m+stage on a regular instance) and per-job release dates.
-	// wide is set when any duration does not fit int32.
-	dur     []int32
-	release []int
-	wide    bool
-
-	// regular is set when every job has exactly m operations (so the flat
-	// op id of (job, stage) is j*m+stage); the flow-shop lockstep sweep
-	// requires it, since all interleaved jobs advance stage-for-stage.
-	regular bool
+	// flowTab is the flow shop's block-major duration table (see above),
+	// flowRel its per-job release dates, and flowReady the ready row: one
+	// entry per permutation position carrying that job's completion from
+	// one block to the next. flowTab is nil unless flowShopFitsInt32
+	// holds; the flow sweep then always falls back to the scalar kernel.
+	flowTab   [][flowBlock]int32
+	flowRel   []int32
+	flowReady []int32
+	// flowWork is each job's total work and flowBudget is MaxInt32 minus
+	// the latest release: a token stream whose summed work fits the budget
+	// has every completion time in int32. flowAnyLen is set when n times
+	// the largest job's work fits it too, so any stream of at most n
+	// tokens qualifies without summing.
+	flowWork   []int64
+	flowBudget int64
+	flowAnyLen bool
 
 	// ops is the packed job-shop operation table (see above), or nil when
 	// the int32 row cannot hold every completion time: a negative time,
@@ -101,46 +121,79 @@ type BatchScratch struct {
 	initRow []int32
 	state   []int32
 
-	// machFree is the flow shop's interleaved completion rows, flat
-	// [m x batchW]. The flow arithmetic stays int so batch results are
-	// bit-identical to the scalar kernel at any magnitude dur admits.
-	machFree []int
-
 	scalar *Scratch
 }
 
 // NewBatchScratch builds the flat operation tables for in and pre-sizes
 // every state row, so all subsequent batch calls on in are allocation-free.
 func NewBatchScratch(in *shop.Instance) *BatchScratch {
-	n := len(in.Jobs)
-	m := in.NumMachines
 	b := &BatchScratch{
-		in: in, n: n, m: m,
-		dur:      make([]int32, in.TotalOps()),
-		release:  make([]int, n),
-		machFree: make([]int, batchW*m),
-		regular:  true,
-		scalar:   NewScratch(in),
+		in: in, n: len(in.Jobs), m: in.NumMachines,
+		scalar: NewScratch(in),
 	}
-	id := 0
-	for j, job := range in.Jobs {
-		b.release[j] = job.Release
-		if len(job.Ops) != m {
-			b.regular = false
-		}
-		for k := range job.Ops {
-			t := job.Ops[k].Times[0]
-			if t > math.MaxInt32 || t < math.MinInt32 {
-				b.wide = true
-			}
-			b.dur[id] = int32(t)
-			id++
-		}
+	if flowShopFitsInt32(in) {
+		b.packFlowShop()
 	}
 	if jobShopFitsInt32(in) {
 		b.packJobShop()
 	}
 	return b
+}
+
+// flowShopFitsInt32 is the flow sweep's narrowing guard: a regular
+// instance (every job has exactly m operations, so all jobs advance
+// stage-for-stage) with non-negative times and releases, and max release
+// + total work <= MaxInt32. A completion time is at most the latest
+// release plus the work of the jobs sequenced so far, so on a permutation
+// every completion, padded stages included, fits int32 and the int32
+// arithmetic is exact. Like jobShopFitsInt32 it reads no setups: the flow
+// kernel never does.
+func flowShopFitsInt32(in *shop.Instance) bool {
+	var bound int64
+	for _, job := range in.Jobs {
+		if len(job.Ops) != in.NumMachines || job.Release < 0 || job.Release > math.MaxInt32 {
+			return false
+		}
+		if r := int64(job.Release); r > bound {
+			bound = r
+		}
+	}
+	for _, job := range in.Jobs {
+		for k := range job.Ops {
+			t := job.Ops[k].Times[0]
+			if t < 0 || t > math.MaxInt32 {
+				return false
+			}
+			if bound += int64(t); bound > math.MaxInt32 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// packFlowShop builds the flow sweep's block-major duration table, release
+// and work tables, and ready row.
+func (b *BatchScratch) packFlowShop() {
+	n, m := b.n, b.m
+	blocks := (m + flowBlock - 1) / flowBlock
+	b.flowTab = make([][flowBlock]int32, blocks*n)
+	b.flowRel = make([]int32, n)
+	b.flowReady = make([]int32, n)
+	b.flowWork = make([]int64, n)
+	var maxRel, maxWork int64
+	for j, job := range b.in.Jobs {
+		b.flowRel[j] = int32(job.Release)
+		maxRel = max(maxRel, int64(job.Release))
+		for k := range job.Ops {
+			t := job.Ops[k].Times[0]
+			b.flowTab[k/flowBlock*n+j][k%flowBlock] = int32(t)
+			b.flowWork[j] += int64(t)
+		}
+		maxWork = max(maxWork, b.flowWork[j])
+	}
+	b.flowBudget = math.MaxInt32 - maxRel
+	b.flowAnyLen = int64(n)*maxWork <= b.flowBudget
 }
 
 // jobShopFitsInt32 is the job-shop sweep's narrowing guard. With
@@ -232,90 +285,83 @@ func (b *BatchScratch) packJobShop() {
 // materialisation) without a second workspace.
 func (b *BatchScratch) Scalar() *Scratch { return b.scalar }
 
+// FlowShopMakespans fills out[i] with the flow-shop makespan of perms[i],
+// bit-identical to FlowShopMakespan on each permutation. Each permutation
+// the int32 guard admits runs the register-block sweep; everything else
+// (a wide, negative or irregular instance, a stream longer than n or whose
+// repeated tokens could overflow int32) falls back to the scalar kernel.
+func (b *BatchScratch) FlowShopMakespans(perms [][]int, out []float64) {
+	for i, perm := range perms {
+		if b.flowFits(perm) {
+			out[i] = float64(b.flowShopBlocks(perm))
+		} else {
+			out[i] = float64(FlowShopMakespanWith(b.in, perm, b.scalar))
+		}
+	}
+}
+
+// flowFits reports whether perm may run the register-block sweep: the
+// instance passed flowShopFitsInt32, perm fits the ready row, and the work
+// perm sequences fits the int32 budget (summed only when repeated tokens
+// could exceed it). A token outside [0,n) panics here or in the sweep, as
+// it does in the scalar kernel.
+func (b *BatchScratch) flowFits(perm []int) bool {
+	if b.flowTab == nil || len(perm) > b.n {
+		return false
+	}
+	if b.flowAnyLen {
+		return true
+	}
+	var work int64
+	for _, j := range perm {
+		work += b.flowWork[j]
+	}
+	return work <= b.flowBudget
+}
+
+// flowShopBlocks runs the completion-row recurrence over perm one stage
+// block at a time: the ready row starts at each position's release and,
+// after each block, holds that position's completion on the block's last
+// stage, which is where the next block's first stage picks the job up.
+// The last position's final completion is the makespan (0 for an empty
+// perm), since with non-negative times no machine frees later.
+func (b *BatchScratch) flowShopBlocks(perm []int) int32 {
+	n := b.n
+	ready := b.flowReady[:len(perm)]
+	for p, j := range perm {
+		ready[p] = b.flowRel[j]
+	}
+	var ms int32
+	for lo := 0; lo < len(b.flowTab); lo += n {
+		ms = flowSweep(perm, b.flowTab[lo:lo+n:lo+n], ready)
+	}
+	return ms
+}
+
+// flowSweep is one register-block pass: five stages over the whole
+// permutation, the five machine-free times in locals. Each position reads
+// its job's five durations as one array row, chains its ready time
+// through the five stages, and writes its last-stage completion back to
+// the ready row. Returns the block's last machine-free time.
+func flowSweep(perm []int, tab [][flowBlock]int32, ready []int32) int32 {
+	var f0, f1, f2, f3, f4 int32
+	ready = ready[:len(perm)]
+	for p, j := range perm {
+		d := &tab[j]
+		f0 = max(ready[p], f0) + d[0]
+		f1 = max(f0, f1) + d[1]
+		f2 = max(f1, f2) + d[2]
+		f3 = max(f2, f3) + d[3]
+		f4 = max(f3, f4) + d[4]
+		ready[p] = f4
+	}
+	return f4
+}
+
 // quadLen reports whether four sequences share one length, the
 // precondition for decoding them in lockstep.
 func quadLen(a, b, c, d []int) bool {
 	return len(a) == len(b) && len(b) == len(c) && len(c) == len(d)
-}
-
-// FlowShopMakespans fills out[i] with the flow-shop makespan of perms[i],
-// bit-identical to FlowShopMakespan on each permutation. Groups of batchW
-// equal-length permutations on a regular instance run the lockstep sweep;
-// everything else falls back to the scalar kernel per genome.
-func (b *BatchScratch) FlowShopMakespans(perms [][]int, out []float64) {
-	i := 0
-	if !b.wide && b.regular {
-		for ; i+batchW <= len(perms); i += batchW {
-			q := perms[i : i+batchW]
-			if !quadLen(q[0], q[1], q[2], q[3]) {
-				break
-			}
-			b.flowShopQuad(q[0], q[1], q[2], q[3], out[i:i+batchW])
-		}
-	}
-	for ; i < len(perms); i++ {
-		out[i] = float64(FlowShopMakespanWith(b.in, perms[i], b.scalar))
-	}
-}
-
-// flowShopQuad runs the completion-row recurrence for four equal-length
-// permutations in lockstep. The four per-stage chains are independent, so
-// their max/add latencies overlap; the running previous-completion of each
-// slot lives in a register, and the per-stage completion rows are
-// interleaved c[s*batchW+t] so one position's sweep touches contiguous
-// memory.
-func (b *BatchScratch) flowShopQuad(p0, p1, p2, p3 []int, out []float64) {
-	m := b.m
-	c := b.machFree[:batchW*m]
-	for i := range c {
-		c[i] = 0
-	}
-	dur, rel := b.dur, b.release
-	for p := 0; p < len(p0); p++ {
-		j0, j1, j2, j3 := p0[p], p1[p], p2[p], p3[p]
-		// Per-slot duration rows are contiguous (regular instance: op id of
-		// (j, s) is j*m+s), so each slot streams its own row while the four
-		// completion chains overlap.
-		d0 := dur[j0*m : j0*m+m]
-		d1 := dur[j1*m : j1*m+m]
-		d2 := dur[j2*m : j2*m+m]
-		d3 := dur[j3*m : j3*m+m]
-		v0, v1, v2, v3 := rel[j0], rel[j1], rel[j2], rel[j3]
-		base := 0
-		for s := 0; s < m; s++ {
-			row := c[base : base+batchW : base+batchW]
-			base += batchW
-			if t := row[0]; t > v0 {
-				v0 = t
-			}
-			v0 += int(d0[s])
-			row[0] = v0
-			if t := row[1]; t > v1 {
-				v1 = t
-			}
-			v1 += int(d1[s])
-			row[1] = v1
-			if t := row[2]; t > v2 {
-				v2 = t
-			}
-			v2 += int(d2[s])
-			row[2] = v2
-			if t := row[3]; t > v3 {
-				v3 = t
-			}
-			v3 += int(d3[s])
-			row[3] = v3
-		}
-	}
-	for t := 0; t < batchW; t++ {
-		max := 0
-		for s := 0; s < m; s++ {
-			if v := c[s*batchW+t]; v > max {
-				max = v
-			}
-		}
-		out[t] = float64(max)
-	}
 }
 
 // JobShopMakespans fills out[i] with the job-shop makespan of seqs[i],

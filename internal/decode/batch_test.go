@@ -149,8 +149,9 @@ func TestBatchFallbackKindsMatchKernels(t *testing.T) {
 	}
 }
 
-// TestBatchWideFallback: durations beyond int32 force the scalar fallback,
-// which must still agree with the kernels.
+// TestBatchWideFallback: durations beyond int32 disable both int32 sweeps
+// (the packed job-shop table and the flow-shop block table), and the scalar
+// fallback must still agree with the kernels.
 func TestBatchWideFallback(t *testing.T) {
 	huge := 1 << 33
 	in := &shop.Instance{
@@ -167,8 +168,8 @@ func TestBatchWideFallback(t *testing.T) {
 		},
 	}
 	b := NewBatchScratch(in)
-	if !b.wide {
-		t.Fatal("expected wide fallback for 2^33 durations")
+	if b.ops != nil || b.flowTab != nil {
+		t.Fatal("expected scalar fallback for 2^33 durations")
 	}
 	seqs := [][]int{{0, 1, 0, 1}, {1, 0, 1, 0}, {0, 0, 1, 1}}
 	out := make([]float64, len(seqs))
@@ -176,6 +177,13 @@ func TestBatchWideFallback(t *testing.T) {
 	for i, seq := range seqs {
 		if want := float64(JobShopMakespan(in, seq, b.Scalar())); out[i] != want {
 			t.Fatalf("wide genome %d: batch %v, kernel %v", i, out[i], want)
+		}
+	}
+	perms := [][]int{{0, 1}, {1, 0}, {1}}
+	b.FlowShopMakespans(perms, out)
+	for i, perm := range perms {
+		if want := float64(FlowShopMakespanWith(in, perm, b.Scalar())); out[i] != want {
+			t.Fatalf("wide flow perm %d: batch %v, kernel %v", i, out[i], want)
 		}
 	}
 }
@@ -220,9 +228,6 @@ func TestBatchNarrowingBound(t *testing.T) {
 	seqs := [][]int{{0, 1, 0, 1}, {1, 0, 1, 0}, {0, 0, 1, 1}, {0, 1, 1, 0}, {1, 1, 0, 0, 1}}
 	for _, c := range cases {
 		b := NewBatchScratch(c.in)
-		if b.wide {
-			t.Fatalf("%s: every value fits int32, yet wide is set", c.name)
-		}
 		if got := b.ops != nil; got != c.batch {
 			t.Fatalf("%s: lockstep sweep enabled = %v, want %v", c.name, got, c.batch)
 		}
@@ -232,6 +237,65 @@ func TestBatchNarrowingBound(t *testing.T) {
 			if want := float64(JobShopMakespan(c.in, seq, b.Scalar())); out[i] != want {
 				t.Fatalf("%s genome %d: batch %v, kernel %v", c.name, i, out[i], want)
 			}
+		}
+	}
+}
+
+// TestBatchFlowNarrowingBound mirrors TestBatchNarrowingBound for the
+// flow-shop register-block sweep: it runs on int32 block tables only on a
+// regular instance with non-negative times and releases and max release +
+// total work <= MaxInt32. Every case past that bound, and an irregular job,
+// must take the scalar fallback; at the bound the sweep must run and stay
+// exact, and a repeated-token stream whose work would pass the bound must
+// fall back per genome.
+func TestBatchFlowNarrowingBound(t *testing.T) {
+	const max32 = 1<<31 - 1
+	job := func(release int, times ...int) shop.Job {
+		j := shop.Job{Release: release}
+		for k, d := range times {
+			j.Ops = append(j.Ops, shop.Operation{Machines: []int{k}, Times: []int{d}})
+		}
+		return j
+	}
+	flow := func(jobs ...shop.Job) *shop.Instance {
+		return &shop.Instance{Kind: shop.FlowShop, NumMachines: 2, Jobs: jobs}
+	}
+	cases := []struct {
+		name  string
+		in    *shop.Instance
+		batch bool
+	}{
+		{"total work past int32", flow(job(0, 1<<30, 1<<30), job(0, 1<<30, 1<<30)), false},
+		{"release + work past int32", flow(job(max32-5, 3, 3), job(0, 2, 2)), false},
+		{"negative duration", flow(job(0, 3, -1), job(0, 2, 2)), false},
+		{"negative release", flow(job(-4, 3, 3), job(0, 2, 2)), false},
+		{"irregular job with m-1 ops", flow(job(0, 3, 3), job(0, 2)), false},
+		{"exactly at the bound", flow(job(max32-10, 3, 3), job(0, 2, 2)), true},
+		{"at the bound, one heavy job", flow(job(0, 1<<30, 1<<30-2), job(1, 0, 0)), true},
+	}
+	// Permutations, a partial and a repeated stream, the empty stream and
+	// one longer than n (always the scalar kernel).
+	perms := [][]int{{0, 1}, {1, 0}, {0}, {}, {0, 0}, {1, 1}, {1, 0, 1}}
+	for _, c := range cases {
+		b := NewBatchScratch(c.in)
+		if got := b.flowTab != nil; got != c.batch {
+			t.Fatalf("%s: register-block sweep enabled = %v, want %v", c.name, got, c.batch)
+		}
+		out := make([]float64, len(perms))
+		b.FlowShopMakespans(perms, out)
+		for i, perm := range perms {
+			if want := float64(FlowShopMakespanWith(c.in, perm, b.Scalar())); out[i] != want {
+				t.Fatalf("%s perm %v: batch %v, kernel %v", c.name, perm, out[i], want)
+			}
+		}
+	}
+	heavy := NewBatchScratch(cases[len(cases)-1].in)
+	for _, c := range []struct {
+		perm  []int
+		sweep bool
+	}{{[]int{0, 1}, true}, {[]int{1, 1}, true}, {[]int{0, 0}, false}, {[]int{0, 1, 1}, false}} {
+		if got := heavy.flowFits(c.perm); got != c.sweep {
+			t.Fatalf("heavy job, perm %v: sweep = %v, want %v", c.perm, got, c.sweep)
 		}
 	}
 }
@@ -364,14 +428,81 @@ func FuzzBatchJobShopTokens(f *testing.F) {
 	})
 }
 
+// FuzzBatchFlowShop turns fuzzer bytes into a flow shop — n in 1..24, m in
+// 1..12 (so the last stage block is often zero-padded), releases and
+// durations with zeros — and checks the register-block sweep against the
+// scalar kernel on a permutation, partial and repeated token streams, the
+// empty stream and streams longer than n (the scalar fallback), in one
+// batch with an odd count.
+func FuzzBatchFlowShop(f *testing.F) {
+	f.Add([]byte{3, 4, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 0, 3, 2, 1, 0, 3})
+	f.Add([]byte{19, 4, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 13, 17, 19, 23, 29, 31, 37})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{6, 6, 0, 0, 0, 0, 5})
+	f.Add([]byte("zero-padded stages, repeated and over-long token streams"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 4096 {
+			t.Skip()
+		}
+		n, m, body := 1+int(data[0])%24, 1+int(data[1])%12, data[2:]
+		at := func(i int) int {
+			if len(body) == 0 {
+				return 0
+			}
+			return int(body[i%len(body)])
+		}
+		in := &shop.Instance{Kind: shop.FlowShop, NumMachines: m, Jobs: make([]shop.Job, n)}
+		i := 0
+		for j := range in.Jobs {
+			in.Jobs[j].Release = at(i) % 9
+			i++
+			for k := 0; k < m; k++ {
+				in.Jobs[j].Ops = append(in.Jobs[j].Ops, shop.Operation{Machines: []int{k}, Times: []int{at(i) % 41}})
+				i++
+			}
+		}
+		perm := make([]int, n)
+		for j := range perm {
+			perm[j] = j
+		}
+		for k, c := range body {
+			perm[k%n], perm[int(c)%n] = perm[int(c)%n], perm[k%n]
+		}
+		stream := make([]int, len(body))
+		for k, c := range body {
+			stream[k] = int(c) % n
+		}
+		repeated := make([]int, n)
+		for k := range repeated {
+			repeated[k] = at(0) % n
+		}
+		longer := append(append([]int{}, perm...), stream...)
+		longer = append(longer, perm[0])
+		perms := [][]int{perm, stream[:min(len(stream), n/2)], repeated, {}, stream, longer, perm}
+		b := NewBatchScratch(in)
+		if b.flowTab == nil {
+			t.Fatal("small non-negative flow shop must run the register-block sweep")
+		}
+		out := make([]float64, len(perms))
+		b.FlowShopMakespans(perms, out)
+		for g, p := range perms {
+			if want := float64(FlowShopMakespanWith(in, p, NewScratch(in))); out[g] != want {
+				t.Fatalf("%dx%d genome %d %v: batch %v, kernel %v", n, m, g, p, out[g], want)
+			}
+		}
+	})
+}
+
 // TestBatchZeroAlloc is the batch-path contract: once a BatchScratch is
-// built, batch calls allocate nothing for any batch size, ragged or not.
+// built, batch calls allocate nothing for any batch size, ragged or odd,
+// including a flow shop whose last stage block is zero-padded.
 func TestBatchZeroAlloc(t *testing.T) {
 	r := rng.New(25)
 	js := shop.GenerateJobShop("z-bjs", 15, 10, 912, 913)
 	jss := shop.WithSetupTimes(shop.GenerateJobShop("z-bjss", 15, 10, 914, 915), 1, 9, 916)
 	fs := shop.GenerateFlowShop("z-bfs", 20, 5, 911)
-	bj, bjs, bf := NewBatchScratch(js), NewBatchScratch(jss), NewBatchScratch(fs)
+	fs7 := shop.GenerateFlowShop("z-bfs7", 20, 7, 917)
+	bj, bjs, bf, bf7 := NewBatchScratch(js), NewBatchScratch(jss), NewBatchScratch(fs), NewBatchScratch(fs7)
 	seqs := make([][]int, 100) // ragged: 64 + 36
 	perms := make([][]int, 100)
 	for i := range seqs {
@@ -379,13 +510,18 @@ func TestBatchZeroAlloc(t *testing.T) {
 		perms[i] = RandomPermutation(fs, r)
 	}
 	out := make([]float64, 100)
-	if n := testing.AllocsPerRun(50, func() { bj.JobShopMakespans(seqs, out) }); n != 0 {
-		t.Errorf("JobShopMakespans allocates %v per batch", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { bjs.JobShopMakespans(seqs, out) }); n != 0 {
-		t.Errorf("JobShopMakespans with setups allocates %v per batch", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { bf.FlowShopMakespans(perms, out) }); n != 0 {
-		t.Errorf("FlowShopMakespans allocates %v per batch", n)
+	for _, size := range []int{100, 63} {
+		if n := testing.AllocsPerRun(50, func() { bj.JobShopMakespans(seqs[:size], out) }); n != 0 {
+			t.Errorf("JobShopMakespans allocates %v per batch of %d", n, size)
+		}
+		if n := testing.AllocsPerRun(50, func() { bjs.JobShopMakespans(seqs[:size], out) }); n != 0 {
+			t.Errorf("JobShopMakespans with setups allocates %v per batch of %d", n, size)
+		}
+		if n := testing.AllocsPerRun(50, func() { bf.FlowShopMakespans(perms[:size], out) }); n != 0 {
+			t.Errorf("FlowShopMakespans allocates %v per batch of %d", n, size)
+		}
+		if n := testing.AllocsPerRun(50, func() { bf7.FlowShopMakespans(perms[:size], out) }); n != 0 {
+			t.Errorf("FlowShopMakespans on 20x7 allocates %v per batch of %d", n, size)
+		}
 	}
 }
