@@ -1,5 +1,5 @@
-// Command benchsuite runs the end-to-end benchmark suite over the
-// instance registry and diffs suite reports for CI regression gating.
+// Command benchsuite runs the end-to-end quality suite over the instance
+// registry and diffs suite reports for CI regression gating.
 //
 //	benchsuite run  -profile smoke -out BENCH_suite.json
 //	benchsuite run  -profile smoke -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -8,8 +8,9 @@
 // run sweeps the profile's instances x models x seeds through the solver
 // pool and writes the structured JSON report. diff compares a fresh report
 // against a committed baseline and exits nonzero when solution quality
-// (or, if enabled, throughput) regresses beyond tolerance; wall-clock
-// metrics never gate by default, so the check is safe on shared runners.
+// regresses beyond tolerance. Every report field is deterministic by seed,
+// so the gate holds on any machine; time is measured by perfbench and
+// BenchmarkHotPath, not here.
 package main
 
 import (
@@ -76,15 +77,13 @@ func runSuite(ctx context.Context, args []string, stdout io.Writer) error {
 	out := fs.String("out", "BENCH_suite.json", "report output path ('-' for stdout only)")
 	seeds := fs.Int("seeds", 0, "override the profile's seeds per cell (0: profile default)")
 	models := fs.String("models", "", "override the profile's models (comma-separated)")
-	poolWorkers := fs.Int("pool-workers", 0, "solver pool workers (0: GOMAXPROCS; 1 for calm wall clocks)")
-	parallelStep := fs.Int("parallel-step", 0, "measure sharded engine-step scaling at this worker count (0: off)")
-	fed := fs.Int("federation", 0, "measure the distributed island federation on a loopback fleet of this many nodes (0: off)")
+	poolWorkers := fs.Int("pool-workers", 0, "solver pool workers (0: GOMAXPROCS; the report is the same for any value)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile after the sweep to this file")
 	if help, err := parseFlags(fs, args); help || err != nil {
 		return err
 	}
-	opts := bench.Options{Profile: *profile, Seeds: *seeds, PoolWorkers: *poolWorkers, ParallelStep: *parallelStep, Federation: *fed}
+	opts := bench.Options{Profile: *profile, Seeds: *seeds, PoolWorkers: *poolWorkers}
 	if *models != "" {
 		opts.Models = strings.Split(*models, ",")
 	}
@@ -115,21 +114,12 @@ func runSuite(ctx context.Context, args []string, stdout io.Writer) error {
 func printReport(w io.Writer, r *bench.Report) {
 	fmt.Fprintf(w, "suite %s, profile %s (%s/%s, %d CPUs, %s)\n",
 		r.Suite, r.Profile, r.Host.GOOS, r.Host.GOARCH, r.Host.CPUs, r.Host.GoVersion)
-	fmt.Fprintf(w, "%-10s %-9s %10s %10s %10s %-10s %8s %12s %8s\n",
-		"instance", "model", "best", "mean", "ref", "refkind", "gap%", "evals/s", "speedup")
+	fmt.Fprintf(w, "%-10s %-9s %10s %10s %10s %-10s %8s %12s\n",
+		"instance", "model", "best", "mean", "ref", "refkind", "gap%", "evals")
 	for _, e := range r.Entries {
-		fmt.Fprintf(w, "%-10s %-9s %10.0f %10.1f %10.0f %-10s %8.1f %12.0f %8.2f\n",
+		fmt.Fprintf(w, "%-10s %-9s %10.0f %10.1f %10.0f %-10s %8.1f %12d\n",
 			e.Instance, e.Model, e.Best, e.Mean, e.Reference, e.RefKind,
-			100*e.Gap, e.EvalsPerSec, e.SpeedupVsSerial)
-	}
-	if p := r.Parallel; p != nil {
-		fmt.Fprintf(w, "parallel-step %s pop=%d: 1 worker %.0f ns/step, %d workers %.0f ns/step (%.2fx on %d CPUs)\n",
-			p.Instance, p.Pop, p.StepNsOneWorker, p.Workers, p.StepNsWorkers, p.Speedup, p.CPUs)
-	}
-	if f := r.Federation; f != nil {
-		fmt.Fprintf(w, "federation %s fleet=%d islands=%d: single best %.0f (%.0f ms), federated best %.0f (%.0f ms, %.2fx overhead, %d migrants, replayed=%v)\n",
-			f.Instance, f.Fleet, f.Islands, f.BestSingle, f.WallMSSingle,
-			f.BestFederated, f.WallMSFederated, f.OverheadRatio, f.MigrantsSent, f.Replayed)
+			100*e.Gap, e.Evaluations)
 	}
 }
 
@@ -139,7 +129,6 @@ func diffSuite(args []string, stdout io.Writer) error {
 	reportPath := fs.String("report", "", "current report to compare (required)")
 	qualityTol := fs.Float64("quality-tol", 0.05, "allowed relative worsening of best objective (0: any worsening fails; <0: informational)")
 	meanTol := fs.Float64("mean-tol", 0.05, "allowed relative worsening of mean objective (0: any worsening fails; <0: informational)")
-	throughputTol := fs.Float64("throughput-tol", -1, "allowed relative evals/sec drop (<0: informational only)")
 	allowMissing := fs.Bool("allow-missing", false, "do not fail on baseline cells missing from the report")
 	if help, err := parseFlags(fs, args); help || err != nil {
 		return err
@@ -163,10 +152,9 @@ func diffSuite(args []string, stdout io.Writer) error {
 			current.Profile, baseline.Profile)
 	}
 	tol := bench.Tolerance{
-		QualityFrac:    *qualityTol,
-		MeanFrac:       *meanTol,
-		ThroughputFrac: *throughputTol,
-		AllowMissing:   *allowMissing,
+		QualityFrac:  *qualityTol,
+		MeanFrac:     *meanTol,
+		AllowMissing: *allowMissing,
 	}
 	deltas, regressions := bench.Compare(baseline, current, tol)
 	for _, d := range deltas {

@@ -7,9 +7,12 @@ package repro
 // objective directly). The measured baseline is recorded in
 // BENCH_hotpath.json; regenerate it with
 //
-//	go test -run='^$' -bench=BenchmarkHotPath -benchtime=2s . ./internal/core/
+//	go test -run='^$' -bench=BenchmarkHotPath -benchtime=1s -benchmem . ./internal/core/
 //
-// (internal/core holds the engine-internal elitism row).
+// (internal/core holds the engine-internal elitism row), run 5 or more
+// times interleaved with the same command on a build of the commit being
+// compared against, recording each row as the median of its runs; the
+// ledger's "command" field names the runs behind each row.
 // CI runs the suite with -benchtime=1x as a smoke test so the kernels and
 // their alloc counters stay exercised on every PR.
 

@@ -2,38 +2,10 @@ package bench
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 )
-
-// TestMeasureParallelStep exercises the sharded-step scaling measurement:
-// real timings come out positive, the speedup is derived from them, and
-// the argument validation rejects non-job-shop instances and single-worker
-// requests.
-func TestMeasureParallelStep(t *testing.T) {
-	ps, err := MeasureParallelStep("ft06", 32, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Instance != "ft06" || ps.Pop != 32 || ps.Workers != 4 {
-		t.Errorf("measurement header %+v", ps)
-	}
-	if ps.StepNsOneWorker <= 0 || ps.StepNsWorkers <= 0 || ps.Speedup <= 0 {
-		t.Errorf("non-positive timings: %+v", ps)
-	}
-	if ps.CPUs <= 0 {
-		t.Errorf("CPUs = %d", ps.CPUs)
-	}
-	if _, err := MeasureParallelStep("ft06", 32, 1, 4); err == nil {
-		t.Error("workers=1 accepted")
-	}
-	if _, err := MeasureParallelStep("flow-sm", 32, 4, 4); err == nil {
-		t.Error("flow shop accepted by the job-shop step measurement")
-	}
-	if _, err := MeasureParallelStep("no-such-instance", 32, 4, 4); err == nil {
-		t.Error("unknown instance accepted")
-	}
-}
 
 func tinyProfile() Profile {
 	return Profile{
@@ -48,7 +20,7 @@ func tinyProfile() Profile {
 }
 
 // TestRunProfileShape: the sweep covers every (workload, model) cell in
-// order, with references, gaps and throughput populated.
+// order, with references, gaps and evaluation counts populated.
 func TestRunProfileShape(t *testing.T) {
 	rep, err := RunProfile(context.Background(), tinyProfile(), Options{})
 	if err != nil {
@@ -71,28 +43,23 @@ func TestRunProfileShape(t *testing.T) {
 		if e.Seeds != 2 || e.Evaluations <= 0 || e.Best <= 0 || e.Mean < e.Best {
 			t.Errorf("%s/%s: implausible aggregates %+v", e.Instance, e.Model, e)
 		}
-		if e.Reference <= 0 || e.EvalsPerSec <= 0 || e.MeanWallMS <= 0 {
-			t.Errorf("%s/%s: missing reference/throughput %+v", e.Instance, e.Model, e)
+		if e.Reference <= 0 {
+			t.Errorf("%s/%s: missing reference %+v", e.Instance, e.Model, e)
 		}
 	}
 	ft06, _ := rep.Find("ft06", "serial")
 	if ft06.RefKind != "optimal" || ft06.Reference != 55 {
 		t.Errorf("ft06 reference %v/%s, want 55/optimal", ft06.Reference, ft06.RefKind)
 	}
-	if ft06.SpeedupVsSerial != 1 {
-		t.Errorf("serial speedup %v, want 1", ft06.SpeedupVsSerial)
-	}
 	fjs, _ := rep.Find("fjs-sm", "ms")
 	if fjs.RefKind != "heuristic" {
 		t.Errorf("fjs-sm ref kind %s, want heuristic", fjs.RefKind)
 	}
-	if fjs.SpeedupVsSerial == 0 {
-		t.Error("ms speedup not computed")
-	}
 }
 
-// TestRunDeterministicQuality: two runs of the same profile agree exactly
-// on quality aggregates (the suite's cross-machine diff contract).
+// TestRunDeterministicQuality: two runs of the same profile at different
+// pool widths produce identical entries, field for field (the suite's
+// cross-machine diff contract: a report holds nothing host-dependent).
 func TestRunDeterministicQuality(t *testing.T) {
 	a, err := RunProfile(context.Background(), tinyProfile(), Options{PoolWorkers: 4})
 	if err != nil {
@@ -102,11 +69,13 @@ func TestRunDeterministicQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(a.Entries) != len(b.Entries) {
+		t.Fatalf("%d vs %d entries", len(a.Entries), len(b.Entries))
+	}
 	for i := range a.Entries {
-		ea, eb := a.Entries[i], b.Entries[i]
-		if ea.Best != eb.Best || ea.Mean != eb.Mean || ea.Evaluations != eb.Evaluations {
-			t.Errorf("%s/%s: quality differs across runs: %v/%v vs %v/%v",
-				ea.Instance, ea.Model, ea.Best, ea.Mean, eb.Best, eb.Mean)
+		if a.Entries[i] != b.Entries[i] {
+			t.Errorf("entry %d differs across pool widths:\n 4: %+v\n 1: %+v",
+				i, a.Entries[i], b.Entries[i])
 		}
 	}
 }
@@ -123,30 +92,30 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 }
 
-func twoEntryReport(best, mean, eps float64) *Report {
+func twoEntryReport(best, mean float64) *Report {
 	return &Report{
 		Suite: "benchsuite", Profile: "smoke",
 		Entries: []Entry{
-			{Instance: "ft06", Model: "island", Best: best, Mean: mean, EvalsPerSec: eps},
-			{Instance: "ft10", Model: "island", Best: 960, Mean: 980, EvalsPerSec: eps},
+			{Instance: "ft06", Model: "island", Best: best, Mean: mean},
+			{Instance: "ft10", Model: "island", Best: 960, Mean: 980},
 		},
 	}
 }
 
 // TestCompareFlagsInjectedRegression: a fabricated current report whose
 // quality drifted beyond tolerance must be flagged; equal or improved
-// reports must pass; throughput drops gate only when enabled.
+// reports must pass.
 func TestCompareFlagsInjectedRegression(t *testing.T) {
-	base := twoEntryReport(55, 57, 100000)
+	base := twoEntryReport(55, 57)
 
-	if _, n := Compare(base, twoEntryReport(55, 57, 100000), DefaultTolerance()); n != 0 {
+	if _, n := Compare(base, twoEntryReport(55, 57), DefaultTolerance()); n != 0 {
 		t.Errorf("identical reports: %d regressions", n)
 	}
-	if _, n := Compare(base, twoEntryReport(55, 55, 20000), DefaultTolerance()); n != 0 {
-		t.Errorf("improved quality, slower host: %d regressions (throughput must not gate)", n)
+	if _, n := Compare(base, twoEntryReport(55, 55), DefaultTolerance()); n != 0 {
+		t.Errorf("improved quality: %d regressions", n)
 	}
 
-	worse := twoEntryReport(66, 70, 100000) // +20% best, +22.8% mean
+	worse := twoEntryReport(66, 70) // +20% best, +22.8% mean
 	deltas, n := Compare(base, worse, DefaultTolerance())
 	if n != 2 {
 		t.Fatalf("injected quality regression: got %d regressions, want 2 (best+mean): %v", n, deltas)
@@ -157,18 +126,11 @@ func TestCompareFlagsInjectedRegression(t *testing.T) {
 		}
 	}
 
-	tol := DefaultTolerance()
-	tol.ThroughputFrac = 0.5
-	_, n = Compare(base, twoEntryReport(55, 57, 20000), tol) // -80% on both cells
-	if n != 2 {
-		t.Errorf("throughput gate enabled: %d regressions, want 2", n)
-	}
-
 	missing := &Report{Suite: "benchsuite", Entries: base.Entries[:1]}
 	if _, n := Compare(base, missing, DefaultTolerance()); n != 1 {
 		t.Errorf("missing cell: %d regressions, want 1", n)
 	}
-	tol = DefaultTolerance()
+	tol := DefaultTolerance()
 	tol.AllowMissing = true
 	if _, n := Compare(base, missing, tol); n != 0 {
 		t.Errorf("missing cell with AllowMissing: %d regressions, want 0", n)
@@ -176,12 +138,12 @@ func TestCompareFlagsInjectedRegression(t *testing.T) {
 
 	// Zero tolerance means any worsening fails — it must not disable the
 	// gate; negative disables it.
-	tol = Tolerance{QualityFrac: 0, MeanFrac: -1, ThroughputFrac: -1}
-	if _, n := Compare(base, twoEntryReport(56, 57, 100000), tol); n != 1 {
+	tol = Tolerance{QualityFrac: 0, MeanFrac: -1}
+	if _, n := Compare(base, twoEntryReport(56, 57), tol); n != 1 {
 		t.Errorf("zero quality tolerance: %d regressions, want 1", n)
 	}
-	tol = Tolerance{QualityFrac: -1, MeanFrac: -1, ThroughputFrac: -1}
-	if _, n := Compare(base, twoEntryReport(80, 90, 1), tol); n != 0 {
+	tol = Tolerance{QualityFrac: -1, MeanFrac: -1}
+	if _, n := Compare(base, twoEntryReport(80, 90), tol); n != 0 {
 		t.Errorf("all gates disabled: %d regressions, want 0", n)
 	}
 }
@@ -190,7 +152,7 @@ func TestCompareFlagsInjectedRegression(t *testing.T) {
 func TestReportRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "r.json")
-	rep := twoEntryReport(55, 57, 12345.5)
+	rep := twoEntryReport(55, 57)
 	rep.Host = currentHost()
 	if err := SaveReport(rep, path); err != nil {
 		t.Fatal(err)
@@ -214,5 +176,53 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadReport(bad); err == nil {
 		t.Error("non-benchsuite report loaded")
+	}
+}
+
+// TestLoadReportIgnoresTimingKeys: a report written before the suite
+// dropped its wall-clock fields (per-entry evals_per_sec, mean_wall_ms,
+// speedup_vs_serial and a top-level parallel block) still loads, and
+// diffs on its quality fields alone.
+func TestLoadReportIgnoresTimingKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{
+  "suite": "benchsuite",
+  "profile": "smoke",
+  "entries": [
+    {"instance": "ft06", "kind": "job", "model": "island", "seeds": 3,
+     "best": 55, "mean": 57, "reference": 55, "ref_kind": "optimal",
+     "gap": 0, "mean_gap": 0.036, "evaluations": 72360,
+     "evals_per_sec": 1079489.5, "mean_wall_ms": 22.3, "speedup_vs_serial": 1},
+    {"instance": "ft10", "kind": "job", "model": "island", "seeds": 3,
+     "best": 960, "mean": 980, "reference": 930, "ref_kind": "optimal",
+     "gap": 0.032, "mean_gap": 0.054, "evaluations": 192480,
+     "evals_per_sec": 514363.5, "mean_wall_ms": 125.4, "speedup_vs_serial": 1.31}
+  ],
+  "parallel": {"instance": "ft06", "pop": 64, "workers": 4, "cpus": 2,
+    "step_ns_one_worker": 126684, "step_ns_workers": 108922, "speedup": 1.16}
+}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := LoadReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Entry{Instance: "ft06", Kind: "job", Model: "island", Seeds: 3,
+		Best: 55, Mean: 57, Reference: 55, RefKind: "optimal",
+		MeanGap: 0.036, Evaluations: 72360}
+	if len(base.Entries) != 2 || base.Entries[0] != want {
+		t.Fatalf("old report entries: %+v", base.Entries)
+	}
+	cur := twoEntryReport(55, 57)
+	deltas, n := Compare(base, cur, Tolerance{})
+	if n != 0 {
+		t.Errorf("old baseline vs equal quality: %d regressions: %v", n, deltas)
+	}
+	if len(deltas) != 4 {
+		t.Errorf("%d deltas, want best+mean for 2 cells: %v", len(deltas), deltas)
+	}
+	if _, n := Compare(base, twoEntryReport(56, 57), Tolerance{}); n != 1 {
+		t.Errorf("old baseline vs worse best: %d regressions, want 1", n)
 	}
 }

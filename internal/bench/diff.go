@@ -8,32 +8,28 @@ import (
 
 // Tolerance bounds how far a current report may drift from the baseline
 // before Compare flags a regression. Objectives are minimised, so quality
-// regresses upward; throughput regresses downward.
-// Each fraction gates when >= 0 (0 means any worsening fails) and is
-// informational-only when negative.
+// regresses upward. Each fraction gates when >= 0 (0 means any worsening
+// fails) and is informational-only when negative.
 type Tolerance struct {
 	// QualityFrac allows (new-old)/old of an entry's Best (default 0.05).
 	QualityFrac float64
 	// MeanFrac allows the same drift of the seed-mean (default 0.05).
 	MeanFrac float64
-	// ThroughputFrac allows (old-new)/old of evals/sec; negative by
-	// default (wall-clock is noise on shared CI runners).
-	ThroughputFrac float64
 	// AllowMissing downgrades baseline cells absent from the current
 	// report from regressions to notes (for intentional profile shrinks).
 	AllowMissing bool
 }
 
-// DefaultTolerance is the CI gate: quality-only, 5%.
+// DefaultTolerance allows 5% on best and mean.
 func DefaultTolerance() Tolerance {
-	return Tolerance{QualityFrac: 0.05, MeanFrac: 0.05, ThroughputFrac: -1}
+	return Tolerance{QualityFrac: 0.05, MeanFrac: 0.05}
 }
 
 // Delta is one compared metric of one (instance, model) cell.
 type Delta struct {
 	Instance   string  `json:"instance"`
 	Model      string  `json:"model"`
-	Metric     string  `json:"metric"` // "best", "mean", "evals_per_sec", "missing"
+	Metric     string  `json:"metric"` // "best", "mean", "missing"
 	Old        float64 `json:"old"`
 	New        float64 `json:"new"`
 	Frac       float64 `json:"frac"` // relative drift, positive = worse
@@ -84,18 +80,6 @@ func Compare(baseline, current *Report, tol Tolerance) ([]Delta, int) {
 		}
 		quality("best", old.Best, now.Best, tol.QualityFrac)
 		quality("mean", old.Mean, now.Mean, tol.MeanFrac)
-
-		d := Delta{Instance: old.Instance, Model: old.Model, Metric: "evals_per_sec",
-			Old: old.EvalsPerSec, New: now.EvalsPerSec}
-		if old.EvalsPerSec > 0 {
-			// Positive Frac = worse, mirroring the quality rows.
-			d.Frac = (old.EvalsPerSec - now.EvalsPerSec) / old.EvalsPerSec
-		}
-		d.Regression = tol.ThroughputFrac >= 0 && d.Frac > tol.ThroughputFrac
-		if d.Regression {
-			regressions++
-		}
-		deltas = append(deltas, d)
 	}
 	return deltas, regressions
 }

@@ -6,7 +6,8 @@ import (
 )
 
 // Workload is one instance of a profile with its GA budget. The budget is
-// shared by every model on the workload so speedups compare equal work.
+// shared by every model on the workload so their qualities compare equal
+// work.
 type Workload struct {
 	Instance    string `json:"instance"`
 	Pop         int    `json:"pop"`
@@ -14,7 +15,8 @@ type Workload struct {
 }
 
 // Profile names a reproducible sweep: workloads x models x seeds. Every
-// profile includes the serial model so per-model speedups have a baseline.
+// profile includes the serial model, the reference each parallel model's
+// quality is read against.
 type Profile struct {
 	Name      string     `json:"name"`
 	Models    []string   `json:"models"`

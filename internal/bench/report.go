@@ -1,11 +1,14 @@
-// Package bench is the end-to-end benchmark suite over the instance
+// Package bench is the end-to-end quality suite over the instance
 // registry and the solver layer: it sweeps instances x models x seeds
 // through a solver.Pool, aggregates solution quality (best/mean objective,
-// gap to the registry or heuristic reference) and throughput
-// (evaluations/sec, wall time, speedup vs the serial model) into a
+// gap to the registry or heuristic reference, evaluations spent) into a
 // structured JSON report, and diffs two reports under regression
-// tolerances. cmd/benchsuite is the CLI; CI runs the smoke profile and
-// diffs it against the committed BENCH_suite.json baseline.
+// tolerances. The engines are deterministic by seed, so every field of an
+// Entry reproduces exactly on any machine. Time is measured elsewhere:
+// perfbench times whole jobs through the daemon, and BenchmarkHotPath
+// (recorded in BENCH_hotpath.json) times the kernels and the engine step.
+// cmd/benchsuite is the CLI; CI runs the smoke profile and diffs it
+// against the committed BENCH_suite.json baseline.
 package bench
 
 import (
@@ -35,18 +38,12 @@ type Entry struct {
 	Gap       float64 `json:"gap"`      // (Best-Reference)/Reference
 	MeanGap   float64 `json:"mean_gap"` // (Mean-Reference)/Reference
 
-	// Throughput over all seeds of the cell. Wall-clock figures are
-	// host-dependent: CI treats them as informational.
-	Evaluations int64   `json:"evaluations"`
-	EvalsPerSec float64 `json:"evals_per_sec"`
-	MeanWallMS  float64 `json:"mean_wall_ms"`
-
-	// SpeedupVsSerial is serial's mean wall over this model's mean wall on
-	// the same workload (1 for serial itself; 0 when serial wasn't run).
-	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
+	// Evaluations totals the objective evaluations over all seeds of the
+	// cell.
+	Evaluations int64 `json:"evaluations"`
 }
 
-// Host records where a report was produced, for reading wall-clock rows.
+// Host records where a report was produced.
 type Host struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
@@ -61,16 +58,6 @@ type Report struct {
 	Generated string  `json:"generated,omitempty"` // RFC 3339; ignored by diff
 	Host      Host    `json:"host"`
 	Entries   []Entry `json:"entries"`
-
-	// Parallel is the optional sharded engine-step scaling measurement
-	// (Options.ParallelStep). Wall-clock like MeanWallMS, so diff ignores
-	// it.
-	Parallel *ParallelStep `json:"parallel,omitempty"`
-
-	// Federation is the optional distributed-island measurement
-	// (Options.Federation): a loopback fleet vs the same workload
-	// single-process. Wall-clock rows are informational; diff ignores it.
-	Federation *FederationRun `json:"federation,omitempty"`
 }
 
 // Find returns the entry for an (instance, model) cell.

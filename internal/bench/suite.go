@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/shop"
 	"repro/internal/solver"
 )
 
@@ -16,20 +15,9 @@ type Options struct {
 	Seeds int
 	// Models overrides the profile's model list when non-empty.
 	Models []string
-	// PoolWorkers bounds the solver.Pool (default GOMAXPROCS). Use 1 for
-	// least-noisy wall-clock figures.
+	// PoolWorkers bounds the solver.Pool (default GOMAXPROCS). The report
+	// is identical for any value; it only changes how long the sweep takes.
 	PoolWorkers int
-	// ParallelStep != 0 appends the sharded engine-step scaling measurement
-	// (1 worker vs ParallelStep workers on the profile's first job shop
-	// workload) to the report as Report.Parallel; values below 2 are
-	// rejected by MeasureParallelStep.
-	ParallelStep int
-	// Federation != 0 appends the distributed-island measurement (a
-	// loopback fleet of Federation nodes vs the same workload
-	// single-process, on the profile's first job shop workload) to the
-	// report as Report.Federation; values below 2 are rejected by
-	// MeasureFederation.
-	Federation int
 }
 
 // Run executes the named catalogue profile; see RunProfile.
@@ -61,14 +49,6 @@ func RunProfile(ctx context.Context, prof Profile, opts Options) (*Report, error
 			return nil, fmt.Errorf("bench: unknown model %q (registered: %v)", m, solver.Names())
 		}
 	}
-	// Fail fast on an invalid parallel-step request instead of discarding
-	// a finished sweep at the end.
-	if opts.ParallelStep != 0 && opts.ParallelStep < 2 {
-		return nil, fmt.Errorf("bench: parallel-step needs workers >= 2, got %d", opts.ParallelStep)
-	}
-	if opts.Federation != 0 && opts.Federation < 2 {
-		return nil, fmt.Errorf("bench: federation needs fleet >= 2, got %d", opts.Federation)
-	}
 
 	// One flat spec batch in deterministic order: workload-major, then
 	// model, then seed. The pool preserves input order in its results.
@@ -92,11 +72,9 @@ func RunProfile(ctx context.Context, prof Profile, opts Options) (*Report, error
 	report := newReport(prof.Name)
 	idx := 0
 	for _, w := range prof.Workloads {
-		var serialWall float64 // mean wall ms of the serial model on w
-		var cells []Entry
 		for _, m := range prof.Models {
 			entry := Entry{Instance: w.Instance, Model: m, Seeds: prof.Seeds}
-			var sumObj, sumWallMS float64
+			var sumObj float64
 			for s := 0; s < prof.Seeds; s++ {
 				item := items[idx]
 				idx++
@@ -119,72 +97,15 @@ func RunProfile(ctx context.Context, prof Profile, opts Options) (*Report, error
 					entry.Best = obj
 				}
 				sumObj += obj
-				sumWallMS += float64(res.Elapsed.Nanoseconds()) / 1e6
 				entry.Evaluations += res.Evaluations
 			}
 			entry.Mean = sumObj / float64(prof.Seeds)
-			entry.MeanWallMS = sumWallMS / float64(prof.Seeds)
-			if sumWallMS > 0 {
-				entry.EvalsPerSec = float64(entry.Evaluations) / (sumWallMS / 1000)
-			}
 			if entry.Reference > 0 {
 				entry.Gap = (entry.Best - entry.Reference) / entry.Reference
 				entry.MeanGap = (entry.Mean - entry.Reference) / entry.Reference
 			}
-			if m == "serial" {
-				serialWall = entry.MeanWallMS
-			}
-			cells = append(cells, entry)
+			report.Entries = append(report.Entries, entry)
 		}
-		for i := range cells {
-			if serialWall > 0 && cells[i].MeanWallMS > 0 {
-				cells[i].SpeedupVsSerial = serialWall / cells[i].MeanWallMS
-			}
-		}
-		report.Entries = append(report.Entries, cells...)
-	}
-	if opts.ParallelStep != 0 {
-		ps, err := parallelStepForProfile(prof, opts.ParallelStep)
-		if err != nil {
-			return nil, err
-		}
-		report.Parallel = ps
-	}
-	if opts.Federation != 0 {
-		instance, _ := firstJobShopWorkload(prof)
-		fr, err := MeasureFederation(instance, opts.Federation, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		report.Federation = fr
 	}
 	return report, nil
-}
-
-// firstJobShopWorkload picks the profile's first job shop instance (and
-// its population), falling back to ft06.
-func firstJobShopWorkload(prof Profile) (instance string, pop int) {
-	instance, pop = "ft06", 64
-	for _, w := range prof.Workloads {
-		in, err := solver.BuildInstance(solver.ProblemSpec{Instance: w.Instance})
-		if err != nil {
-			continue
-		}
-		if in.Kind == shop.JobShop {
-			instance = w.Instance
-			if w.Pop > 0 {
-				pop = w.Pop
-			}
-			return
-		}
-	}
-	return
-}
-
-// parallelStepForProfile measures the sharded step scaling on the
-// profile's first job shop workload (falling back to ft06 when the
-// profile has none).
-func parallelStepForProfile(prof Profile, workers int) (*ParallelStep, error) {
-	instance, pop := firstJobShopWorkload(prof)
-	return MeasureParallelStep(instance, pop, workers, 0)
 }
