@@ -225,6 +225,50 @@ func BenchmarkHotPath(b *testing.B) {
 			}
 		})
 	}
+
+	// The perfbench ms shape: a 10x10 job shop at pop 80. shard-2 vs
+	// shard-1 is the 2-worker step speedup, where the step barrier's
+	// hand-off cost shows against only ~50-100 us of work per generation;
+	// shard-2x2 steps two 2-worker engines concurrently, so four executors
+	// share the host's cores, and reports the wall time per step of either
+	// engine.
+	ms := jobShops[2]
+	msProb := shopga.JobShopProblem(ms, shop.Makespan)
+	msEngine := func(workers int) *core.Engine[[]int] {
+		return core.New(msProb, rng.New(7), core.Config[[]int]{
+			Pop: 80, Ops: shopga.SeqOps(ms), Workers: workers,
+			Term: core.Termination{MaxGenerations: 1 << 30},
+		})
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("engine-step-10x10-pop80/shard-%d", workers), func(b *testing.B) {
+			eng := msEngine(workers)
+			defer eng.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Step()
+			}
+		})
+	}
+	b.Run("engine-step-10x10-pop80/shard-2x2", func(b *testing.B) {
+		a, c := msEngine(2), msEngine(2)
+		defer a.Close()
+		defer c.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		done := make(chan struct{})
+		go func() {
+			for i := 0; i < b.N; i++ {
+				c.Step()
+			}
+			close(done)
+		}()
+		for i := 0; i < b.N; i++ {
+			a.Step()
+		}
+		<-done
+	})
 }
 
 // TestShardedStepSpeedup gates the sharded pipeline's parallel-step scaling

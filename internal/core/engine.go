@@ -70,6 +70,10 @@ type Config[G any] struct {
 	// persistent goroutines, which need scheduling-safe operators (every
 	// bundled selection except op.SUS; all bundled crossovers/mutations),
 	// and an engine abandoned before Run completes should be Close()d.
+	// Between steps those goroutines wait on a spin-then-park barrier:
+	// they poll for the next step for a few microseconds, yielding the CPU
+	// on every poll, before they park, so back-to-back steps pay no
+	// wake-up; the poll costs some CPU while a worker waits.
 	Workers int
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -44,7 +45,18 @@ import (
 //     population yields 16 shards — ~4 claims per worker at Workers=4 —
 //     which keeps the tail balanced when evaluation costs are skewed
 //     without per-genome cursor traffic. Executor 0 is the calling
-//     goroutine; Workers-1 persistent goroutines join it.
+//     goroutine; Workers-1 persistent goroutines join it through a
+//     spin-then-park step barrier (stepBarrier): the master publishes a
+//     step by bumping an atomic epoch, and the workers — and the master
+//     waiting for the last of them — poll an atomic for a bounded window
+//     before they park on a wake channel. A generation of a 10x10 job
+//     shop at Pop 80 is only ~50-100 us of work, so two futex wake-ups per
+//     generation cost about what a second worker saves; the poll catches
+//     the common case without them. Every poll calls runtime.Gosched, so
+//     a waiting executor hands its CPU to any runnable goroutine — another
+//     job's executors, a server's connection handlers — instead of
+//     burning it while executors outnumber the CPUs. Under GOMAXPROCS=1
+//     nobody can publish while a waiter polls, so waiters park at once.
 //
 // The previous population is read-only during a step (selection reads it
 // from every executor); elitism, replacement and best-tracking stay on the
@@ -79,10 +91,8 @@ type shardedState[G any] struct {
 	// before they are woken each step.
 	next []Individual[G]
 
-	cursor  atomic.Int64 // shard claim cursor, reset each step
-	wg      sync.WaitGroup
-	wake    []chan struct{} // one buffered wake channel per spawned worker
-	started bool
+	cursor atomic.Int64 // shard claim cursor, reset each step
+	bar    *stepBarrier // the spawned workers' barrier; nil when none run
 
 	// Per-executor batch-evaluation closures and recycling crossover
 	// instances, both possibly holding private scratch, plus the gather and
@@ -153,45 +163,133 @@ func take2[G any](free []G) (d1, d2 G, rest []G) {
 	return d1, d2, free
 }
 
-// startWorkers lazily spawns the persistent worker goroutines (the master
-// participates as executor 0, so Workers-1 goroutines are spawned). They
-// park on their wake channels between steps; Close releases them.
-func (e *Engine[G]) startWorkers() {
-	sh := e.sharded
-	if sh.started {
+// spinPolls bounds the barrier's poll window: the number of atomic polls,
+// each followed by runtime.Gosched, before a waiter parks. A poll takes
+// ~120 ns with nothing else runnable (2-vCPU x86-64 host), so 200 polls
+// span ~24 us — more than the master's between-step tail plus one shard,
+// the gaps a waiter normally sees — and longer when other goroutines are
+// runnable, since each poll yields to them.
+const spinPolls = 200
+
+// parker is one waiter's park slot; parked holds the epoch its waiter is
+// parked for, or 0. A waiter that exhausts its polls stores its epoch and
+// re-checks its condition; the signaller, after publishing the condition,
+// claims the slot with CompareAndSwap(epoch, 0) and sends one token.
+// Whichever side wins the swap decides whether a token is in flight, so no
+// wake-up is lost and none is left behind. The epoch tag stops a late
+// signal from waking a waiter parked for a later step: the last worker of
+// step E may still be inside signal when the master, having already polled
+// pending to zero, runs step E+1 and parks.
+type parker struct {
+	parked atomic.Uint64
+	wake   chan struct{} // buffered: the signaller never blocks
+}
+
+// await returns once done reports true: it polls up to spins times, then
+// parks until signal(epoch) hands it a token.
+func (p *parker) await(epoch uint64, spins int, done func() bool) {
+	for i := 0; i < spins; i++ {
+		if done() {
+			return
+		}
+		runtime.Gosched()
+	}
+	p.parked.Store(epoch)
+	if done() && p.parked.CompareAndSwap(epoch, 0) {
 		return
 	}
-	sh.wake = make([]chan struct{}, sh.workers-1)
-	for k := range sh.wake {
-		ch := make(chan struct{}, 1)
-		sh.wake[k] = ch
+	<-p.wake
+}
+
+// signal wakes the waiter if it is parked for epoch. Call it after
+// publishing the condition the waiter polls.
+func (p *parker) signal(epoch uint64) {
+	if p.parked.CompareAndSwap(epoch, 0) {
+		p.wake <- struct{}{}
+	}
+}
+
+// stepBarrier synchronises the master with one spawn of worker goroutines.
+// Each Step bumps epoch to release the workers and waits for pending to
+// drop to zero; the worker that takes it there signals the master. Close
+// sets quit before its final bump, so the workers see it and exit, and
+// waits on exited for them; a respawn builds a fresh barrier.
+type stepBarrier struct {
+	epoch   atomic.Uint64
+	pending atomic.Int32
+	quit    atomic.Bool
+	spins   int // spinPolls, or 0 when GOMAXPROCS is 1 and nobody could publish mid-poll
+	master  parker
+	workers []parker
+	exited  sync.WaitGroup
+}
+
+// release publishes a new epoch, wakes every worker parked for it and
+// returns it.
+func (b *stepBarrier) release() uint64 {
+	ep := b.epoch.Add(1)
+	for k := range b.workers {
+		b.workers[k].signal(ep)
+	}
+	return ep
+}
+
+// startWorkers lazily spawns the persistent worker goroutines (the master
+// participates as executor 0, so Workers-1 goroutines are spawned). Between
+// steps they wait on the step barrier, polling its epoch and then parking;
+// Close stops them.
+func (e *Engine[G]) startWorkers() {
+	sh := e.sharded
+	if sh.bar != nil {
+		return
+	}
+	b := &stepBarrier{workers: make([]parker, sh.workers-1)}
+	if runtime.GOMAXPROCS(0) > 1 {
+		b.spins = spinPolls
+	}
+	b.master.wake = make(chan struct{}, 1)
+	for k := range b.workers {
+		p := &b.workers[k]
+		p.wake = make(chan struct{}, 1)
 		exec := k + 1
+		b.exited.Add(1)
 		go func() {
-			for range ch {
+			defer b.exited.Done()
+			// The master bumps the epoch once per step and only after
+			// every worker has finished the last one, so epoch ep follows
+			// ep-1 with no skips; Close's bump is the last.
+			for ep := uint64(1); ; ep++ {
+				p.await(ep, b.spins, func() bool { return b.epoch.Load() == ep })
+				if b.quit.Load() {
+					return
+				}
 				e.runShards(exec)
-				sh.wg.Done()
+				if b.pending.Add(-1) == 0 {
+					b.master.signal(ep)
+				}
 			}
 		}()
 	}
-	sh.started = true
+	sh.bar = b
 }
 
-// Close releases the pipeline's persistent worker goroutines. The engine
-// stays usable: the next Step respawns them. Close is a no-op on
-// single-executor engines (Workers <= 1), is idempotent, and must not be
-// called concurrently with Step. Callers that abandon a multi-worker
-// engine before Run returns should Close it; the solver's model adapters
-// do.
+// Close stops the pipeline's persistent worker goroutines and returns once
+// they have exited: it marks their barrier quit and releases it, so
+// polling workers see the quit on their next poll and parked ones are
+// woken to see it. The engine stays usable: the next Step respawns the
+// workers on a fresh barrier. Close is a no-op on single-executor engines
+// (Workers <= 1), is idempotent, and must not be called concurrently with
+// Step. Callers that abandon a multi-worker engine before Run returns
+// should Close it; the solver's model adapters do.
 func (e *Engine[G]) Close() {
-	sh := e.sharded
-	if !sh.started {
+	b := e.sharded.bar
+	if b == nil {
 		return
 	}
-	for _, ch := range sh.wake {
-		close(ch)
-	}
-	sh.wake = nil
-	sh.started = false
+	b.quit.Store(true)
+	b.release()
+	b.exited.Wait()
+	e.sharded.bar = nil
 }
 
 // Step runs one generation (Table II lines 4-7): harvest the retired
@@ -237,15 +335,9 @@ func (e *Engine[G]) Step() {
 	sh.next = next
 	sh.cursor.Store(0)
 	if sh.workers > 1 {
-		e.startWorkers()
-		sh.wg.Add(sh.workers - 1)
-		for _, ch := range sh.wake {
-			ch <- struct{}{}
-		}
-	}
-	e.runShards(0)
-	if sh.workers > 1 {
-		sh.wg.Wait()
+		e.runShardsWithWorkers()
+	} else {
+		e.runShards(0)
 	}
 	e.evals += int64(n - sh.nBest)
 
@@ -256,6 +348,18 @@ func (e *Engine[G]) Step() {
 	e.pop = next
 	e.refreshBest()
 	e.record()
+}
+
+// runShardsWithWorkers releases the spawned workers into the shard queue,
+// drains it alongside them as executor 0, and returns once the last worker
+// has finished its shard.
+func (e *Engine[G]) runShardsWithWorkers() {
+	e.startWorkers()
+	b := e.sharded.bar
+	b.pending.Store(int32(e.sharded.workers - 1))
+	ep := b.release()
+	e.runShards(0)
+	b.master.await(ep, b.spins, func() bool { return b.pending.Load() == 0 })
 }
 
 // runShards is one executor's claim loop: grab the next unclaimed shard

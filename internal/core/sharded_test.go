@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/rng"
 )
@@ -147,6 +151,93 @@ func TestShardedCloseRespawns(t *testing.T) {
 	}
 }
 
+// populationTrace fingerprints an engine's current generation — every gene
+// and objective in slot order — so two trajectories can be compared step by
+// step, not only by their final best.
+func populationTrace(eng *Engine[[]int]) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
+	for _, ind := range eng.Population() {
+		mix(uint64(ind.Obj))
+		for _, x := range ind.Genome {
+			mix(uint64(x))
+		}
+	}
+	return h
+}
+
+// TestShardedBarrierStress drives the step barrier through every way a
+// caller can pace it, over worker counts that exceed the shard count (Pop
+// 2 and 6: one and two shards, so Workers is clamped) and ones that do not.
+// "back-to-back" steps immediately, so workers are caught while polling;
+// "sleep" pauses far longer than the poll window between steps, so every
+// worker and the master park, and a lost wake-up hangs the test; "close"
+// closes mid-run, closes twice and steps again, which respawns the workers
+// on a fresh barrier. Each step's population must equal the Workers: 0
+// run's, and once every engine is closed the worker goroutines must exit.
+func TestShardedBarrierStress(t *testing.T) {
+	const gens = 12
+	baseline := runtime.NumGoroutine()
+	trace := func(workers, pop int, pace func(eng *Engine[[]int], gen int)) []uint64 {
+		eng := New(shardedProblem(9), rng.New(23), Config[[]int]{
+			Pop: pop, Workers: workers, Ops: shardedOps(),
+			Term: Termination{MaxGenerations: 1 << 30},
+		})
+		out := make([]uint64, 0, gens)
+		for g := 0; g < gens; g++ {
+			pace(eng, g)
+			eng.Step()
+			out = append(out, populationTrace(eng))
+		}
+		eng.Close()
+		eng.Close()
+		return out
+	}
+	paces := []struct {
+		name string
+		pace func(eng *Engine[[]int], gen int)
+	}{
+		{"back-to-back", func(*Engine[[]int], int) {}},
+		{"sleep", func(eng *Engine[[]int], gen int) {
+			if gen > 0 {
+				time.Sleep(2 * time.Millisecond)
+			}
+		}},
+		{"close", func(eng *Engine[[]int], gen int) {
+			switch gen {
+			case gens / 3:
+				eng.Close()
+			case 2 * gens / 3:
+				eng.Close()
+				eng.Close()
+			}
+		}},
+	}
+	for _, pop := range []int{2, 6, 24, 80} {
+		want := trace(0, pop, paces[0].pace)
+		for _, workers := range []int{2, 3, 4, 8} {
+			for _, p := range paces {
+				t.Run(fmt.Sprintf("pop%d/workers%d/%s", pop, workers, p.name), func(t *testing.T) {
+					got := trace(workers, pop, p.pace)
+					for g := range want {
+						if got[g] != want[g] {
+							t.Fatalf("generation %d differs from the Workers: 0 run", g+1)
+						}
+					}
+				})
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after every engine closed, %d before: workers leaked",
+				runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // noSeamProblem hides every optional seam of a FuncProblem (CloneInto,
 // BatchEvaluator), leaving only the base Problem interface.
 type noSeamProblem struct{ p FuncProblem[[]int] }
@@ -220,4 +311,30 @@ func TestShardedStepAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestShardedParkerIgnoresStaleSignal: a signal for an earlier epoch — the last
+// worker of step E finishing its signal after the master has moved on to
+// step E+1 and parked — must not wake a waiter parked for a later one; the
+// signal for its own epoch must.
+func TestShardedParkerIgnoresStaleSignal(t *testing.T) {
+	p := parker{wake: make(chan struct{}, 1)}
+	var ready atomic.Bool
+	woken := make(chan struct{})
+	go func() {
+		p.await(2, 0, ready.Load)
+		close(woken)
+	}()
+	for p.parked.Load() != 2 {
+		runtime.Gosched()
+	}
+	p.signal(1)
+	select {
+	case <-woken:
+		t.Fatal("a signal for epoch 1 woke a waiter parked for epoch 2")
+	case <-time.After(20 * time.Millisecond):
+	}
+	ready.Store(true)
+	p.signal(2)
+	<-woken
 }
