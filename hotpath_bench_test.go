@@ -17,10 +17,14 @@ package repro
 // their alloc counters stay exercised on every PR.
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,6 +32,7 @@ import (
 	"repro/internal/decode"
 	"repro/internal/op"
 	"repro/internal/rng"
+	"repro/internal/serve"
 	"repro/internal/shop"
 	"repro/internal/shopga"
 	"repro/internal/solver"
@@ -269,6 +274,91 @@ func BenchmarkHotPath(b *testing.B) {
 		}
 		<-done
 	})
+
+	// HTTP job transport: a runner job emits started, 300 generation
+	// events and done (a perfbench ms/flow job's 302 frames) through
+	// serve.Server under httptest, and the stream is read raw the way
+	// perfbench's client reads it. The runner starts once the stream is
+	// open and emits back to back, so ns/op is the event stream's own cost
+	// per job; B/op and allocs/op count server and client together.
+	b.Run("sse-job-302", func(b *testing.B) { benchSSEJob(b, 300) })
+}
+
+// benchSSEJob runs one SSE job per op with the given number of progress
+// events; see BenchmarkHotPath's sse-job-302 row.
+func benchSSEJob(b *testing.B, progress int) {
+	// The replay ring and the subscriber buffer both hold the whole job,
+	// so no frame is lost however the runner and the stream interleave.
+	srv, err := serve.New(serve.Config{EventHistory: 512})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv.Service().EventBuffer = 512
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ctx := context.Background()
+	defer srv.Drain(ctx)
+	spec := solver.Spec{
+		Problem: solver.ProblemSpec{Instance: "ft10"},
+		Model:   "ms",
+		Params:  solver.Params{Pop: 80, Workers: 2},
+		Budget:  solver.Budget{Generations: progress},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		open := make(chan struct{})
+		job, err := srv.Service().SubmitRunner(ctx, spec, func(ctx context.Context, emit func(solver.Event)) (*solver.Result, error) {
+			<-open
+			for g := 1; g <= progress; g++ {
+				emit(solver.Event{Type: solver.EventGeneration, Generation: g, Evaluations: int64(80 * g), BestObjective: 1000})
+			}
+			return &solver.Result{Model: "ms", Instance: "ft10", Generations: progress, Evaluations: int64(80 * progress), BestObjective: 1000}, nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + job.ID() + "/events")
+		close(open)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frames, err := readSSEUntilDone(resp.Body)
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || frames != progress+2 {
+			b.Fatalf("read %d frames (%v), want %d", frames, err, progress+2)
+		}
+		if _, err := job.Await(ctx); err != nil {
+			b.Fatal(err)
+		}
+		srv.Service().Remove(job.ID())
+	}
+}
+
+// readSSEUntilDone reads SSE frames line by line until the done event's
+// data decodes, and returns the number of frames read.
+func readSSEUntilDone(r io.Reader) (int, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64<<10), 16<<20)
+	frames, event := 0, ""
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case line == "":
+			event = ""
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
+			frames++
+		case strings.HasPrefix(line, "data: ") && event == string(solver.EventDone):
+			var done solver.Event
+			return frames, json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &done)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return frames, err
+	}
+	return frames, io.ErrUnexpectedEOF
 }
 
 // TestShardedStepSpeedup gates the sharded pipeline's parallel-step scaling

@@ -422,18 +422,31 @@ func (c *Client) openStream(ctx context.Context, id string, after int64) (*http.
 // consumeStream decodes one SSE response body into out until it ends,
 // tracking the last delivered sequence for reconnects. It reports whether
 // the terminal done event arrived and whether any event was delivered.
+// Lines have no length cap: a traced job's done event carries its whole
+// convergence trace.
 func (c *Client) consumeStream(ctx context.Context, resp *http.Response, out chan<- solver.Event, lastSeq *int64) (done, progressed bool) {
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var data []byte
-	for sc.Scan() {
-		line := sc.Text()
+	br := bufio.NewReaderSize(resp.Body, 64<<10)
+	var long, data []byte
+	hasData := false
+	for {
+		line, reuse, err := readLine(br, long)
+		if err != nil {
+			return false, progressed
+		}
+		long = reuse
 		switch {
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimSpace(strings.TrimPrefix(line, "data:"))...)
-		case line == "":
-			if len(data) == 0 {
+		case bytes.HasPrefix(line, dataField):
+			// One optional space follows the colon; the lines of a
+			// multi-line data field are joined with newlines.
+			v := bytes.TrimPrefix(line[len(dataField):], []byte(" "))
+			if hasData {
+				data = append(data, '\n')
+			}
+			data = append(data, v...)
+			hasData = true
+		case len(line) == 0:
+			if !hasData {
 				continue
 			}
 			var ev solver.Event
@@ -456,10 +469,35 @@ func (c *Client) consumeStream(ctx context.Context, resp *http.Response, out cha
 					}
 				}
 			}
-			data = data[:0]
+			data, hasData = data[:0], false
 		}
 	}
-	return false, progressed
+}
+
+var dataField = []byte("data:")
+
+// readLine returns the next line without its line ending. A line longer
+// than the reader's buffer is assembled in long, which is returned for
+// reuse; the line is valid until the next call. An unterminated last
+// line is an error: it cannot end a frame.
+func readLine(br *bufio.Reader, long []byte) (line, reuse []byte, err error) {
+	line, err = br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		long = append(long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = br.ReadSlice('\n')
+			long = append(long, line...)
+		}
+		line = long
+	}
+	if err != nil {
+		return nil, long, err
+	}
+	line = line[:len(line)-1]
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line, long, nil
 }
 
 // Await streams the job's events until it is terminal (or ctx expires)

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -210,6 +211,40 @@ func TestClientEventsReconnect(t *testing.T) {
 	}
 	if calls.Load() != 2 {
 		t.Errorf("%d stream requests, want 2", calls.Load())
+	}
+}
+
+// TestClientEventsLargeDone: a traced job's done event carries one trace
+// point per generation, so its data line can exceed any fixed line cap.
+// The client still delivers it (here 2 MiB, after a data field split over
+// two lines, which SSE joins with a newline).
+func TestClientEventsLargeDone(t *testing.T) {
+	done := solver.Event{Type: solver.EventDone, Seq: 3, Error: strings.Repeat("x", 2<<20)}
+	c, _ := flakyClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		if r.Header.Get("Last-Event-ID") == "" {
+			sseFrame(w, solver.Event{Type: solver.EventStarted, Seq: 1})
+			fmt.Fprint(w, "event: improved\nid: 2\ndata: {\"type\":\"improved\",\ndata: \"seq\":2,\"best_objective\":57}\n\n")
+		}
+		sseFrame(w, done)
+	}))
+	c.MaxRetries = 1
+	events, err := c.Events(context.Background(), "j000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []solver.Event
+	for ev := range events {
+		got = append(got, ev)
+	}
+	if len(got) != 3 {
+		t.Fatalf("got %d events, want started, improved, done", len(got))
+	}
+	if got[1].Type != solver.EventImproved || got[1].BestObjective != 57 {
+		t.Errorf("multi-line data decoded as %+v", got[1])
+	}
+	if last := got[2]; last.Type != solver.EventDone || last.Error != done.Error {
+		t.Errorf("done event lost or truncated: type %q, %d error bytes", last.Type, len(last.Error))
 	}
 }
 

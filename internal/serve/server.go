@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/jobstore"
 	"repro/internal/shop"
@@ -515,6 +517,12 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, s.jobInfo(job))
 }
 
+// sseWindow bounds how long a progress frame may wait in an event
+// stream's buffer before it is flushed. Flushing is the costly part of a
+// frame (a write syscall that also wakes the reader), so frames produced
+// within one window share one flush.
+const sseWindow = 5 * time.Millisecond
+
 // handleEvents: GET /v1/jobs/{id}/events — the job's typed event stream
 // as Server-Sent Events. Each frame is `event: <type>` + `id: <seq>` +
 // `data: <Event JSON>`; the stream ends after the done event, when the
@@ -522,6 +530,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // standard Last-Event-ID header with the last sequence it saw, and the
 // replay skips everything at or below it — except the terminal done event,
 // which is always delivered so a resumed stream still observes closure.
+//
+// Only the transport batches. One receive loop renders every frame into
+// one reused buffer, draining whatever is already queued after each
+// receive, and flushes it at once when the done event is in it or when
+// the last flush is at least sseWindow old (so a lone event after a quiet
+// spell is never held); otherwise one reused timer flushes at the last
+// flush + sseWindow. Progress frames thus arrive at most sseWindow late,
+// possibly several per network write, with the same bytes, ids and order.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.lookup(w, r)
 	if !ok {
@@ -532,55 +548,125 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported by connection"))
 		return
 	}
-	lastSeen := int64(-1)
+	st := sseStream{w: w, fl: fl, lastSeen: -1}
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			lastSeen = n
+			st.lastSeen = n
 		}
 	}
+	st.enc = json.NewEncoder(&st.buf)
+	// Subscribe before the headers go out, so a client that has the
+	// response in hand is already receiving live events.
+	events := job.Events()
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-	events := job.Events()
-	write := func(ev solver.Event) bool {
-		if ev.Seq <= lastSeen && ev.Type != solver.EventDone {
-			return true
-		}
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", ev.Type, ev.Seq, data)
-		fl.Flush()
-		return true
-	}
+	st.last = time.Now()
+	timer := time.NewTimer(sseWindow)
+	timer.Stop()
+	defer timer.Stop()
+	armed := false
 	for {
+		var tick <-chan time.Time
+		if armed {
+			tick = timer.C
+		}
+		open := true
 		select {
 		case <-r.Context().Done():
 			return
 		case <-s.stop:
 			// Drain closes stop only after every job is terminal, so the
 			// subscriber channel already holds the remaining events up to
-			// the done; flush them so the stream ends with it.
-			for {
-				select {
-				case ev, ok := <-events:
-					if !ok || !write(ev) {
-						return
-					}
-				default:
-					return
-				}
-			}
+			// the done: write them out so the stream ends with it.
+			st.drain(events)
+			open = false
+		case <-tick:
+			armed = false
 		case ev, ok := <-events:
-			if !ok || !write(ev) {
-				return
+			open = ok && st.add(ev) && st.drain(events)
+			if open && time.Since(st.last) < sseWindow {
+				if !armed {
+					timer.Reset(time.Until(st.last.Add(sseWindow)))
+					armed = true
+				}
+				continue
 			}
 		}
+		if err := st.flush(); err != nil || !open {
+			return
+		}
+		if armed {
+			timer.Stop()
+			armed = false
+		}
 	}
+}
+
+// sseStream is one event subscription's SSE writer: frames are rendered
+// into buf and reach the connection only at flush.
+type sseStream struct {
+	w        http.ResponseWriter
+	fl       http.Flusher
+	lastSeen int64 // Last-Event-ID: progress at or below it is skipped
+	buf      bytes.Buffer
+	enc      *json.Encoder // writes into buf
+	ev       solver.Event  // the frame being encoded, kept here so it is not boxed per frame
+	last     time.Time     // last flush
+}
+
+// add renders ev's frame into the buffer (unless the client saw it
+// already) and reports whether the stream goes on: false after the done
+// event, or when the event does not encode.
+func (st *sseStream) add(ev solver.Event) bool {
+	if ev.Seq <= st.lastSeen && ev.Type != solver.EventDone {
+		return true
+	}
+	mark := st.buf.Len()
+	st.buf.WriteString("event: ")
+	st.buf.WriteString(string(ev.Type))
+	st.buf.WriteString("\nid: ")
+	st.buf.Write(strconv.AppendInt(st.buf.AvailableBuffer(), ev.Seq, 10))
+	st.buf.WriteString("\ndata: ")
+	// Encode is json.Marshal plus a newline, which ends the data line.
+	st.ev = ev
+	if err := st.enc.Encode(&st.ev); err != nil {
+		st.buf.Truncate(mark)
+		return false
+	}
+	st.buf.WriteByte('\n')
+	return ev.Type != solver.EventDone
+}
+
+// drain renders every event already queued on the subscription without
+// blocking, and reports whether the stream goes on (see add); a closed
+// subscription ends it.
+func (st *sseStream) drain(events <-chan solver.Event) bool {
+	for {
+		select {
+		case ev, ok := <-events:
+			if !ok || !st.add(ev) {
+				return false
+			}
+		default:
+			return true
+		}
+	}
+}
+
+// flush writes the buffered frames to the connection and flushes it.
+func (st *sseStream) flush() error {
+	if st.buf.Len() == 0 {
+		return nil
+	}
+	_, err := st.w.Write(st.buf.Bytes())
+	st.buf.Reset()
+	st.fl.Flush()
+	st.last = time.Now()
+	return err
 }
 
 // handleModels: GET /v1/models.

@@ -234,6 +234,7 @@ func (s *Service) submit(ctx context.Context, spec Spec, opts SubmitOptions, run
 		done:      make(chan struct{}),
 		resume:    opts.Resume,
 		runner:    runner,
+		hist:      make([]Event, 0, s.historyLen()),
 	}
 	if opts.Resume != nil {
 		j.seq = opts.Resume.EventSeq
@@ -342,6 +343,14 @@ func (s *Service) runJob(j *Job) {
 	}
 	res, err := solve(j.ctx, j.spec, sink, ck, s.Exchange)
 	j.finish(res, err)
+}
+
+// historyLen resolves the EventHistory default.
+func (s *Service) historyLen() int {
+	if s.EventHistory <= 0 {
+		return 256
+	}
+	return s.EventHistory
 }
 
 // ServiceStats is a point-in-time snapshot of the service's operational
@@ -501,7 +510,10 @@ type Job struct {
 	result    *Result
 	err       error
 	subs      []chan Event
-	hist      []Event
+	// hist is the replay ring: it fills up to Service.EventHistory
+	// events, then each new event overwrites the oldest, at head.
+	hist []Event
+	head int
 }
 
 // ID returns the service-assigned job identifier.
@@ -594,7 +606,10 @@ func (j *Job) Events() <-chan Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	ch := make(chan Event, len(j.hist)+buf)
-	for _, ev := range j.hist {
+	for _, ev := range j.hist[j.head:] {
+		ch <- ev
+	}
+	for _, ev := range j.hist[:j.head] {
 		ch <- ev
 	}
 	if j.state.Terminal() {
@@ -605,20 +620,18 @@ func (j *Job) Events() <-chan Event {
 	return ch
 }
 
-// recordLocked stamps the event (job ID, next sequence number), appends
-// it to the bounded replay ring and fans it out to every subscriber;
+// recordLocked stamps the event (job ID, next sequence number), stores
+// it in the bounded replay ring and fans it out to every subscriber;
 // callers hold j.mu.
 func (j *Job) recordLocked(ev Event) {
 	j.seq++
 	ev.Job = j.id
 	ev.Seq = j.seq
-	max := j.svc.EventHistory
-	if max <= 0 {
-		max = 256
-	}
-	j.hist = append(j.hist, ev)
-	if len(j.hist) > max {
-		j.hist = j.hist[1:]
+	if len(j.hist) < j.svc.historyLen() {
+		j.hist = append(j.hist, ev)
+	} else {
+		j.hist[j.head] = ev
+		j.head = (j.head + 1) % len(j.hist)
 		j.svc.ringDrops.Add(1)
 	}
 	for _, ch := range j.subs {

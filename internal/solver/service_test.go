@@ -154,6 +154,47 @@ func TestServiceEvents(t *testing.T) {
 	}
 }
 
+// TestServiceEventsReplayRing: once a job has recorded more events than
+// EventHistory, a subscription replays exactly the newest EventHistory of
+// them in sequence order, and every overwritten one counts as a ring drop.
+func TestServiceEventsReplayRing(t *testing.T) {
+	const ring, progress = 8, 21
+	svc := &Service{EventHistory: ring}
+	job, err := svc.SubmitRunner(context.Background(), smallSpec("serial"),
+		func(ctx context.Context, emit func(Event)) (*Result, error) {
+			for g := 1; g <= progress; g++ {
+				emit(Event{Type: EventGeneration, Generation: g})
+			}
+			return &Result{Generations: progress}, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), awaitTimeout)
+	defer cancel()
+	if _, err := job.Await(ctx); err != nil {
+		t.Fatal(err)
+	}
+	total := int64(progress + 2) // started, progress, done
+	for sub := 0; sub < 2; sub++ {
+		var seqs []int64
+		for ev := range job.Events() {
+			seqs = append(seqs, ev.Seq)
+		}
+		if len(seqs) != ring {
+			t.Fatalf("replayed %d events %v, want the last %d", len(seqs), seqs, ring)
+		}
+		for i, seq := range seqs {
+			if want := total - ring + 1 + int64(i); seq != want {
+				t.Fatalf("replayed seqs %v, want %d..%d", seqs, total-ring+1, total)
+			}
+		}
+	}
+	if got, want := svc.Stats().RingDrops, total-ring; got != want {
+		t.Errorf("RingDrops %d, want %d", got, want)
+	}
+}
+
 // TestServiceEventsEveryModel: every registered model streams at least
 // started, one improvement and done — the progress seam reaches all of
 // them. Epoch models additionally mark their migrations.
