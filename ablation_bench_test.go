@@ -1,10 +1,9 @@
 package repro
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: selection
-// scheme cost, crossover families (plain vs LCS-aligned, the Huang
-// rearrangement), update disciplines of the cellular model, sequential vs
-// goroutine-parallel island stepping, and constructive heuristics versus
-// random decodes.
+// Ablation benchmarks for the reproduction's design choices: selection
+// scheme cost (roulette vs tournament), update disciplines of the cellular
+// model, sequential vs goroutine-parallel island stepping, and constructive
+// heuristics versus random decodes.
 
 import (
 	"testing"
@@ -29,8 +28,6 @@ func BenchmarkAblationSelection(b *testing.B) {
 		"roulette":     op.RouletteWheel[int](),
 		"tournament-2": op.Tournament[int](2),
 		"tournament-7": op.Tournament[int](7),
-		"sus":          op.SUS[int](),
-		"ranking":      op.Ranking[int](1.8),
 	}
 	for name, sel := range sels {
 		b.Run(name, func(b *testing.B) {
@@ -39,25 +36,6 @@ func BenchmarkAblationSelection(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkAblationLCSAlignment(b *testing.B) {
-	r := rng.New(12)
-	in := shop.GenerateJobShop("abl-lcs", 10, 10, 101, 102)
-	sa := decode.RandomOpSequence(in, r)
-	sb := decode.RandomOpSequence(in, r)
-	plain := op.SeqOnePoint(10)
-	aligned := op.LCSAlignedCrossover(plain)
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, _ = plain(r, sa, sb)
-		}
-	})
-	b.Run("lcs-aligned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, _ = aligned(r, sa, sb)
-		}
-	})
 }
 
 func BenchmarkAblationCellularUpdate(b *testing.B) {

@@ -1,7 +1,7 @@
 package repro
 
 // One benchmark per table / figure-equivalent of the survey reproduction
-// (DESIGN.md, "Per-experiment index"), plus decoder and operator kernels.
+// (exp.All lists them), plus decoder and operator kernels.
 // Wall-clock speedups are not expected on a single-core host — the bench
 // suite times the kernels; the virtual-cluster experiments in internal/exp
 // regenerate the published speedup shapes.
@@ -202,16 +202,6 @@ func BenchmarkDecode(b *testing.B) {
 			_ = decode.GifflerThompson(js, pri)
 		}
 	})
-	b.Run("jobshop-15x10-graph-longest-path", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, _ = decode.JobShopGraph(js, seq)
-		}
-	})
-	b.Run("jobshop-15x10-blocking", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, _ = decode.Blocking(js, seq)
-		}
-	})
 
 	os := shop.GenerateOpenShop("bench-os", 10, 10, 914)
 	oseq := decode.RandomOpSequence(os, r)
@@ -258,12 +248,6 @@ func BenchmarkOperators(b *testing.B) {
 	b.Run("JOX-100", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, _ = jox(r, sa, sb)
-		}
-	})
-	msxf := op.MSXF(50, 0.3)
-	b.Run("MSXF-100", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, _ = msxf(r, sa, sb)
 		}
 	})
 }

@@ -1,12 +1,12 @@
 // Command experiments regenerates every table and figure-equivalent of the
-// survey reproduction (see DESIGN.md, "Per-experiment index"), and can run
+// survey reproduction (exp.All lists them in order), and can run
 // ad-hoc cross-model comparisons through the unified solver layer.
 //
 // Usage:
 //
 //	experiments                 # run everything, aligned text to stdout
 //	experiments -exp T3a,T5f    # run a subset
-//	experiments -format md      # GitHub Markdown output (for EXPERIMENTS.md)
+//	experiments -format md      # GitHub Markdown output
 //	experiments -format csv     # CSV output
 //	experiments -list           # list experiment IDs
 //

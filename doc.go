@@ -1,11 +1,11 @@
 // Package repro is a complete Go reproduction of "A Survey on Parallel
 // Genetic Algorithms for Shop Scheduling Problems" (Luo & El Baz, IPDPS
 // Workshops 2018): the full family of parallel GA models the survey
-// taxonomises (master-slave, fine-grained, island, hybrid), every shop
-// scheduling environment it covers (flow / job / open shop and the
-// flexible variants, with setups, lot streaming, blocking, fuzzy and
-// stochastic extensions), and an experiment harness that regenerates the
-// survey's five tables plus the quantitative claims of the ~25 surveyed
+// taxonomises (master-slave, fine-grained, island, hybrid), the shop
+// scheduling environments it covers (flow / job / open shop and the
+// flexible variants, with setups, lot streaming, fuzzy and stochastic
+// extensions; not the blocking job shop), and an experiment harness that
+// regenerates the survey's five tables plus the quantitative claims of the ~25 surveyed
 // works as figure-equivalent experiments.
 //
 // The internal/solver package is the unified entry point, and its job
@@ -93,8 +93,9 @@
 // from an O(n·k) stable selection instead of sorting the population.
 //
 // See README.md for the layout, the solver API and the performance
-// architecture, DESIGN.md for the system inventory and per-experiment
-// index, and EXPERIMENTS.md for paper-vs-measured results. The top-level
-// bench suites (bench_test.go, hotpath_bench_test.go) time one kernel per
-// table, the solver pool, and the alloc-guarded evaluation hot path.
+// architecture, and exp.All for the per-experiment index; each
+// experiment's table notes set paper claims beside measured shapes. The
+// top-level bench suites (bench_test.go, hotpath_bench_test.go) time one
+// kernel per table, the solver pool, and the alloc-guarded evaluation hot
+// path.
 package repro

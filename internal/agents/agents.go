@@ -1,7 +1,7 @@
 // Package agents implements the agent-based parallel island GA of
 // Asadzadeh & Zamanifar [27]. The original system ran on the JADE
 // multi-agent middleware; here each agent is a goroutine and every message
-// travels through typed mailbox channels (see DESIGN.md, substitutions):
+// travels through typed mailbox channels:
 //
 //   - the management agent (the caller) creates the population, splits it
 //     into equal subpopulations and hands them to processor agents;

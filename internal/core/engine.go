@@ -67,9 +67,10 @@ type Config[G any] struct {
 	// decomposition and its substreams depend only on Pop, so results are
 	// bit-identical for any Workers value. 0 and 1 both mean one inline
 	// executor on the calling goroutine; larger values add Workers-1
-	// persistent goroutines, which need scheduling-safe operators (every
-	// bundled selection except op.SUS; all bundled crossovers/mutations),
-	// and an engine abandoned before Run completes should be Close()d.
+	// persistent goroutines, which need scheduling-safe operators (a
+	// Selection must keep no state between calls; every bundled operator
+	// qualifies), and an engine abandoned before Run completes should be
+	// Close()d.
 	// Between steps those goroutines wait on a spin-then-park barrier:
 	// they poll for the next step for a few microseconds, yielding the CPU
 	// on every poll, before they park, so back-to-back steps pay no

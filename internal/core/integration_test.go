@@ -29,17 +29,14 @@ func TestEngineWithEverySelectionScheme(t *testing.T) {
 	in := shop.GenerateFlowShop("int-f", 12, 4, 1234)
 	ref := decode.Reference(in, shop.Makespan)
 	sels := map[string]core.Selection[[]int]{
-		"roulette":         op.RouletteWheel[[]int](),
-		"sus":              op.SUS[[]int](),
-		"tournament":       op.Tournament[[]int](3),
-		"elitist-roulette": op.ElitistRoulette[[]int](0.2),
-		"ranking":          op.Ranking[[]int](1.7),
+		"roulette":   op.RouletteWheel[[]int](),
+		"tournament": op.Tournament[[]int](3),
 	}
 	for name, sel := range sels {
 		t.Run(name, func(t *testing.T) {
 			res := core.New(flowProblem(in), rng.New(5), core.Config[[]int]{
 				Pop: 40, Elite: 1,
-				Ops:  core.Operators[[]int]{Select: sel, Cross: op.OX, Mutate: op.ShiftMutation},
+				Ops:  core.Operators[[]int]{Select: sel, Cross: op.OX, Mutate: op.SwapMutation},
 				Term: core.Termination{MaxGenerations: 60},
 			}).Run()
 			if res.Best.Obj > ref {
@@ -86,7 +83,7 @@ func TestEveryPermutationCrossoverInEngine(t *testing.T) {
 			eng := core.New(flowProblem(in), rng.New(7), core.Config[[]int]{
 				Pop: 30,
 				Ops: core.Operators[[]int]{
-					Select: op.Tournament[[]int](2), Cross: cross, Mutate: op.InvertMutation,
+					Select: op.Tournament[[]int](2), Cross: cross, Mutate: op.SwapMutation,
 				},
 				Term: core.Termination{MaxGenerations: 40},
 			})

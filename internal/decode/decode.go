@@ -8,9 +8,6 @@
 //     indices ("operation-based representation", Park et al. [26]), decoded
 //     semi-actively (JobShop) or through the Giffler-Thompson active
 //     schedule builder (GifflerThompson, used by Mui et al. [17]);
-//   - job shop via the disjunctive graph: JobShopGraph evaluates the same
-//     genome with a topological sort + longest path (Somani & Singh [16])
-//     and Blocking adds the blocking arcs of AitZai et al. [14];
 //   - open shop: permutation with repetition decoded greedily with the
 //     LPT-Task / LPT-Machine heuristics of Kokosiński & Studzienny [32];
 //   - flexible shops: machine-assignment vector + operation sequence with
@@ -150,12 +147,4 @@ func Any(in *shop.Instance, seq []int) *shop.Schedule {
 	default:
 		panic("decode: unknown instance kind " + in.Kind.String())
 	}
-}
-
-// RandomGenome returns a random genome suitable for Any on this kind.
-func RandomGenome(in *shop.Instance, r *rng.RNG) []int {
-	if in.Kind == shop.FlowShop {
-		return RandomPermutation(in, r)
-	}
-	return RandomOpSequence(in, r)
 }

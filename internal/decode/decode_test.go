@@ -339,76 +339,6 @@ func TestFlexibleWithSpeeds(t *testing.T) {
 	}
 }
 
-// blockSwapInstance: job0 = M0 then M1; job1 = M1 then M0 — the canonical
-// swap-deadlock shape for blocking job shops.
-func blockSwapInstance() *shop.Instance {
-	return &shop.Instance{
-		Name: "swap", Kind: shop.JobShop, NumMachines: 2,
-		Jobs: []shop.Job{
-			{Ops: []shop.Operation{
-				{Machines: []int{0}, Times: []int{3}},
-				{Machines: []int{1}, Times: []int{2}},
-			}, Weight: 1},
-			{Ops: []shop.Operation{
-				{Machines: []int{1}, Times: []int{4}},
-				{Machines: []int{0}, Times: []int{1}},
-			}, Weight: 1},
-		},
-	}
-}
-
-func TestBlockingDeadlockDetected(t *testing.T) {
-	in := blockSwapInstance()
-	// Interleaved sequence creates the circular wait: job0 holds M0 waiting
-	// for M1, job1 holds M1 waiting for M0.
-	ms, ok := Blocking(in, []int{0, 1, 0, 1})
-	if ok {
-		t.Fatal("expected deadlock for interleaved swap sequence")
-	}
-	if wantPenalty := 2 * (3 + 2 + 4 + 1); ms != wantPenalty {
-		t.Fatalf("penalty = %d want %d", ms, wantPenalty)
-	}
-	if _, ok := BlockingSchedule(in, []int{0, 1, 0, 1}); ok {
-		t.Fatal("BlockingSchedule must also report the deadlock")
-	}
-}
-
-func TestBlockingFeasibleSequence(t *testing.T) {
-	in := blockSwapInstance()
-	ms, ok := Blocking(in, []int{0, 0, 1, 1})
-	if !ok {
-		t.Fatal("sequential sequence should be feasible")
-	}
-	// j0: M0 [0,3), M1 [3,5); j1: M1 [5,9), M0 [9,10) -> blocking cannot
-	// beat 10 here.
-	if ms != 10 {
-		t.Fatalf("blocking makespan = %d want 10", ms)
-	}
-	s, ok := BlockingSchedule(in, []int{0, 0, 1, 1})
-	if !ok {
-		t.Fatal("schedule reconstruction failed")
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Makespan() != ms {
-		t.Fatalf("schedule makespan %d != evaluation %d", s.Makespan(), ms)
-	}
-}
-
-func TestBlockingNeverBelowUnconstrained(t *testing.T) {
-	in := shop.GenerateJobShop("blk", 5, 4, 717, 818)
-	r := rng.New(14)
-	for i := 0; i < 40; i++ {
-		seq := RandomOpSequence(in, r)
-		plain := JobShop(in, seq).Makespan()
-		bms, ok := Blocking(in, seq)
-		if ok && bms < plain {
-			t.Fatalf("blocking makespan %d < unconstrained %d", bms, plain)
-		}
-	}
-}
-
 func TestSublotSizes(t *testing.T) {
 	keys := []float64{0.5, 0.25, 0.25}
 	sizes := SublotSizes(20, 3, keys)
@@ -557,7 +487,11 @@ func TestAnyDispatch(t *testing.T) {
 		shop.GenerateFlexibleJobShop("fj", 6, 3, 3, 2, 35),
 		shop.GenerateFlexibleFlowShop("ff", 6, []int{2, 2}, true, 36),
 	} {
-		s := Any(in, RandomGenome(in, r))
+		genome := RandomOpSequence
+		if in.Kind == shop.FlowShop {
+			genome = RandomPermutation
+		}
+		s := Any(in, genome(in, r))
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s: %v", in.Name, err)
 		}

@@ -1,7 +1,7 @@
 // Package exp is the experiment harness: one function per table/figure-
-// equivalent of the survey (see DESIGN.md, "Per-experiment index"). Each
-// experiment returns rendered tables; cmd/experiments runs them and
-// EXPERIMENTS.md records paper-claim versus measured shape.
+// equivalent of the survey, listed in order by All. Each experiment returns
+// rendered tables whose notes set the paper's claim beside the measured
+// shape; cmd/experiments runs them.
 //
 // Experiments are deterministic: all randomness flows from fixed seeds, and
 // virtual-time results come from the analytical sim package, so the tables
@@ -17,14 +17,14 @@ import (
 	"repro/internal/tables"
 )
 
-// Experiment couples an identifier from DESIGN.md with its runner.
+// Experiment couples a table identifier (T1, T3a, ...) with its runner.
 type Experiment struct {
 	ID    string
 	Title string
 	Run   func() []*tables.Table
 }
 
-// All returns every experiment in DESIGN.md order.
+// All returns every experiment in survey-table order.
 func All() []Experiment {
 	return []Experiment{
 		{ID: "T1", Title: "Table I: schedule feasibility conditions", Run: T1Feasibility},

@@ -71,7 +71,6 @@ func T1Feasibility() []*tables.Table {
 	})
 
 	t.Note("conditions 1-3 of Table I are checked per schedule; conditions 4-5 are model assumptions")
-	t.Note("blocking job shop feasibility is exercised separately (deadlock detection in decode tests)")
 	return []*tables.Table{t}
 }
 

@@ -54,8 +54,8 @@ func T3aSpeedup() []*tables.Table {
 
 	// Real-concurrency sanity check: the engine's sharded pipeline at
 	// several worker counts on this host; on a single-core machine
-	// wall-clock speedup is ~1 by construction (see DESIGN.md
-	// substitutions).
+	// wall-clock speedup is ~1 by construction (package sim stands in
+	// for the surveyed hardware).
 	real := &tables.Table{
 		ID:      "T3a",
 		Title:   "Real goroutine workers on this host (wall clock, informative only)",

@@ -471,7 +471,7 @@ func (n *Node) handleResubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, serve.ErrorBody{Error: "federation: resubmit needs a shard spec, a checkpoint and a fleet epoch"})
 		return
 	}
-	if err := spec.Validate(); err != nil {
+	if err := serve.ValidateSpec(spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, serve.ErrorBody{Error: err.Error()})
 		return
 	}

@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
+	"repro/internal/shop"
 	"repro/internal/solver"
 )
 
@@ -607,5 +610,46 @@ func TestResubmitRejectsOldWireCheckpoint(t *testing.T) {
 	}
 	if n := fleet[0].Srv.Service().Stats().Jobs; n[solver.JobPending]+n[solver.JobRunning] != 0 {
 		t.Errorf("rejected resubmit left jobs behind: %v", n)
+	}
+}
+
+// TestResubmitRejectsInstancePath: a resubmitted shard spec must name a
+// registry instance, exactly like POST /v1/jobs. A file path is a 400
+// before anything opens it, even when the file holds a valid instance, and
+// no job is created.
+func TestResubmitRejectsInstancePath(t *testing.T) {
+	fleet := newFleet(t, 2, federation.Config{})
+	data, err := shop.FT06().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ft06.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec := fedSpec(3)
+	spec.Problem.Instance = path
+	spec.Params.Federate = false // a shard spec carries coordinates instead
+	spec.Params.FedKey, spec.Params.FedNodes, spec.Params.FedRank = "f0-x-1", 2, 1
+	body, err := json.Marshal(serve.ResubmitRequest{
+		Spec: spec, FleetEpoch: 2, Checkpoint: &solver.Checkpoint{Model: "island", Encoding: "seq", Epoch: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(fleet[0].URL+"/v1/federation/resubmit", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb serve.ErrorBody
+	_ = json.NewDecoder(resp.Body).Decode(&eb)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, "registry names only") {
+		t.Errorf("file-path resubmit: %d %q, want 400 registry names only", resp.StatusCode, eb.Error)
+	}
+	for state, n := range fleet[0].Srv.Service().Stats().Jobs {
+		if n != 0 {
+			t.Errorf("rejected resubmit left %d %s jobs", n, state)
+		}
 	}
 }

@@ -27,9 +27,6 @@ func New(a, b, c float64) TFN {
 	return TFN{A: a, B: b, C: c}
 }
 
-// Crisp returns the crisp number x as a degenerate TFN.
-func Crisp(x float64) TFN { return TFN{A: x, B: x, C: x} }
-
 // Add returns t + u (exact for TFNs).
 func (t TFN) Add(u TFN) TFN { return TFN{A: t.A + u.A, B: t.B + u.B, C: t.C + u.C} }
 
@@ -45,10 +42,6 @@ func max2(a, b float64) float64 {
 	}
 	return b
 }
-
-// Defuzz returns the graded-mean value (A + 2B + C)/4 used to rank fuzzy
-// makespans.
-func (t TFN) Defuzz() float64 { return (t.A + 2*t.B + t.C) / 4 }
 
 // Possibility returns Pos(t <= u), the optimistic degree to which the fuzzy
 // quantity t is no larger than u.

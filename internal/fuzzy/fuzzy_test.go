@@ -30,15 +30,6 @@ func TestAddAndMax(t *testing.T) {
 	}
 }
 
-func TestDefuzz(t *testing.T) {
-	if got := New(1, 2, 3).Defuzz(); got != 2 {
-		t.Errorf("Defuzz symmetric = %v", got)
-	}
-	if got := Crisp(7).Defuzz(); got != 7 {
-		t.Errorf("Defuzz crisp = %v", got)
-	}
-}
-
 func TestPossibilityCases(t *testing.T) {
 	early := New(1, 2, 3)
 	late := New(10, 12, 14)

@@ -25,25 +25,6 @@ func TestEvaluationsAccounting(t *testing.T) {
 	}
 }
 
-// TestRandomEpochVariesAcrossEpochs ensures Defersha's random routes are
-// actually re-drawn per exchange.
-func TestRandomEpochVariesAcrossEpochs(t *testing.T) {
-	r := rng.New(1)
-	topo := RandomEpoch{Degree: 2}
-	const n = 10
-	distinct := map[[2]int]bool{}
-	for epoch := 0; epoch < 30; epoch++ {
-		targets := topo.Targets(0, n, epoch, r)
-		if len(targets) != 2 {
-			t.Fatalf("degree = %d", len(targets))
-		}
-		distinct[[2]int{targets[0], targets[1]}] = true
-	}
-	if len(distinct) < 5 {
-		t.Fatalf("routes barely vary: %d distinct pairs in 30 epochs", len(distinct))
-	}
-}
-
 // TestDeterministicTopologiesSymmetric verifies in-degree equals out-degree
 // for the static topologies — the property the agents package's barrier
 // arithmetic relies on.

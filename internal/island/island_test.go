@@ -68,7 +68,7 @@ func baseConfig(n int) Config[[]int] {
 
 func TestTopologyProperties(t *testing.T) {
 	r := rng.New(1)
-	topos := []Topology{Ring{}, BiRing{}, Torus2D{}, FullyConnected{}, Star{}, Hypercube{}, RandomEpoch{Degree: 2}}
+	topos := []Topology{Ring{}, BiRing{}, Torus2D{}, FullyConnected{}, Star{}, Hypercube{}}
 	for _, topo := range topos {
 		if topo.Name() == "" {
 			t.Errorf("%T has empty name", topo)
@@ -131,14 +131,6 @@ func TestTopologyShapes(t *testing.T) {
 	// Prime count degenerates to ring-ish (1 x n): two lateral neighbours.
 	if got := (Torus2D{}).Targets(0, 7, 0, r); len(got) == 0 {
 		t.Error("torus with prime n has no targets")
-	}
-	// RandomEpoch honours its degree and redraws per call.
-	re := RandomEpoch{Degree: 3}
-	if got := re.Targets(0, 10, 0, r); len(got) != 3 {
-		t.Errorf("random-epoch degree = %v", got)
-	}
-	if got := re.Targets(0, 2, 0, r); len(got) != 1 {
-		t.Errorf("random-epoch clamp = %v", got)
 	}
 }
 

@@ -160,38 +160,3 @@ func (Hypercube) Targets(i, n, _ int, _ *rng.RNG) []int {
 	}
 	return out
 }
-
-// RandomEpoch draws Degree distinct random targets anew at every migration
-// epoch — Defersha & Chen's randomly generated migration routes per
-// communication epoch [36].
-type RandomEpoch struct{ Degree int }
-
-// Name implements Topology.
-func (t RandomEpoch) Name() string { return "random-epoch" }
-
-// Targets implements Topology.
-func (t RandomEpoch) Targets(i, n, _ int, r *rng.RNG) []int {
-	if n < 2 {
-		return nil
-	}
-	deg := t.Degree
-	if deg <= 0 {
-		deg = 1
-	}
-	if deg > n-1 {
-		deg = n - 1
-	}
-	// Sample deg distinct targets != i.
-	perm := r.Perm(n)
-	out := make([]int, 0, deg)
-	for _, v := range perm {
-		if v == i {
-			continue
-		}
-		out = append(out, v)
-		if len(out) == deg {
-			break
-		}
-	}
-	return out
-}

@@ -150,7 +150,7 @@ func oxChildInto(child, a, b []int, c1, c2 int, inSeg, fill []int) {
 }
 
 // UniformKeysInto is the recycling parameterized uniform crossover on key
-// vectors (see ParameterizedUniformKeys; p = 0.5 is UniformKeys).
+// vectors (see ParameterizedUniformKeys).
 func UniformKeysInto(p float64) func() core.CrossoverInto[[]float64] {
 	return func() core.CrossoverInto[[]float64] {
 		return func(r *rng.RNG, a, b, dst1, dst2 []float64) ([]float64, []float64) {

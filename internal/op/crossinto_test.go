@@ -12,8 +12,8 @@ type intoFunc = func(r *rng.RNG, a, b, d1, d2 []int) ([]int, []int)
 
 // TestCrossIntoMatchesCross pins every recycling crossover to a reference:
 // JOX and OX (recycling and plain forms, which share one kernel) and LOX
-// to the branchy bodies of oracle_test.go, UniformInt and UniformKeys to
-// their plain counterparts. Same parents, same RNG state => identical
+// to the branchy bodies of oracle_test.go, UniformInt and UniformKeysInto
+// to their plain counterparts. Same parents, same RNG state => identical
 // children and identical randomness consumed, whether the destination is
 // nil (fresh storage) or a recycled slice of any capacity. This is the
 // property that lets the engine swap CrossInto in without changing a

@@ -126,21 +126,6 @@ func CX(r *rng.RNG, a, b []int) ([]int, []int) {
 	return c1, c2
 }
 
-// OnePointInt is the classic one-point crossover on integer vectors. It
-// does not preserve permutation validity and is meant for assignment
-// vectors (flexible shops) or other unconstrained integer genomes.
-func OnePointInt(r *rng.RNG, a, b []int) ([]int, []int) {
-	n := len(a)
-	cut := r.Intn(n + 1)
-	c1 := make([]int, n)
-	c2 := make([]int, n)
-	copy(c1, a[:cut])
-	copy(c1[cut:], b[cut:])
-	copy(c2, b[:cut])
-	copy(c2[cut:], a[cut:])
-	return c1, c2
-}
-
 // UniformInt is the uniform crossover on integer vectors (Belkadi et al.
 // [37] use it on assignment chromosomes); each position comes from either
 // parent with probability 1/2.

@@ -4,8 +4,8 @@ import "repro/internal/rng"
 
 // Mutations. The survey's Section III.A notes that shop scheduling
 // mutations are neighbourhood moves rather than bit flips: the swap
-// (pairwise-interchange) and shift (insertion) neighbourhoods keep genomes
-// feasible by construction.
+// (pairwise-interchange) neighbourhood keeps genomes feasible by
+// construction.
 
 // SwapMutation exchanges two random positions (pairwise interchange /
 // swap-neighbourhood mutation).
@@ -16,51 +16,6 @@ func SwapMutation(r *rng.RNG, g []int) {
 	}
 	i, j := r.Intn(n), r.Intn(n)
 	g[i], g[j] = g[j], g[i]
-}
-
-// ShiftMutation removes a random element and reinserts it at a random
-// position (insertion-neighbourhood mutation).
-func ShiftMutation(r *rng.RNG, g []int) {
-	n := len(g)
-	if n < 2 {
-		return
-	}
-	from := r.Intn(n)
-	to := r.Intn(n)
-	if from == to {
-		return
-	}
-	v := g[from]
-	if from < to {
-		copy(g[from:], g[from+1:to+1])
-	} else {
-		copy(g[to+1:], g[to:from])
-	}
-	g[to] = v
-}
-
-// InvertMutation reverses a random subsequence (Kokosiński's invert
-// mutation).
-func InvertMutation(r *rng.RNG, g []int) {
-	n := len(g)
-	if n < 2 {
-		return
-	}
-	c1, c2 := twoCuts(r, n)
-	for i, j := c1, c2-1; i < j; i, j = i+1, j-1 {
-		g[i], g[j] = g[j], g[i]
-	}
-}
-
-// ScrambleMutation shuffles a random subsequence.
-func ScrambleMutation(r *rng.RNG, g []int) {
-	n := len(g)
-	if n < 2 {
-		return
-	}
-	c1, c2 := twoCuts(r, n)
-	seg := g[c1:c2]
-	r.Shuffle(len(seg), func(i, j int) { seg[i], seg[j] = seg[j], seg[i] })
 }
 
 // ResetWithin returns a mutation that assigns one random position a fresh
@@ -89,12 +44,4 @@ func GaussianKeys(sigma, perKey float64) func(r *rng.RNG, g []float64) {
 			}
 		}
 	}
-}
-
-// ResetKeys redraws one random key uniformly in [0,1).
-func ResetKeys(r *rng.RNG, g []float64) {
-	if len(g) == 0 {
-		return
-	}
-	g[r.Intn(len(g))] = r.Float64()
 }

@@ -107,56 +107,14 @@ func randomOpSeq(r *rng.RNG, jobs, opsPer int) []int {
 func TestSequenceCrossoversPreserveMultiset(t *testing.T) {
 	r := rng.New(102)
 	const jobs, opsPer = 6, 4
-	crossers := map[string]core.Crossover[[]int]{
-		"JOX":         JOX(jobs),
-		"SeqOnePoint": SeqOnePoint(jobs),
-		"MSXF":        MSXF(12, 0.3),
-	}
-	for name, cross := range crossers {
-		for trial := 0; trial < 150; trial++ {
-			a := randomOpSeq(r, jobs, opsPer)
-			b := randomOpSeq(r, jobs, opsPer)
-			c1, c2 := cross(r, a, b)
-			if !sameMultiset(a, c1) || !sameMultiset(a, c2) {
-				t.Fatalf("%s broke the token multiset", name)
-			}
+	cross := JOX(jobs)
+	for trial := 0; trial < 150; trial++ {
+		a := randomOpSeq(r, jobs, opsPer)
+		b := randomOpSeq(r, jobs, opsPer)
+		c1, c2 := cross(r, a, b)
+		if !sameMultiset(a, c1) || !sameMultiset(a, c2) {
+			t.Fatal("JOX broke the token multiset")
 		}
-	}
-}
-
-func TestSeqOnePointPrefix(t *testing.T) {
-	// With cut = len, child1 equals parent1.
-	a := []int{0, 1, 0, 1}
-	b := []int{1, 1, 0, 0}
-	c := seqFill(a, b, 4, 2)
-	for i := range a {
-		if c[i] != a[i] {
-			t.Fatalf("full-cut child differs: %v", c)
-		}
-	}
-	// With cut = 0, child1 is parent2.
-	c = seqFill(a, b, 0, 2)
-	for i := range b {
-		if c[i] != b[i] {
-			t.Fatalf("zero-cut child differs: %v", c)
-		}
-	}
-}
-
-func TestMSXFMovesTowardSecondParent(t *testing.T) {
-	r := rng.New(103)
-	a := []int{0, 0, 0, 1, 1, 1, 2, 2, 2}
-	b := []int{2, 2, 2, 1, 1, 1, 0, 0, 0}
-	total, reduced := 0, 0
-	for trial := 0; trial < 50; trial++ {
-		c := msxfChild(r, a, b, 30, 0.1)
-		if hamming(c, b) < hamming(a, b) {
-			reduced++
-		}
-		total++
-	}
-	if reduced < total/2 {
-		t.Errorf("MSXF reduced distance in only %d/%d trials", reduced, total)
 	}
 }
 
@@ -164,29 +122,13 @@ func TestKeysCrossovers(t *testing.T) {
 	r := rng.New(104)
 	a := []float64{0.1, 0.2, 0.3, 0.4}
 	b := []float64{0.9, 0.8, 0.7, 0.6}
-	for name, cross := range map[string]core.Crossover[[]float64]{
-		"uniform":       UniformKeys,
-		"parameterized": ParameterizedUniformKeys(0.8),
-		"one-point":     OnePointKeys,
-	} {
-		c1, c2 := cross(r, a, b)
-		for i := range a {
-			if (c1[i] != a[i] && c1[i] != b[i]) || (c2[i] != a[i] && c2[i] != b[i]) {
-				t.Fatalf("%s: key from neither parent", name)
-			}
-			if (c1[i] == a[i]) != (c2[i] == b[i]) {
-				t.Fatalf("%s: children not complementary", name)
-			}
-		}
-	}
-	c1, c2 := ArithmeticKeys(r, a, b)
+	c1, c2 := ParameterizedUniformKeys(0.8)(r, a, b)
 	for i := range a {
-		lo, hi := math.Min(a[i], b[i]), math.Max(a[i], b[i])
-		if c1[i] < lo-1e-12 || c1[i] > hi+1e-12 || c2[i] < lo-1e-12 || c2[i] > hi+1e-12 {
-			t.Fatalf("arithmetic child outside hull at %d", i)
+		if (c1[i] != a[i] && c1[i] != b[i]) || (c2[i] != a[i] && c2[i] != b[i]) {
+			t.Fatal("parameterized: key from neither parent")
 		}
-		if math.Abs(c1[i]+c2[i]-(a[i]+b[i])) > 1e-12 {
-			t.Fatalf("arithmetic children don't conserve the sum at %d", i)
+		if (c1[i] == a[i]) != (c2[i] == b[i]) {
+			t.Fatal("parameterized: children not complementary")
 		}
 	}
 }
@@ -212,10 +154,6 @@ func TestParameterizedBias(t *testing.T) {
 
 func TestIntMutationsPreserveMultiset(t *testing.T) {
 	r := rng.New(106)
-	muts := map[string]core.Mutation[[]int]{
-		"swap": SwapMutation, "shift": ShiftMutation,
-		"invert": InvertMutation, "scramble": ScrambleMutation,
-	}
 	f := func(raw []int8) bool {
 		if len(raw) == 0 {
 			return true
@@ -224,55 +162,12 @@ func TestIntMutationsPreserveMultiset(t *testing.T) {
 		for i, v := range raw {
 			g[i] = int(v)
 		}
-		for _, mut := range muts {
-			c := append([]int(nil), g...)
-			mut(r, c)
-			if !sameMultiset(g, c) {
-				return false
-			}
-		}
-		return true
+		c := append([]int(nil), g...)
+		SwapMutation(r, c)
+		return sameMultiset(g, c)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestShiftMutationExactMove(t *testing.T) {
-	// Deterministically test the re-insertion logic both directions.
-	g := []int{0, 1, 2, 3, 4}
-	// Simulate from=1, to=3 by calling the internals through many seeds and
-	// checking one case by hand instead: use a crafted copy.
-	moved := append([]int(nil), g...)
-	// from < to path.
-	from, to, v := 1, 3, moved[1]
-	copy(moved[from:], moved[from+1:to+1])
-	moved[to] = v
-	want := []int{0, 2, 3, 1, 4}
-	for i := range want {
-		if moved[i] != want[i] {
-			t.Fatalf("forward shift = %v", moved)
-		}
-	}
-	moved = append([]int(nil), g...)
-	from, to, v = 3, 1, moved[3]
-	copy(moved[to+1:], moved[to:from])
-	moved[to] = v
-	want = []int{0, 3, 1, 2, 4}
-	for i := range want {
-		if moved[i] != want[i] {
-			t.Fatalf("backward shift = %v", moved)
-		}
-	}
-}
-
-func TestInvertMutationReverses(t *testing.T) {
-	r := rng.New(107)
-	g := []int{5, 4, 3, 2, 1, 0}
-	before := append([]int(nil), g...)
-	InvertMutation(r, g)
-	if !sameMultiset(before, g) {
-		t.Fatal("invert broke multiset")
 	}
 }
 
@@ -305,18 +200,6 @@ func TestGaussianAndResetKeys(t *testing.T) {
 	if changed < 90 {
 		t.Errorf("perKey=1 changed only %d keys", changed)
 	}
-	h := make([]float64, 4)
-	ResetKeys(r, h)
-	nonzero := 0
-	for _, v := range h {
-		if v != 0 {
-			nonzero++
-		}
-	}
-	if nonzero != 1 {
-		t.Errorf("ResetKeys changed %d keys", nonzero)
-	}
-	ResetKeys(r, nil) // must not panic
 }
 
 func fitPop(fits ...float64) []core.Individual[int] {
@@ -373,84 +256,5 @@ func TestRouletteProportional(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Error("zero-fitness roulette not uniform")
-	}
-}
-
-func TestElitistRoulette(t *testing.T) {
-	r := rng.New(112)
-	pop := fitPop(1, 2, 50)
-	sel := ElitistRoulette[int](1.0)
-	for i := 0; i < 20; i++ {
-		if sel(r, pop) != 2 {
-			t.Fatal("eliteProb=1 must always return the best")
-		}
-	}
-}
-
-func TestRankingSelection(t *testing.T) {
-	r := rng.New(113)
-	// Huge fitness gap, but ranking only sees ranks: frequencies follow
-	// linear ranking, not proportions.
-	pop := fitPop(1, 2, 1e9)
-	sel := Ranking[int](2.0)
-	counts := make([]int, 3)
-	const trials = 30000
-	for i := 0; i < trials; i++ {
-		counts[sel(r, pop)]++
-	}
-	// Weights with sp=2: worst 0, middle 1, best 2.
-	if counts[0] != 0 {
-		t.Errorf("worst selected %d times with sp=2", counts[0])
-	}
-	ratio := float64(counts[2]) / float64(counts[1])
-	if ratio < 1.8 || ratio > 2.2 {
-		t.Errorf("best/middle ratio = %v, want ~2", ratio)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for sp out of range")
-		}
-	}()
-	Ranking[int](3)
-}
-
-func TestSUSCoversProportionally(t *testing.T) {
-	r := rng.New(114)
-	pop := fitPop(1, 1, 2) // total 4, n=3: expected picks 0.75,0.75,1.5
-	sel := SUS[int]()
-	counts := make([]int, 3)
-	const rounds = 3000
-	for i := 0; i < rounds*len(pop); i++ {
-		counts[sel(r, pop)]++
-	}
-	frac2 := float64(counts[2]) / float64(rounds*3)
-	if math.Abs(frac2-0.5) > 0.03 {
-		t.Errorf("SUS heavy individual frequency %v, want ~0.5", frac2)
-	}
-	// Zero fitness: uniform fallback.
-	selZ := SUS[int]()
-	zero := fitPop(0, 0)
-	seen := map[int]bool{}
-	for i := 0; i < 50; i++ {
-		seen[selZ(r, zero)] = true
-	}
-	if len(seen) == 0 {
-		t.Error("SUS zero-fitness broken")
-	}
-}
-
-func TestBestAndRandomSelection(t *testing.T) {
-	r := rng.New(115)
-	pop := fitPop(5, 9, 1)
-	if BestSelection[int]()(r, pop) != 1 {
-		t.Error("BestSelection wrong")
-	}
-	seen := map[int]bool{}
-	sel := RandomSelection[int]()
-	for i := 0; i < 100; i++ {
-		seen[sel(r, pop)] = true
-	}
-	if len(seen) != 3 {
-		t.Errorf("random selection coverage %v", seen)
 	}
 }

@@ -97,13 +97,6 @@ func (r *RNG) SetState(s State) {
 	r.gauss = s.Gauss
 }
 
-// FromState builds a new stream positioned at a captured state.
-func FromState(s State) *RNG {
-	r := &RNG{}
-	r.SetState(s)
-	return r
-}
-
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
 // Uint64 returns the next 64 uniformly random bits.
@@ -118,9 +111,6 @@ func (r *RNG) Uint64() uint64 {
 	r.s[3] = rotl(r.s[3], 45)
 	return result
 }
-
-// Int63 returns a non-negative random int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
@@ -148,14 +138,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	hi = a1*b1 + t>>32 + w1>>32
 	lo = a * b
 	return
-}
-
-// IntRange returns a uniform int in [lo, hi] inclusive. It panics if hi < lo.
-func (r *RNG) IntRange(lo, hi int) int {
-	if hi < lo {
-		panic("rng: IntRange with hi < lo")
-	}
-	return lo + r.Intn(hi-lo+1)
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -205,24 +187,4 @@ func (r *RNG) NormFloat64() float64 {
 		r.hasGauss = true
 		return u * f
 	}
-}
-
-// Pick returns a uniformly random element index weighted by w (w[i] >= 0,
-// sum(w) > 0). Used by roulette-wheel style sampling outside hot loops.
-func (r *RNG) Pick(w []float64) int {
-	var total float64
-	for _, x := range w {
-		total += x
-	}
-	if total <= 0 {
-		return r.Intn(len(w))
-	}
-	t := r.Float64() * total
-	for i, x := range w {
-		t -= x
-		if t < 0 {
-			return i
-		}
-	}
-	return len(w) - 1
 }

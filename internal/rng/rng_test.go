@@ -111,23 +111,6 @@ func TestIntnUniformity(t *testing.T) {
 	}
 }
 
-func TestIntRange(t *testing.T) {
-	r := New(3)
-	seen := map[int]bool{}
-	for i := 0; i < 1000; i++ {
-		v := r.IntRange(5, 8)
-		if v < 5 || v > 8 {
-			t.Fatalf("IntRange(5,8) = %d", v)
-		}
-		seen[v] = true
-	}
-	for v := 5; v <= 8; v++ {
-		if !seen[v] {
-			t.Errorf("value %d never produced", v)
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(11)
 	for i := 0; i < 10000; i++ {
@@ -208,34 +191,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestPickWeighted(t *testing.T) {
-	r := New(31)
-	w := []float64{0, 1, 3}
-	counts := make([]int, 3)
-	for i := 0; i < 40000; i++ {
-		counts[r.Pick(w)]++
-	}
-	if counts[0] != 0 {
-		t.Errorf("zero-weight element picked %d times", counts[0])
-	}
-	ratio := float64(counts[2]) / float64(counts[1])
-	if ratio < 2.7 || ratio > 3.3 {
-		t.Errorf("weight ratio = %v, want ~3", ratio)
-	}
-}
-
-func TestPickAllZeroFallsBackToUniform(t *testing.T) {
-	r := New(37)
-	w := []float64{0, 0, 0}
-	seen := map[int]bool{}
-	for i := 0; i < 100; i++ {
-		seen[r.Pick(w)] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("degenerate weights not uniform: %v", seen)
-	}
-}
-
 func TestStateRoundTrip(t *testing.T) {
 	r := New(42)
 	// Advance through every state-bearing path, including the Gaussian
@@ -246,7 +201,8 @@ func TestStateRoundTrip(t *testing.T) {
 	_ = r.NormFloat64() // leaves the second deviate cached
 	st := r.State()
 
-	resumed := FromState(st)
+	resumed := New(1)
+	resumed.SetState(st)
 	for i := 0; i < 200; i++ {
 		if a, b := r.NormFloat64(), resumed.NormFloat64(); a != b {
 			t.Fatalf("draw %d: NormFloat64 diverged: %v vs %v", i, a, b)
@@ -277,7 +233,8 @@ func TestSetStateMidStream(t *testing.T) {
 }
 
 func TestSetStateAllZeroEscapes(t *testing.T) {
-	r := FromState(State{})
+	r := New(1)
+	r.SetState(State{})
 	if a, b := r.Uint64(), r.Uint64(); a == 0 && b == 0 {
 		t.Fatal("all-zero state was not escaped")
 	}

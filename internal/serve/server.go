@@ -332,24 +332,14 @@ func (s *Server) jobInfo(j *solver.Job) JobInfo {
 	return info
 }
 
-// handleSubmit: POST /v1/jobs — decode, cap the wall budget, submit,
-// prune old history, 201 with the job.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec solver.Spec
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing spec: %w", err))
-		return
-	}
-	// The daemon resolves instances through the benchmark registry ONLY.
-	// The library's file-path fallback must not be reachable from the
-	// network: it would let any client read (and fingerprint) arbitrary
-	// server files, and a typo'd registry name would surface as a
-	// confusing asynchronous job failure instead of a 400. The check is
-	// merged with Spec.Validate so the 400 still carries every field
-	// error at once.
+// ValidateSpec is the gate for every spec that arrives over the network:
+// Spec.Validate plus the rule that problem.instance names a registry
+// benchmark. The library's file-path fallback must not be reachable from
+// the network: it would let any client read (and fingerprint) arbitrary
+// server files, and a typo'd registry name would surface as a confusing
+// asynchronous job failure instead of a 400. Every field error comes back
+// in one *solver.ValidationError.
+func ValidateSpec(spec solver.Spec) error {
 	var fields []solver.FieldError
 	if inst := spec.Problem.Instance; inst != "" {
 		if _, ok := shop.LookupBenchmark(inst); !ok {
@@ -361,15 +351,30 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := spec.Validate(); err != nil {
 		var verr *solver.ValidationError
-		if errors.As(err, &verr) {
-			fields = append(fields, verr.Fields...)
-		} else {
-			writeError(w, http.StatusBadRequest, err)
-			return
+		if !errors.As(err, &verr) {
+			return err
 		}
+		fields = append(fields, verr.Fields...)
 	}
 	if len(fields) > 0 {
-		writeError(w, http.StatusBadRequest, &solver.ValidationError{Fields: fields})
+		return &solver.ValidationError{Fields: fields}
+	}
+	return nil
+}
+
+// handleSubmit: POST /v1/jobs — decode, cap the wall budget, submit,
+// prune old history, 201 with the job.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var spec solver.Spec
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing spec: %w", err))
+		return
+	}
+	if err := ValidateSpec(spec); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Per-job deadline: every job gets a wall budget no larger than the

@@ -204,15 +204,6 @@ func WithReleases(in *Instance, maxRelease int, seed int32) *Instance {
 	return in
 }
 
-// WithWeights draws integer weights Unif[lo,hi] for the weighted criteria.
-func WithWeights(in *Instance, lo, hi int, seed int32) *Instance {
-	g := rng.NewTaillard(seed)
-	for j := range in.Jobs {
-		in.Jobs[j].Weight = float64(g.Unif(lo, hi))
-	}
-	return in
-}
-
 // WithSetupTimes attaches sequence-dependent setup times Unif[lo,hi] on every
 // machine (Defersha & Chen's SDST flexible job shop).
 func WithSetupTimes(in *Instance, lo, hi int, seed int32) *Instance {

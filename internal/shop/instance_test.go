@@ -1,6 +1,7 @@
 package shop
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -256,7 +257,6 @@ func TestWithExtensions(t *testing.T) {
 	in := GenerateFlowShop("x", 5, 3, 500)
 	WithReleases(in, 20, 501)
 	WithDueDates(in, 1.5)
-	WithWeights(in, 1, 9, 502)
 	WithSetupTimes(in, 2, 8, 503)
 	WithBatchSizes(in, 10, 50, 504)
 	WithSpeedLevels(in, []float64{1, 1.5, 2}, 2)
@@ -266,9 +266,6 @@ func TestWithExtensions(t *testing.T) {
 	for j, job := range in.Jobs {
 		if job.Due < job.Release+job.TotalTime() {
 			t.Errorf("job %d: due %d below release+work %d", j, job.Due, job.Release+job.TotalTime())
-		}
-		if job.Weight < 1 || job.Weight > 9 {
-			t.Errorf("job %d weight %v", j, job.Weight)
 		}
 	}
 	if in.SetupTime(0, 1, 2) < 2 || in.SetupTime(0, 1, 2) > 8 {
@@ -345,7 +342,11 @@ func TestFromJSONRejectsInvalid(t *testing.T) {
 func TestSaveLoadFile(t *testing.T) {
 	in := GenerateFlowShop("file", 3, 2, 808)
 	path := t.TempDir() + "/inst.json"
-	if err := in.SaveFile(path); err != nil {
+	data, err := in.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadFile(path)

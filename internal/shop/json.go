@@ -23,15 +23,6 @@ func FromJSON(data []byte) (*Instance, error) {
 	return &in, nil
 }
 
-// SaveFile writes the instance as JSON to path.
-func (in *Instance) SaveFile(path string) error {
-	data, err := in.JSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
 // LoadFile reads and validates an instance from a JSON file.
 func LoadFile(path string) (*Instance, error) {
 	data, err := os.ReadFile(path)

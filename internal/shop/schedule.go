@@ -144,8 +144,7 @@ func pow(base, exp float64) float64 {
 //     respect the technological order.
 //
 // Conditions 4 and 5 of Table I (no transfer times, infinite buffers) are
-// modelling assumptions and need no runtime check; the blocking job shop
-// decoder enforces its own stricter buffer rule.
+// modelling assumptions and need no runtime check.
 func (s *Schedule) Validate() error {
 	in := s.Inst
 	if in == nil {

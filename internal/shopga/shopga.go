@@ -141,21 +141,6 @@ func JobShopProblem(in *shop.Instance, obj shop.Objective) core.Problem[[]int] {
 	}
 }
 
-// BlockingJobShopProblem is the job shop with blocking of AitZai et al.
-// [14]: the objective is the blocking makespan, with deadlocked
-// orientations penalised by the decoder.
-func BlockingJobShopProblem(in *shop.Instance) core.Problem[[]int] {
-	return core.FuncProblem[[]int]{
-		RandomFn: func(r *rng.RNG) []int { return decode.RandomOpSequence(in, r) },
-		EvaluateFn: func(g []int) float64 {
-			ms, _ := decode.Blocking(in, g)
-			return float64(ms)
-		},
-		CloneFn:     cloneInts,
-		CloneIntoFn: cloneIntsInto,
-	}
-}
-
 // OpenShopProblem is the open shop with the given decoding rule. Makespan
 // routes to the allocation-free greedy kernel.
 func OpenShopProblem(in *shop.Instance, rule decode.OpenRule, obj shop.Objective) core.Problem[[]int] {
@@ -395,7 +380,3 @@ func FlexOps(in *shop.Instance) core.Operators[FlexGenome] {
 
 // SeqView exposes an operation sequence for diversity statistics.
 func SeqView(g []int) []int { return g }
-
-// FlexSeqView exposes a FlexGenome's sequence chromosome for diversity
-// statistics.
-func FlexSeqView(g FlexGenome) []int { return g.Seq }

@@ -125,29 +125,6 @@ func TestCloneIntoIndependence(t *testing.T) {
 	}
 }
 
-func TestBlockingProblemPenalisesDeadlock(t *testing.T) {
-	in := &shop.Instance{
-		Name: "swap", Kind: shop.JobShop, NumMachines: 2,
-		Jobs: []shop.Job{
-			{Ops: []shop.Operation{
-				{Machines: []int{0}, Times: []int{3}},
-				{Machines: []int{1}, Times: []int{2}},
-			}, Weight: 1},
-			{Ops: []shop.Operation{
-				{Machines: []int{1}, Times: []int{4}},
-				{Machines: []int{0}, Times: []int{1}},
-			}, Weight: 1},
-		},
-	}
-	p := BlockingJobShopProblem(in)
-	if got := p.Evaluate([]int{0, 1, 0, 1}); got != 20 {
-		t.Fatalf("deadlock penalty = %v", got)
-	}
-	if got := p.Evaluate([]int{0, 0, 1, 1}); got != 10 {
-		t.Fatalf("feasible blocking makespan = %v", got)
-	}
-}
-
 func TestOpenShopAndGTProblems(t *testing.T) {
 	os := shop.GenerateOpenShop("o", 5, 4, 271)
 	p := OpenShopProblem(os, decode.LPTTask, shop.Makespan)
@@ -202,9 +179,9 @@ func TestFlexibleProblemAndOps(t *testing.T) {
 	if err := decode.CountOpSequence(in, c1.Seq); err != nil {
 		t.Fatalf("mutation broke sequence: %v", err)
 	}
-	// Views for diversity statistics.
-	if len(FlexSeqView(c1)) != len(c1.Seq) || len(SeqView(c1.Seq)) != len(c1.Seq) {
-		t.Error("genome views broken")
+	// View for diversity statistics.
+	if len(SeqView(c1.Seq)) != len(c1.Seq) {
+		t.Error("genome view broken")
 	}
 }
 

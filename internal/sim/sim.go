@@ -1,6 +1,6 @@
 // Package sim models parallel hardware as a deterministic analytical
 // event simulation, substituting for the GPUs, Transputers and MPI clusters
-// of the surveyed papers (see DESIGN.md, "Hardware substitutions"). The
+// of the surveyed papers. The
 // model captures exactly the quantities the survey reasons about: worker
 // count and speed, master-side dispatch serialisation, batching, and
 // communication overhead — enough to reproduce published speedup *shapes*

@@ -247,11 +247,6 @@ type Run struct {
 	exchange MigrantExchange
 }
 
-// Stopped reports whether the run's context has been cancelled; models
-// poll it between generations (it is also threaded into the engines as
-// Termination.Stop).
-func (r *Run) Stopped() bool { return r.stop != nil && r.stop() }
-
 // BuildInstance materialises a ProblemSpec: registry benchmarks and files
 // by name, generated instances by kind. Registry names (shop.BenchmarkNames)
 // win over file paths.
@@ -490,24 +485,6 @@ const (
 	// schedules. Negative gaps (beating it) are expected of any real GA.
 	RefHeuristic RefKind = "heuristic"
 )
-
-// Reference returns the reference objective for the spec's instance, for
-// gap reporting next to a Result: the instance registry's best-known
-// makespan when one applies, the heuristic Fbar otherwise.
-func Reference(spec Spec) (float64, error) {
-	in, err := BuildInstance(spec.Problem)
-	if err != nil {
-		return 0, err
-	}
-	return ReferenceFor(in, spec.Objective)
-}
-
-// ReferenceFor is Reference for an already-built instance, so callers
-// that hold one (to print instance details, say) need not rebuild it.
-func ReferenceFor(in *shop.Instance, objective string) (float64, error) {
-	ref, _, err := ReferenceKindFor(in, objective)
-	return ref, err
-}
 
 // ReferenceKindFor resolves the reference objective and its kind. The
 // instance registry is consulted by the built instance's name: a registered

@@ -375,7 +375,12 @@ func TestTargetStopsAllModels(t *testing.T) {
 // TestReference: the heuristic reference is computable from a Spec and
 // beats nothing (positive).
 func TestReference(t *testing.T) {
-	ref, err := Reference(smallSpec("serial"))
+	spec := smallSpec("serial")
+	in, err := BuildInstance(spec.Problem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _, err := ReferenceKindFor(in, spec.Objective)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package stats provides the descriptive statistics used throughout the
-// experiment harness: summaries of repeated GA runs, speedup/efficiency
-// calculations, relative percentage deviations against reference solutions,
-// and population-diversity measures (mean pairwise Hamming distance and
-// positional entropy) used to study premature convergence.
+// experiment harness: summaries of repeated GA runs, speedups, relative
+// percentage deviations against reference solutions, and
+// population-diversity measures (Hamming distance and positional entropy)
+// used to study premature convergence.
 package stats
 
 import (
@@ -57,32 +57,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// CI95 returns the half-width of an approximate 95% confidence interval for
-// the mean, using the normal critical value 1.96. For the small sample sizes
-// used in the harness this slightly understates the interval; it is reported
-// as indicative only.
-func (s Summary) CI95() float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return 1.96 * s.Std / math.Sqrt(float64(s.N))
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Std returns the sample standard deviation of xs.
-func Std(xs []float64) float64 { return Summarize(xs).Std }
-
 // Min returns the minimum of xs; it panics on empty input.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -129,15 +103,6 @@ func Speedup(serial, parallel float64) float64 {
 	return serial / parallel
 }
 
-// Efficiency returns Speedup(serial, parallel)/p, the per-processor
-// efficiency of a p-way parallel run.
-func Efficiency(serial, parallel float64, p int) float64 {
-	if p <= 0 {
-		return 0
-	}
-	return Speedup(serial, parallel) / float64(p)
-}
-
 // HammingDistance counts positions where two equal-length slices differ.
 // It panics if the lengths differ.
 func HammingDistance(a, b []int) int {
@@ -151,27 +116,6 @@ func HammingDistance(a, b []int) int {
 		}
 	}
 	return d
-}
-
-// MeanPairwiseHamming returns the average Hamming distance over all pairs in
-// the population, normalised by genome length, in [0, 1]. A value near 0
-// indicates a converged (possibly prematurely converged) population. The
-// Spanos et al. merge-on-stagnation criterion uses per-pair distances.
-func MeanPairwiseHamming(pop [][]int) float64 {
-	if len(pop) < 2 || len(pop[0]) == 0 {
-		return 0
-	}
-	n := len(pop)
-	l := len(pop[0])
-	var total float64
-	pairs := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			total += float64(HammingDistance(pop[i], pop[j]))
-			pairs++
-		}
-	}
-	return total / float64(pairs) / float64(l)
 }
 
 // PositionalEntropy returns the mean Shannon entropy per gene position of a

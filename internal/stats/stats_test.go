@@ -36,9 +36,6 @@ func TestSummarizeEmptyAndSingle(t *testing.T) {
 	if s.N != 1 || s.Mean != 3 || s.Std != 0 || s.Median != 3 {
 		t.Errorf("single summary = %+v", s)
 	}
-	if s.CI95() != 0 {
-		t.Errorf("CI95 of single sample = %v", s.CI95())
-	}
 }
 
 func TestSummarizeOddMedian(t *testing.T) {
@@ -50,14 +47,11 @@ func TestSummarizeOddMedian(t *testing.T) {
 
 func TestMeanStdMinMax(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
-	if Mean(xs) != 2.5 {
-		t.Errorf("Mean = %v", Mean(xs))
+	if s := Summarize(xs); s.Mean != 2.5 {
+		t.Errorf("Mean = %v", s.Mean)
 	}
 	if Min(xs) != 1 || Max(xs) != 4 {
 		t.Errorf("Min/Max wrong")
-	}
-	if Mean(nil) != 0 {
-		t.Errorf("Mean(nil) = %v", Mean(nil))
 	}
 }
 
@@ -77,14 +71,8 @@ func TestSpeedupEfficiency(t *testing.T) {
 	if got := Speedup(100, 25); got != 4 {
 		t.Errorf("Speedup = %v", got)
 	}
-	if got := Efficiency(100, 25, 8); !almost(got, 0.5, 1e-12) {
-		t.Errorf("Efficiency = %v", got)
-	}
 	if !math.IsInf(Speedup(1, 0), 1) {
 		t.Errorf("Speedup with zero parallel time should be +Inf")
-	}
-	if Efficiency(1, 1, 0) != 0 {
-		t.Errorf("Efficiency with p=0 should be 0")
 	}
 }
 
@@ -118,23 +106,6 @@ func TestHammingSymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMeanPairwiseHamming(t *testing.T) {
-	identical := [][]int{{1, 2, 3}, {1, 2, 3}, {1, 2, 3}}
-	if d := MeanPairwiseHamming(identical); d != 0 {
-		t.Errorf("identical population diversity = %v", d)
-	}
-	disjoint := [][]int{{1, 1, 1}, {2, 2, 2}}
-	if d := MeanPairwiseHamming(disjoint); d != 1 {
-		t.Errorf("fully distinct diversity = %v", d)
-	}
-	if d := MeanPairwiseHamming(nil); d != 0 {
-		t.Errorf("nil population diversity = %v", d)
-	}
-	if d := MeanPairwiseHamming([][]int{{1}}); d != 0 {
-		t.Errorf("singleton population diversity = %v", d)
 	}
 }
 
@@ -173,13 +144,5 @@ func TestEntropyBetweenBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCI95Shrinks(t *testing.T) {
-	small := Summarize([]float64{1, 2, 3, 4})
-	big := Summarize(append(append([]float64{}, 1, 2, 3, 4), 1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4))
-	if big.CI95() >= small.CI95() {
-		t.Errorf("CI should shrink with n: small=%v big=%v", small.CI95(), big.CI95())
 	}
 }
