@@ -87,10 +87,13 @@
 // executor-owned scratches — each shard of 4 children is exactly one
 // batch tile — allocation-free and bit-identical for any worker count, so
 // the serial and master-slave models are one trajectory;
-// Spec.Params.Workers threads the width through every model. Variation
-// inside a shard is linear and branch-free: JOX and OX are compaction
-// kernels pinned to reference bodies, and elitism takes its few elites
-// from an O(n·k) stable selection instead of sorting the population.
+// Spec.Params.Workers threads the width through every model. Each
+// executor owns a contiguous range of shards and steals from the others'
+// once its own is drained. Variation inside a shard is linear and
+// branch-free: JOX builds both children in one compaction pass and OX is
+// a compaction kernel, both pinned to reference bodies, and elitism takes
+// its few elites from an O(n·k) stable selection instead of sorting the
+// population.
 //
 // See README.md for the layout, the solver API and the performance
 // architecture, and exp.All for the per-experiment index; each

@@ -151,6 +151,8 @@ func BenchmarkHotPath(b *testing.B) {
 	}{
 		{"variation-15x10/jox", op.JOXInto(len(jobShops[1].Jobs))(),
 			decode.RandomOpSequence(jobShops[1], r), decode.RandomOpSequence(jobShops[1], r)},
+		{"variation-10x10/jox", op.JOXInto(len(jobShops[2].Jobs))(),
+			decode.RandomOpSequence(jobShops[2], r), decode.RandomOpSequence(jobShops[2], r)},
 		{"variation-fs-20/ox", op.OXInto()(), decode.RandomPermutation(fs, r), decode.RandomPermutation(fs, r)},
 	}
 	for _, v := range variation {

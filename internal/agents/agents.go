@@ -148,7 +148,7 @@ func Run[G any](p core.Problem[G], r *rng.RNG, cfg Config[G]) Result[G] {
 				break
 			}
 			for i := 0; i < n; i++ {
-				for _, t := range cube.Targets(i, n, e, nil) {
+				for _, t := range cube.Targets(i, n) {
 					inbox[t] <- migrant[G]{genome: bests[i]}
 				}
 			}
@@ -160,7 +160,7 @@ func Run[G any](p core.Problem[G], r *rng.RNG, cfg Config[G]) Result[G] {
 	for i := 0; i < n; i++ {
 		go func(id int) {
 			e := engines[id]
-			expect := len(cube.Targets(id, n, 0, nil)) // cube degree is epoch-invariant
+			expect := len(cube.Targets(id, n))
 			for epoch := 0; epoch < cfg.Epochs; epoch++ {
 				for s := 0; s < cfg.Interval; s++ {
 					if cfg.Stop != nil && cfg.Stop() {

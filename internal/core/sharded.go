@@ -18,9 +18,10 @@ import (
 // rather than per-task dispatch (Sun et al., arXiv:0809.3285).
 //
 // Here the next generation is partitioned into fixed-size shards of
-// shardSize slots. Executors claim whole shards from an atomic cursor and
-// run selection -> crossover -> mutation -> evaluation for their shard
-// end-to-end:
+// shardSize slots. Each executor owns a contiguous range of shards, claims
+// whole shards from it and runs selection -> crossover -> mutation ->
+// evaluation for each shard end-to-end; once its range is drained it
+// steals from the other executors' ranges:
 //
 //   - Randomness: shard s draws only from its own substream, derived once
 //     at New via rng.SplitN(shards). The decomposition and the substreams
@@ -44,8 +45,15 @@ import (
 //   - Dispatch: shardSize is a small constant, so a 64-individual
 //     population yields 16 shards — ~4 claims per worker at Workers=4 —
 //     which keeps the tail balanced when evaluation costs are skewed
-//     without per-genome cursor traffic. Executor 0 is the calling
-//     goroutine; Workers-1 persistent goroutines join it through a
+//     without per-genome claim traffic. Executor k owns shards
+//     [k·S/W, (k+1)·S/W) of the S shards, each range with its own claim
+//     counter on its own cache line. In the common case a shard's free
+//     list, its RNG substream and its slots in the next generation so stay
+//     on one core from step to step, and executors claim without touching
+//     a shared line; an executor that drains its own range steals from the
+//     others' in turn, which re-balances skewed costs. Which executor runs
+//     a shard never changes what the shard computes. Executor 0 is the
+//     calling goroutine; Workers-1 persistent goroutines join it through a
 //     spin-then-park step barrier (stepBarrier): the master publishes a
 //     step by bumping an atomic epoch, and the workers — and the master
 //     waiting for the last of them — poll an atomic for a bounded window
@@ -91,7 +99,7 @@ type shardedState[G any] struct {
 	// before they are woken each step.
 	next []Individual[G]
 
-	cursor atomic.Int64 // shard claim cursor, reset each step
+	claims []claimRange // per-executor shard ranges, reset each step
 	bar    *stepBarrier // the spawned workers' barrier; nil when none run
 
 	// Per-executor batch-evaluation closures and recycling crossover
@@ -103,6 +111,14 @@ type shardedState[G any] struct {
 	cross []CrossoverInto[G]
 	gbuf  [][]G
 	obuf  [][]float64
+}
+
+// claimRange is one executor's range of shards, [lo, end): next is the
+// next unclaimed shard. The padding gives each range its own cache line.
+type claimRange struct {
+	next    atomic.Int64
+	lo, end int64
+	_       [64 - 24]byte
 }
 
 // newShardedState builds the shard decomposition, its RNG substreams, the
@@ -129,6 +145,11 @@ func newShardedState[G any](e *Engine[G], workers int) *shardedState[G] {
 	}
 	sh.rngs = e.rng.SplitN(nShards)
 	sh.free = make([][]G, nShards)
+	sh.claims = make([]claimRange, workers)
+	for k := range sh.claims {
+		c := &sh.claims[k]
+		c.lo, c.end = int64(k*nShards/workers), int64((k+1)*nShards/workers)
+	}
 	sh.batch = make([]func([]G, []float64), workers)
 	sh.cross = make([]CrossoverInto[G], workers)
 	sh.gbuf = make([][]G, workers)
@@ -294,7 +315,7 @@ func (e *Engine[G]) Close() {
 
 // Step runs one generation (Table II lines 4-7): harvest the retired
 // generation's genome storage, copy the immigration elites on the master,
-// let the executors drain the shard queue, then apply elitism and
+// let the executors drain the shard ranges, then apply elitism and
 // bookkeeping on the master. The next generation is written into a double
 // buffer that alternates with the current population, so the
 // per-generation slices are allocated once per engine, not once per Step.
@@ -333,7 +354,9 @@ func (e *Engine[G]) Step() {
 		}
 	}
 	sh.next = next
-	sh.cursor.Store(0)
+	for k := range sh.claims {
+		sh.claims[k].next.Store(sh.claims[k].lo)
+	}
 	if sh.workers > 1 {
 		e.runShardsWithWorkers()
 	} else {
@@ -350,9 +373,9 @@ func (e *Engine[G]) Step() {
 	e.record()
 }
 
-// runShardsWithWorkers releases the spawned workers into the shard queue,
-// drains it alongside them as executor 0, and returns once the last worker
-// has finished its shard.
+// runShardsWithWorkers releases the spawned workers into their shard
+// ranges, drains its own alongside them as executor 0, and returns once
+// the last worker has finished its shard.
 func (e *Engine[G]) runShardsWithWorkers() {
 	e.startWorkers()
 	b := e.sharded.bar
@@ -362,18 +385,18 @@ func (e *Engine[G]) runShardsWithWorkers() {
 	b.master.await(ep, b.spins, func() bool { return b.pending.Load() == 0 })
 }
 
-// runShards is one executor's claim loop: grab the next unclaimed shard
-// and run it until the queue is drained. Claiming whole shards (not
-// genomes) from the cursor is the work-stealing that re-balances skewed
-// evaluation costs across workers.
+// runShards is one executor's claim loop: run the shards of its own range
+// one claim at a time, then steal from the other ranges in turn, from the
+// next executor's on, until every range is drained. Claiming whole shards
+// (not genomes) is the work-stealing that re-balances skewed evaluation
+// costs across workers.
 func (e *Engine[G]) runShards(exec int) {
-	nShards := int64(len(e.sharded.shards))
-	for {
-		s := e.sharded.cursor.Add(1) - 1
-		if s >= nShards {
-			return
+	claims := e.sharded.claims
+	for k := range claims {
+		c := &claims[(exec+k)%len(claims)]
+		for s := c.next.Add(1) - 1; s < c.end; s = c.next.Add(1) - 1 {
+			e.runShard(int(s), exec)
 		}
-		e.runShard(int(s), exec)
 	}
 }
 

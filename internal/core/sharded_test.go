@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -235,6 +236,121 @@ func TestShardedBarrierStress(t *testing.T) {
 				runtime.NumGoroutine(), baseline)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestShardedClaimCoverage pins the shard claim protocol over ragged
+// populations: every shard runs exactly once per step, whichever executor
+// runs it; when one executor is slow, the others steal from its range once
+// their own are drained; and the trajectory equals the Workers: 1 run.
+// Each executor's recycling crossover instance sees which shard it serves
+// (by the shard's RNG substream) and, at crossover rate 1, is called once
+// per offspring pair. Executor W-1 is the slow one: each step it holds
+// its first pair of its own range until another executor has run a shard
+// of that range, so a claim loop that never steals fails the test instead
+// of merely running slower.
+func TestShardedClaimCoverage(t *testing.T) {
+	const gens = 6
+	trace := func(t *testing.T, workers, pop int) []uint64 {
+		var (
+			eng      *Engine[[]int]
+			mu       sync.Mutex
+			pairs    []int // per shard: crossover calls in the current step
+			stolen   atomic.Bool
+			timedOut atomic.Bool
+			execs    int
+		)
+		slow := workers - 1
+		// shardOf maps a shard's substream to its index, and owner a shard
+		// to the executor whose range holds it.
+		shardOf := func(r *rng.RNG) int {
+			for s, sr := range eng.sharded.rngs {
+				if sr == r {
+					return s
+				}
+			}
+			return -1
+		}
+		owner := func(s int) int {
+			for k := range eng.sharded.claims {
+				if int64(s) < eng.sharded.claims[k].end {
+					return k
+				}
+			}
+			return -1
+		}
+		ops := shardedOps()
+		crossInto := ops.CrossInto
+		ops.CrossInto = func() CrossoverInto[[]int] {
+			exec := execs // New creates the instances in executor order
+			execs++
+			cross := crossInto()
+			return func(r *rng.RNG, a, b, d1, d2 []int) ([]int, []int) {
+				s := shardOf(r)
+				if s < 0 {
+					t.Error("crossover drew from no shard's substream")
+					return cross(r, a, b, d1, d2)
+				}
+				own := owner(s)
+				mu.Lock()
+				pairs[s]++
+				mu.Unlock()
+				if own != exec && own == slow {
+					stolen.Store(true)
+				}
+				if workers > 1 && exec == slow && own == slow {
+					for deadline := time.Now().Add(2 * time.Second); !stolen.Load() && !timedOut.Load(); {
+						if time.Now().After(deadline) {
+							timedOut.Store(true)
+						}
+						time.Sleep(20 * time.Microsecond)
+					}
+				}
+				return cross(r, a, b, d1, d2)
+			}
+		}
+		eng = New(shardedProblem(9), rng.New(31), Config[[]int]{
+			Pop: pop, Workers: workers, Ops: ops, CrossoverRate: 1,
+			Term: Termination{MaxGenerations: 1 << 30},
+		})
+		defer eng.Close()
+		if execs != workers || len(eng.sharded.claims) != workers {
+			t.Fatalf("%d crossover instances and %d claim ranges for %d workers", execs, len(eng.sharded.claims), workers)
+		}
+		if c := &eng.sharded.claims[slow]; c.end-c.lo < 2 {
+			t.Fatalf("slow executor's range [%d,%d) has no shard left to steal", c.lo, c.end)
+		}
+		pairs = make([]int, ShardCount(pop))
+		out := make([]uint64, 0, gens)
+		for g := 0; g < gens; g++ {
+			stolen.Store(false)
+			eng.Step()
+			for s, n := range pairs {
+				rg := eng.sharded.shards[s]
+				if want := (rg.hi - rg.lo + 1) / 2; n != want {
+					t.Fatalf("generation %d: shard %d made %d crossovers, want %d (one run)", g+1, s, n, want)
+				}
+				pairs[s] = 0
+			}
+			if workers > 1 && !stolen.Load() {
+				t.Fatalf("generation %d: no executor stole from the slow executor's range", g+1)
+			}
+			out = append(out, populationTrace(eng))
+		}
+		return out
+	}
+	for _, pop := range []int{30, 80, 161} {
+		want := trace(t, 1, pop)
+		for workers := 2; workers <= 5; workers++ {
+			t.Run(fmt.Sprintf("pop%d/workers%d", pop, workers), func(t *testing.T) {
+				got := trace(t, workers, pop)
+				for g := range want {
+					if got[g] != want[g] {
+						t.Fatalf("generation %d differs from the Workers: 1 run", g+1)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -472,11 +472,11 @@ func (n *Node) handleResubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := serve.ValidateSpec(spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorBody{Error: err.Error()})
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := solver.ValidateCheckpoint(spec, req.Checkpoint); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorBody{Error: err.Error()})
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	n.setFastForward(spec.Params.FedKey, spec.Params.FedRank, req.FleetEpoch)
@@ -484,7 +484,7 @@ func (n *Node) handleResubmit(w http.ResponseWriter, r *http.Request) {
 	// lifetime, like any submitted job.
 	job, err := n.svc.SubmitOpts(context.Background(), spec, solver.SubmitOptions{Resume: req.Checkpoint})
 	if err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity, serve.ErrorBody{Error: err.Error()})
+		serve.WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	n.logf("federation: resumed shard %d of %s from epoch %d as job %s",

@@ -615,8 +615,8 @@ func TestResubmitRejectsOldWireCheckpoint(t *testing.T) {
 
 // TestResubmitRejectsInstancePath: a resubmitted shard spec must name a
 // registry instance, exactly like POST /v1/jobs. A file path is a 400
-// before anything opens it, even when the file holds a valid instance, and
-// no job is created.
+// before anything opens it, even when the file holds a valid instance,
+// with the same fields array as POST /v1/jobs, and no job is created.
 func TestResubmitRejectsInstancePath(t *testing.T) {
 	fleet := newFleet(t, 2, federation.Config{})
 	data, err := shop.FT06().JSON()
@@ -646,6 +646,9 @@ func TestResubmitRejectsInstancePath(t *testing.T) {
 	_ = json.NewDecoder(resp.Body).Decode(&eb)
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, "registry names only") {
 		t.Errorf("file-path resubmit: %d %q, want 400 registry names only", resp.StatusCode, eb.Error)
+	}
+	if len(eb.Fields) == 0 || eb.Fields[0].Path != "problem.instance" {
+		t.Errorf("file-path resubmit: fields %+v, want the problem.instance field error POST /v1/jobs returns", eb.Fields)
 	}
 	for state, n := range fleet[0].Srv.Service().Stats().Jobs {
 		if n != 0 {

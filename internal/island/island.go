@@ -309,7 +309,7 @@ func (m *Model[G]) stepAll() {
 // are snapshotted from every island first, then injected, so the exchange
 // is simultaneous and order-independent. It returns the epoch's directed
 // shipment tally for EpochStats.
-func (m *Model[G]) migrate(epoch int) []Exchange {
+func (m *Model[G]) migrate() []Exchange {
 	n := len(m.engines)
 	if n < 2 {
 		return nil
@@ -322,7 +322,7 @@ func (m *Model[G]) migrate(epoch int) []Exchange {
 	var ships []shipment
 	var edges []Exchange
 	for i, e := range m.engines {
-		targets := m.cfg.Topology.Targets(i, n, epoch, m.rng)
+		targets := m.cfg.Topology.Targets(i, n)
 		if len(targets) == 0 {
 			continue
 		}
@@ -545,7 +545,7 @@ func (m *Model[G]) Run() Result[G] {
 	epoch := m.epoch
 	for ; epoch < m.cfg.Epochs && !m.done(); epoch++ {
 		m.stepAll()
-		edges := m.migrate(epoch)
+		edges := m.migrate()
 		edges = append(edges, m.exchange(epoch)...)
 		if tl := m.cfg.TwoLevel; tl != nil {
 			if (epoch+1)%(tl.LN/tl.GN) == 0 {

@@ -29,13 +29,12 @@ func TestEvaluationsAccounting(t *testing.T) {
 // for the static topologies — the property the agents package's barrier
 // arithmetic relies on.
 func TestDeterministicTopologiesSymmetric(t *testing.T) {
-	r := rng.New(2)
 	for _, topo := range []Topology{Ring{}, BiRing{}, Torus2D{}, FullyConnected{}, Hypercube{}} {
 		for _, n := range []int{2, 4, 6, 8, 12} {
 			out := make([]int, n)
 			in := make([]int, n)
 			for i := 0; i < n; i++ {
-				for _, tgt := range topo.Targets(i, n, 0, r) {
+				for _, tgt := range topo.Targets(i, n) {
 					out[i]++
 					in[tgt]++
 				}

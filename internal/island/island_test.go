@@ -67,7 +67,6 @@ func baseConfig(n int) Config[[]int] {
 }
 
 func TestTopologyProperties(t *testing.T) {
-	r := rng.New(1)
 	topos := []Topology{Ring{}, BiRing{}, Torus2D{}, FullyConnected{}, Star{}, Hypercube{}}
 	for _, topo := range topos {
 		if topo.Name() == "" {
@@ -75,7 +74,7 @@ func TestTopologyProperties(t *testing.T) {
 		}
 		for _, n := range []int{2, 3, 4, 6, 8, 9, 12} {
 			for i := 0; i < n; i++ {
-				targets := topo.Targets(i, n, 3, r)
+				targets := topo.Targets(i, n)
 				seen := map[int]bool{}
 				for _, tgt := range targets {
 					if tgt < 0 || tgt >= n {
@@ -95,41 +94,40 @@ func TestTopologyProperties(t *testing.T) {
 }
 
 func TestTopologyShapes(t *testing.T) {
-	r := rng.New(2)
-	if got := (Ring{}).Targets(3, 8, 0, r); len(got) != 1 || got[0] != 4 {
+	if got := (Ring{}).Targets(3, 8); len(got) != 1 || got[0] != 4 {
 		t.Errorf("ring targets = %v", got)
 	}
-	if got := (Ring{}).Targets(7, 8, 0, r); got[0] != 0 {
+	if got := (Ring{}).Targets(7, 8); got[0] != 0 {
 		t.Errorf("ring wrap = %v", got)
 	}
-	if got := (BiRing{}).Targets(0, 5, 0, r); len(got) != 2 {
+	if got := (BiRing{}).Targets(0, 5); len(got) != 2 {
 		t.Errorf("bi-ring degree = %v", got)
 	}
-	if got := (FullyConnected{}).Targets(2, 6, 0, r); len(got) != 5 {
+	if got := (FullyConnected{}).Targets(2, 6); len(got) != 5 {
 		t.Errorf("fully connected degree = %v", got)
 	}
 	// Star: hub reaches all leaves, leaves reach only the hub.
-	if got := (Star{}).Targets(0, 5, 0, r); len(got) != 4 {
+	if got := (Star{}).Targets(0, 5); len(got) != 4 {
 		t.Errorf("star hub = %v", got)
 	}
-	if got := (Star{}).Targets(3, 5, 0, r); len(got) != 1 || got[0] != 0 {
+	if got := (Star{}).Targets(3, 5); len(got) != 1 || got[0] != 0 {
 		t.Errorf("star leaf = %v", got)
 	}
 	// Hypercube with 8 islands: exactly 3 neighbours each (Asadzadeh).
 	for i := 0; i < 8; i++ {
-		if got := (Hypercube{}).Targets(i, 8, 0, r); len(got) != 3 {
+		if got := (Hypercube{}).Targets(i, 8); len(got) != 3 {
 			t.Errorf("cube degree at %d = %v", i, got)
 		}
 	}
 	// Torus on 6 islands: 2x3 grid, degree 3..4 (wrap duplicates removed).
 	for i := 0; i < 6; i++ {
-		got := (Torus2D{}).Targets(i, 6, 0, r)
+		got := (Torus2D{}).Targets(i, 6)
 		if len(got) < 2 || len(got) > 4 {
 			t.Errorf("torus degree at %d = %v", i, got)
 		}
 	}
 	// Prime count degenerates to ring-ish (1 x n): two lateral neighbours.
-	if got := (Torus2D{}).Targets(0, 7, 0, r); len(got) == 0 {
+	if got := (Torus2D{}).Targets(0, 7); len(got) == 0 {
 		t.Error("torus with prime n has no targets")
 	}
 }

@@ -1,19 +1,17 @@
 package island
 
-import "repro/internal/rng"
-
 // Topology decides where island i's emigrants go. Implementations cover
 // every connection scheme the survey reports: ring (most frequent), mesh /
 // two-dimensional torus and fully-connected (Defersha & Chen [35]), star
 // (Gu et al.'s hybrid star [28]), hypercube (Asadzadeh & Zamanifar's
-// virtual cube of eight agents [27]), random per-epoch routes (Defersha &
-// Chen [36]) and all-to-all broadcast (Kokosiński & Studzienny [32]).
+// virtual cube of eight agents [27]) and all-to-all broadcast (Kokosiński
+// & Studzienny [32]).
 type Topology interface {
 	// Name identifies the topology in experiment tables.
 	Name() string
-	// Targets returns the destination islands of island i out of n at the
-	// given migration epoch. r is only consulted by randomised topologies.
-	Targets(i, n, epoch int, r *rng.RNG) []int
+	// Targets returns the destination islands of island i out of n. Routes
+	// are fixed: every migration epoch uses the same ones.
+	Targets(i, n int) []int
 }
 
 // None disables migration entirely: islands evolve in complete isolation,
@@ -26,7 +24,7 @@ type None struct{}
 func (None) Name() string { return "none" }
 
 // Targets implements Topology.
-func (None) Targets(int, int, int, *rng.RNG) []int { return nil }
+func (None) Targets(int, int) []int { return nil }
 
 // Ring connects island i to (i+1) mod n.
 type Ring struct{}
@@ -35,7 +33,7 @@ type Ring struct{}
 func (Ring) Name() string { return "ring" }
 
 // Targets implements Topology.
-func (Ring) Targets(i, n, _ int, _ *rng.RNG) []int {
+func (Ring) Targets(i, n int) []int {
 	if n < 2 {
 		return nil
 	}
@@ -49,7 +47,7 @@ type BiRing struct{}
 func (BiRing) Name() string { return "bi-ring" }
 
 // Targets implements Topology.
-func (BiRing) Targets(i, n, _ int, _ *rng.RNG) []int {
+func (BiRing) Targets(i, n int) []int {
 	if n < 2 {
 		return nil
 	}
@@ -70,7 +68,7 @@ type Torus2D struct{}
 func (Torus2D) Name() string { return "mesh-torus" }
 
 // Targets implements Topology.
-func (Torus2D) Targets(i, n, _ int, _ *rng.RNG) []int {
+func (Torus2D) Targets(i, n int) []int {
 	if n < 2 {
 		return nil
 	}
@@ -109,7 +107,7 @@ type FullyConnected struct{}
 func (FullyConnected) Name() string { return "fully-connected" }
 
 // Targets implements Topology.
-func (FullyConnected) Targets(i, n, _ int, _ *rng.RNG) []int {
+func (FullyConnected) Targets(i, n int) []int {
 	out := make([]int, 0, n-1)
 	for t := 0; t < n; t++ {
 		if t != i {
@@ -128,7 +126,7 @@ type Star struct{}
 func (Star) Name() string { return "star" }
 
 // Targets implements Topology.
-func (Star) Targets(i, n, _ int, _ *rng.RNG) []int {
+func (Star) Targets(i, n int) []int {
 	if n < 2 {
 		return nil
 	}
@@ -151,7 +149,7 @@ type Hypercube struct{}
 func (Hypercube) Name() string { return "hypercube" }
 
 // Targets implements Topology.
-func (Hypercube) Targets(i, n, _ int, _ *rng.RNG) []int {
+func (Hypercube) Targets(i, n int) []int {
 	var out []int
 	for b := 1; b < n; b <<= 1 {
 		if t := i ^ b; t < n {

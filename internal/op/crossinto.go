@@ -8,8 +8,8 @@ import (
 // Recycling (CrossoverInto) variants of the crossovers the default operator
 // bundles use. Each *Into constructor returns a FACTORY: the engine calls
 // it once per worker, so an instance may keep private scratch (JOX's
-// keep-mask, OX's segment marks, both operators' fill buffers) without any
-// cross-goroutine sharing.
+// keep-mask and position lists, OX's segment marks and fill buffer)
+// without any cross-goroutine sharing.
 //
 // JOX and OX have one kernel each: the plain JOX and OX run the same
 // kernel on fresh scratch and fresh children. The kernels are branch-free
@@ -40,7 +40,7 @@ func intoKeys(dst []float64, n int) []float64 {
 }
 
 // JOXInto is the recycling job-order crossover (see JOX). The factory's
-// instances own the keep-mask and fill scratch.
+// instances own the keep-mask and position scratch.
 func JOXInto(numJobs int) func() core.CrossoverInto[[]int] {
 	return func() core.CrossoverInto[[]int] {
 		k := &joxKernel{keep: make([]int, numJobs)}
@@ -49,11 +49,10 @@ func JOXInto(numJobs int) func() core.CrossoverInto[[]int] {
 }
 
 // joxKernel is one JOX instance's scratch: keep[j] is 1 when job j keeps
-// its positions from the first parent, 0 otherwise, and fill holds the
-// second parent's compacted unkept tokens (plus one slot of slack, see
-// joxChildInto).
+// its positions in both children, 0 otherwise, and pos holds the two
+// parents' unkept-position lists (see joxPairInto).
 type joxKernel struct {
-	keep, fill []int
+	keep, pos []int
 }
 
 func (k *joxKernel) cross(r *rng.RNG, a, b, dst1, dst2 []int) ([]int, []int) {
@@ -61,33 +60,37 @@ func (k *joxKernel) cross(r *rng.RNG, a, b, dst1, dst2 []int) ([]int, []int) {
 		k.keep[j] = btoi(r.Bool(0.5))
 	}
 	n := len(a)
-	k.fill = intoInts(k.fill, n+1)
+	k.pos = intoInts(k.pos, 2*n)
 	dst1 = intoInts(dst1, n)
 	dst2 = intoInts(dst2, n)
-	joxChildInto(dst1, a, b, k.keep, k.fill)
-	joxChildInto(dst2, b, a, k.keep, k.fill)
+	joxPairInto(dst1, dst2, a, b, k.keep, k.pos[:n], k.pos[n:])
 	return dst1, dst2
 }
 
-// joxChildInto writes the JOX child of (a, b) into child in two
-// branch-free passes. The first compacts b's unkept tokens into fill: it
-// always writes and advances by 1-keep. The second walks a and selects,
-// per position, a's token when kept or the next fill token otherwise, with
-// an arithmetic select on the mask m = 1-keep. fill needs len(a)+1 slots:
-// after the last fill token is consumed, kept positions still read (and
-// discard) fill[f] with f = len(a) in the worst case. a and b must hold
-// the same token multiset.
-func joxChildInto(child, a, b, keep, fill []int) {
-	w := 0
-	for _, x := range b {
-		fill[w] = x
-		w += 1 - keep[x]
+// joxPairInto writes both JOX children of (a, b) — c1 keeps a's kept
+// tokens in place, c2 keeps b's — in one branch-free compaction pass. The
+// pass lists the positions of a's unkept tokens in pa and of b's in pb:
+// it always writes position i and advances each list's cursor by
+// 1-keep[token]. The k-th unkept slot of one parent takes the other
+// parent's k-th unkept token, so after copying the parents into the
+// children one loop over the u unkept slots swaps those tokens across.
+// pa and pb need len(a) slots each; a and b must hold the same token
+// multiset (then both lists have the same length u).
+func joxPairInto(c1, c2, a, b, keep, pa, pb []int) {
+	wa, wb := 0, 0
+	for i := range a {
+		pa[wa] = i
+		wa += 1 - keep[a[i]]
+		pb[wb] = i
+		wb += 1 - keep[b[i]]
 	}
-	f := 0
-	for i, x := range a {
-		m := 1 - keep[x]
-		child[i] = x ^ ((x ^ fill[f]) & -m)
-		f += m
+	copy(c1, a)
+	copy(c2, b)
+	pa, pb = pa[:wa], pb[:min(wa, wb)]
+	for k, i := range pb {
+		j := pa[k]
+		c1[j] = b[i]
+		c2[i] = a[j]
 	}
 }
 

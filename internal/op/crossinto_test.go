@@ -123,23 +123,26 @@ func TestCrossIntoMatchesCross(t *testing.T) {
 		}
 	})
 
-	// Extreme keep-masks: every job kept copies the first parent, none kept
-	// copies the second.
+	// Extreme keep-masks: every job kept copies each parent into its own
+	// child, none kept swaps them.
 	t.Run("JOXChildExtremeMasks", func(t *testing.T) {
 		gr := rng.New(7100)
 		const jobs = 10
 		a, b := randomOpSeq(gr, jobs, 10), randomOpSeq(gr, jobs, 10)
-		fill := make([]int, len(a)+1)
+		pa, pb := make([]int, len(a)), make([]int, len(a))
 		for _, bit := range []int{0, 1} {
 			keep := make([]int, jobs)
 			keepB := make([]bool, jobs)
 			for j := range keep {
 				keep[j], keepB[j] = bit, bit == 1
 			}
-			got := make([]int, len(a))
-			joxChildInto(got, a, b, keep, fill)
-			if want := joxChild(a, b, keepB); !reflect.DeepEqual(got, want) {
-				t.Fatalf("keep=%d: child %v != reference %v", bit, got, want)
+			got1, got2 := make([]int, len(a)), make([]int, len(a))
+			joxPairInto(got1, got2, a, b, keep, pa, pb)
+			if want := joxChild(a, b, keepB); !reflect.DeepEqual(got1, want) {
+				t.Fatalf("keep=%d: first child %v != reference %v", bit, got1, want)
+			}
+			if want := joxChild(b, a, keepB); !reflect.DeepEqual(got2, want) {
+				t.Fatalf("keep=%d: second child %v != reference %v", bit, got2, want)
 			}
 		}
 	})

@@ -4,7 +4,7 @@ import "repro/internal/rng"
 
 // Reference bodies of the crossover kernels: the straightforward branchy
 // formulations JOX, OX and LOX were first written as. The production
-// kernels (joxChildInto, oxChildInto, loxChild) must reproduce them child
+// kernels (joxPairInto, oxChildInto, loxChild) must reproduce them child
 // for child; TestCrossIntoMatchesCross and the fuzz targets check it.
 
 // joxOracle is JOX over the reference child body, drawing the keep-mask

@@ -313,8 +313,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeError maps an error onto a status and the standard error body.
-func writeError(w http.ResponseWriter, status int, err error) {
+// WriteError maps an error onto a status and the standard error body; a
+// *solver.ValidationError anywhere in err's chain also fills Fields. The
+// federation endpoints answer through it too, so every 400 for a broken
+// spec carries the same body.
+func WriteError(w http.ResponseWriter, status int, err error) {
 	body := ErrorBody{Error: err.Error()}
 	var verr *solver.ValidationError
 	if errors.As(err, &verr) {
@@ -370,11 +373,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing spec: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("parsing spec: %w", err))
 		return
 	}
 	if err := ValidateSpec(spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Per-job deadline: every job gets a wall budget no larger than the
@@ -399,13 +402,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 	case errors.Is(err, solver.ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case errors.Is(err, solver.ErrBusy):
-		writeError(w, http.StatusTooManyRequests, err)
+		WriteError(w, http.StatusTooManyRequests, err)
 		return
 	default:
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+job.ID())
@@ -498,7 +501,7 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*solver.Job, bo
 	id := r.PathValue("id")
 	job, ok := s.svc.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 	}
 	return job, ok
 }
@@ -550,7 +553,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported by connection"))
+		WriteError(w, http.StatusInternalServerError, errors.New("streaming unsupported by connection"))
 		return
 	}
 	st := sseStream{w: w, fl: fl, lastSeen: -1}
