@@ -283,12 +283,34 @@ func BenchmarkHotPath(b *testing.B) {
 	// perfbench's client reads it. The runner starts once the stream is
 	// open and emits back to back, so ns/op is the event stream's own cost
 	// per job; B/op and allocs/op count server and client together.
-	b.Run("sse-job-302", func(b *testing.B) { benchSSEJob(b, 300) })
+	b.Run("sse-job-302", func(b *testing.B) { benchSSEJob(b, 300, 0) })
+	// The same job paced like a model: the runner spins a fixed amount of
+	// work (tens of us, on the order of one flow generation) before each
+	// progress event and times every emit call, reported as ns/emit. That
+	// is the cost a job's compute goroutine pays per event with a live
+	// stream attached, which the back-to-back sse-job-302 row cannot show.
+	b.Run("sse-paced-302", func(b *testing.B) { benchSSEJob(b, 300, 1<<14) })
+}
+
+// spinSink keeps spinWork's result live.
+var spinSink uint64
+
+// spinWork is n dependent multiply-adds: a fixed amount of CPU work that,
+// unlike a sleep or a deadline loop, takes the same instructions on
+// every build.
+func spinWork(n int) {
+	x := spinSink
+	for i := 0; i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+	}
+	spinSink = x
 }
 
 // benchSSEJob runs one SSE job per op with the given number of progress
-// events; see BenchmarkHotPath's sse-job-302 row.
-func benchSSEJob(b *testing.B, progress int) {
+// events; see BenchmarkHotPath's sse-job-302 row. With spin > 0 the
+// runner does spinWork(spin) before each event and the row also reports
+// the mean duration of an emit call (sse-paced-302).
+func benchSSEJob(b *testing.B, progress, spin int) {
 	// The replay ring and the subscriber buffer both hold the whole job,
 	// so no frame is lost however the runner and the stream interleave.
 	srv, err := serve.New(serve.Config{EventHistory: 512})
@@ -306,6 +328,7 @@ func benchSSEJob(b *testing.B, progress int) {
 		Params:  solver.Params{Pop: 80, Workers: 2},
 		Budget:  solver.Budget{Generations: progress},
 	}
+	var emitTime time.Duration // written by each runner, read after its Await
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -313,7 +336,15 @@ func benchSSEJob(b *testing.B, progress int) {
 		job, err := srv.Service().SubmitRunner(ctx, spec, func(ctx context.Context, emit func(solver.Event)) (*solver.Result, error) {
 			<-open
 			for g := 1; g <= progress; g++ {
-				emit(solver.Event{Type: solver.EventGeneration, Generation: g, Evaluations: int64(80 * g), BestObjective: 1000})
+				ev := solver.Event{Type: solver.EventGeneration, Generation: g, Evaluations: int64(80 * g), BestObjective: 1000}
+				if spin == 0 {
+					emit(ev)
+					continue
+				}
+				spinWork(spin)
+				t0 := time.Now()
+				emit(ev)
+				emitTime += time.Since(t0)
 			}
 			return &solver.Result{Model: "ms", Instance: "ft10", Generations: progress, Evaluations: int64(80 * progress), BestObjective: 1000}, nil
 		})
@@ -335,6 +366,9 @@ func benchSSEJob(b *testing.B, progress int) {
 			b.Fatal(err)
 		}
 		srv.Service().Remove(job.ID())
+	}
+	if spin > 0 {
+		b.ReportMetric(float64(emitTime.Nanoseconds())/float64(b.N*progress), "ns/emit")
 	}
 }
 
@@ -442,10 +476,11 @@ func pairedRatio(reps int, a, b func()) float64 {
 // TestBatchKernelSpeedup ratchets the batch rung against the scalar kernels
 // on the BENCH_hotpath workloads: the flow shop's register-block sweep and
 // the job shop's 4-wide lockstep decode must hold >= 1.2x on the 20x5 flow
-// shop row and the 15x10 job shop row (measured ~2.4-3.1x and ~2.0-2.5x
-// on a shared 2-vCPU x86-64 host). Measurement is paired (kernel and batch
-// timings interleaved, best-of-reps minima) so host frequency drift
-// cannot fake or mask a regression, with best-of-3 attempts on top. The
+// shop row and the 15x10 job shop row (measured ~3.3-4.2x, the 20x5
+// sweep touching no ready row, and ~2.0-2.5x on a shared 2-vCPU x86-64
+// host). Measurement is paired (kernel and batch timings interleaved,
+// best-of-reps minima) so host frequency drift cannot fake or mask a
+// regression, with best-of-3 attempts on top. The
 // thresholds sit well below the measured ratios because binary layout
 // alone moves the scalar kernel's tight loop ~10% between builds (linking
 // unrelated code into the test binary shifted flow from ~1.6x to ~1.45x

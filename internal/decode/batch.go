@@ -47,6 +47,10 @@ const batchW = 4
 // last block.
 const flowBlock = 5
 
+// flowRow is one job's row of a flow stage block: its flowBlock durations,
+// then, in the first block only, its release date (see BatchScratch).
+type flowRow [flowBlock + 1]int32
+
 // BatchScratch is a reusable workspace for batch evaluation of genome
 // shards on one instance. It holds instance-derived flat operation tables
 // precomputed once at construction, plus per-slot decode state. All
@@ -57,10 +61,13 @@ const flowBlock = 5
 //
 // The flow-shop sweep reads durations from flowTab, block-major:
 // flowTab[blk*n+j][k] is job j's duration on stage blk*flowBlock+k, zero
-// past the last stage. A zero-duration padded stage only copies the
-// running completion forward (its machine is free no later than the job
-// arrives), so padding changes no real stage and the padded machine-free
-// time equals the last real stage's.
+// past the last stage, and the extra column flowTab[j][flowBlock] of the
+// first block's rows is job j's release date (zero in later blocks), so
+// the first block finds a job's release in the row it already loads. A
+// zero-duration padded stage only copies the running completion forward
+// (its machine is free no later than the job arrives), so padding changes
+// no real stage and the padded machine-free time equals the last real
+// stage's.
 //
 // The job-shop sweep keeps each slot's whole decode state in one int32
 // row of rowLen columns:
@@ -83,13 +90,14 @@ type BatchScratch struct {
 	n  int // jobs
 	m  int // machines
 
-	// flowTab is the flow shop's block-major duration table (see above),
-	// flowRel its per-job release dates, and flowReady the ready row: one
-	// entry per permutation position carrying that job's completion from
-	// one block to the next. flowTab is nil unless flowShopFitsInt32
-	// holds; the flow sweep then always falls back to the scalar kernel.
-	flowTab   [][flowBlock]int32
-	flowRel   []int32
+	// flowTab is the flow shop's block-major duration and release table
+	// (see above), and flowReady the ready row: one entry per permutation
+	// position carrying that job's completion from one block to the next
+	// (nil when m <= flowBlock, since the first block reads releases from
+	// flowTab and the last writes nothing). flowTab is nil unless
+	// flowShopFitsInt32 holds; the flow sweep then always falls back to
+	// the scalar kernel.
+	flowTab   []flowRow
 	flowReady []int32
 	// flowWork is each job's total work and flowBudget is MaxInt32 minus
 	// the latest release: a token stream whose summed work fits the budget
@@ -172,18 +180,19 @@ func flowShopFitsInt32(in *shop.Instance) bool {
 	return true
 }
 
-// packFlowShop builds the flow sweep's block-major duration table, release
-// and work tables, and ready row.
+// packFlowShop builds the flow sweep's block-major duration and release
+// table, work table and, when there is more than one block, ready row.
 func (b *BatchScratch) packFlowShop() {
 	n, m := b.n, b.m
 	blocks := (m + flowBlock - 1) / flowBlock
-	b.flowTab = make([][flowBlock]int32, blocks*n)
-	b.flowRel = make([]int32, n)
-	b.flowReady = make([]int32, n)
+	b.flowTab = make([]flowRow, blocks*n)
+	if blocks > 1 {
+		b.flowReady = make([]int32, n)
+	}
 	b.flowWork = make([]int64, n)
 	var maxRel, maxWork int64
 	for j, job := range b.in.Jobs {
-		b.flowRel[j] = int32(job.Release)
+		b.flowTab[j][flowBlock] = int32(job.Release)
 		maxRel = max(maxRel, int64(job.Release))
 		for k := range job.Ops {
 			t := job.Ops[k].Times[0]
@@ -320,42 +329,89 @@ func (b *BatchScratch) flowFits(perm []int) bool {
 }
 
 // flowShopBlocks runs the completion-row recurrence over perm one stage
-// block at a time: the ready row starts at each position's release and,
-// after each block, holds that position's completion on the block's last
-// stage, which is where the next block's first stage picks the job up.
-// The last position's final completion is the makespan (0 for an empty
-// perm), since with non-negative times no machine frees later.
+// block at a time. The first block reads each job's release from its
+// duration row, and the last keeps its completions in registers, so only
+// the boundaries between blocks pass through the ready row: after every
+// block but the last, ready[p] holds position p's completion on that
+// block's last stage, which is where the next block's first stage picks
+// the job up. With m <= flowBlock the one block is both, and the sweep
+// touches no ready row at all. The last block's final machine-free time
+// is the makespan (0 for an empty perm), since with non-negative times no
+// machine frees later.
 func (b *BatchScratch) flowShopBlocks(perm []int) int32 {
-	n := b.n
+	n, tab := b.n, b.flowTab
+	if len(tab) == n {
+		return flowSweepOnly(perm, tab)
+	}
 	ready := b.flowReady[:len(perm)]
-	for p, j := range perm {
-		ready[p] = b.flowRel[j]
+	flowSweepFirst(perm, tab[:n:n], ready)
+	lo := n
+	for ; lo < len(tab)-n; lo += n {
+		flowSweepMid(perm, tab[lo:lo+n:lo+n], ready)
 	}
-	var ms int32
-	for lo := 0; lo < len(b.flowTab); lo += n {
-		ms = flowSweep(perm, b.flowTab[lo:lo+n:lo+n], ready)
-	}
-	return ms
+	return flowSweepLast(perm, tab[lo:], ready)
 }
 
-// flowSweep is one register-block pass: five stages over the whole
-// permutation, the five machine-free times in locals. Each position reads
-// its job's five durations as one array row, chains its ready time
-// through the five stages, and writes its last-stage completion back to
-// the ready row. Returns the block's last machine-free time.
-func flowSweep(perm []int, tab [][flowBlock]int32, ready []int32) int32 {
+// The flow sweeps are one register-block pass each: five stages over the
+// whole permutation, the five machine-free times in locals. Each position
+// reads its job's flowRow and chains its ready time through the five
+// stages (flowChain). They differ only in where the ready time comes from
+// (the row's release in the first block, the ready row after it) and
+// whether the last-stage completion goes back to the ready row (every
+// block but the last). Only and Last return the block's last machine-free
+// time, the makespan.
+
+// flowSweepOnly is the single block of an m <= flowBlock instance.
+func flowSweepOnly(perm []int, tab []flowRow) int32 {
+	var f0, f1, f2, f3, f4 int32
+	for _, j := range perm {
+		d := &tab[j]
+		f0, f1, f2, f3, f4 = flowChain(d[flowBlock], d, f0, f1, f2, f3, f4)
+	}
+	return f4
+}
+
+// flowSweepFirst is the first of several blocks.
+func flowSweepFirst(perm []int, tab []flowRow, ready []int32) {
 	var f0, f1, f2, f3, f4 int32
 	ready = ready[:len(perm)]
 	for p, j := range perm {
 		d := &tab[j]
-		f0 = max(ready[p], f0) + d[0]
-		f1 = max(f0, f1) + d[1]
-		f2 = max(f1, f2) + d[2]
-		f3 = max(f2, f3) + d[3]
-		f4 = max(f3, f4) + d[4]
+		f0, f1, f2, f3, f4 = flowChain(d[flowBlock], d, f0, f1, f2, f3, f4)
 		ready[p] = f4
 	}
+}
+
+// flowSweepMid is a block between the first and the last.
+func flowSweepMid(perm []int, tab []flowRow, ready []int32) {
+	var f0, f1, f2, f3, f4 int32
+	ready = ready[:len(perm)]
+	for p, j := range perm {
+		f0, f1, f2, f3, f4 = flowChain(ready[p], &tab[j], f0, f1, f2, f3, f4)
+		ready[p] = f4
+	}
+}
+
+// flowSweepLast is the last of several blocks.
+func flowSweepLast(perm []int, tab []flowRow, ready []int32) int32 {
+	var f0, f1, f2, f3, f4 int32
+	ready = ready[:len(perm)]
+	for p, j := range perm {
+		f0, f1, f2, f3, f4 = flowChain(ready[p], &tab[j], f0, f1, f2, f3, f4)
+	}
 	return f4
+}
+
+// flowChain takes one job, ready at r, through a block's five stages with
+// durations d and machine-free times f0..f4, and returns the new
+// machine-free times; f4 is the job's last-stage completion.
+func flowChain(r int32, d *flowRow, f0, f1, f2, f3, f4 int32) (int32, int32, int32, int32, int32) {
+	f0 = max(r, f0) + d[0]
+	f1 = max(f0, f1) + d[1]
+	f2 = max(f1, f2) + d[2]
+	f3 = max(f2, f3) + d[3]
+	f4 = max(f3, f4) + d[4]
+	return f0, f1, f2, f3, f4
 }
 
 // quadLen reports whether four sequences share one length, the

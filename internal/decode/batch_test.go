@@ -54,10 +54,22 @@ func TestBatchJobShopMatchesKernel(t *testing.T) {
 
 func TestBatchFlowShopMatchesKernel(t *testing.T) {
 	r := rng.New(22)
+	// released staggers a generated instance's release dates, so the
+	// first block's releases are read on multi-block shapes too.
+	released := func(in *shop.Instance) *shop.Instance {
+		for j := range in.Jobs {
+			in.Jobs[j].Release = 1 + (j*37)%53
+		}
+		return in
+	}
 	instances := map[string]*shop.Instance{
 		"12x5":  shop.GenerateFlowShop("b-fs", 12, 5, 81),
 		"20x10": shop.GenerateFlowShop("b-fs2", 20, 10, 82),
 		"1x1":   {Kind: shop.FlowShop, NumMachines: 1, Jobs: []shop.Job{{Ops: []shop.Operation{{Machines: []int{0}, Times: []int{4}}}, Release: 2}}},
+		// A full block, then a padded one-stage last block.
+		"15x6-released": released(shop.GenerateFlowShop("b-fs6", 15, 6, 83)),
+		// Four blocks: first, two middle, last.
+		"20x20-released": released(shop.GenerateFlowShop("b-fs20", 20, 20, 84)),
 	}
 	for name, in := range instances {
 		b := NewBatchScratch(in)
@@ -429,7 +441,7 @@ func FuzzBatchJobShopTokens(f *testing.F) {
 }
 
 // FuzzBatchFlowShop turns fuzzer bytes into a flow shop — n in 1..24, m in
-// 1..12 (so the last stage block is often zero-padded), releases and
+// 1..24 (one to five stage blocks, the last often zero-padded), releases and
 // durations with zeros — and checks the register-block sweep against the
 // scalar kernel on a permutation, partial and repeated token streams, the
 // empty stream and streams longer than n (the scalar fallback), in one
@@ -444,7 +456,7 @@ func FuzzBatchFlowShop(f *testing.F) {
 		if len(data) < 2 || len(data) > 4096 {
 			t.Skip()
 		}
-		n, m, body := 1+int(data[0])%24, 1+int(data[1])%12, data[2:]
+		n, m, body := 1+int(data[0])%24, 1+int(data[1])%24, data[2:]
 		at := func(i int) int {
 			if len(body) == 0 {
 				return 0

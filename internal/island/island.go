@@ -25,7 +25,9 @@
 package island
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/rng"
@@ -189,7 +191,8 @@ type Model[G any] struct {
 	history []EpochStats
 	removed int64 // evaluations of merged-away islands
 	gen     int
-	epoch   int // completed migration epochs (Run resumes here)
+	epoch   int   // completed migration epochs (Run resumes here)
+	order   []int // pickEmigrant's reused ranking buffer
 }
 
 // New builds the model: cfg.Problem(i) and split RNGs per island.
@@ -373,27 +376,33 @@ func (m *Model[G]) exchange(epoch int) []Exchange {
 }
 
 // pickEmigrant returns the population index of the k-th emigrant: the k-th
-// best resident for BestMigrants, a uniform draw for RandomMigrants.
+// best resident for BestMigrants, a uniform draw for RandomMigrants. Ties
+// go to the lowest index, as in a stable sort by objective: for k = 0 that
+// is the first strict minimum, found in one scan; for k > 0 the ranking is
+// stably sorted in a buffer the model reuses.
 func (m *Model[G]) pickEmigrant(e *core.Engine[G], k int) int {
 	pop := e.Population()
 	if m.cfg.Select == RandomMigrants {
 		return m.rng.Intn(len(pop))
 	}
-	if k >= len(pop) {
-		k = len(pop) - 1
-	}
-	idx := make([]int, len(pop))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 1; i < len(idx); i++ {
-		j := i
-		for j > 0 && pop[idx[j-1]].Obj > pop[idx[j]].Obj {
-			idx[j-1], idx[j] = idx[j], idx[j-1]
-			j--
+	if k == 0 {
+		best := 0
+		for i := range pop {
+			if pop[i].Obj < pop[best].Obj {
+				best = i
+			}
 		}
+		return best
 	}
-	return idx[k]
+	k = min(k, len(pop)-1)
+	m.order = m.order[:0]
+	for i := range pop {
+		m.order = append(m.order, i)
+	}
+	slices.SortStableFunc(m.order, func(a, b int) int {
+		return cmp.Compare(pop[a].Obj, pop[b].Obj)
+	})
+	return m.order[k]
 }
 
 // inject re-evaluates the genome under the target island's problem (islands

@@ -386,3 +386,45 @@ func TestReplaceAndSelectPolicies(t *testing.T) {
 		}
 	}
 }
+
+// TestPickEmigrantMatchesStableSort: BestMigrants picks the k-th entry of
+// the population stably sorted by objective (the lowest index among ties),
+// both through the k = 0 scan and the k > 0 ranking, on populations full
+// of ties and large enough that the stable sort merges sorted runs; and
+// neither path allocates once the ranking buffer is sized.
+func TestPickEmigrantMatchesStableSort(t *testing.T) {
+	cfg := baseConfig(8)
+	cfg.SubPop = 45
+	m := New(rng.New(37), cfg)
+	e := m.engines[0]
+	pop := e.Population()
+	r := rng.New(38)
+	oracle := func(k int) int {
+		idx := make([]int, len(pop))
+		for i := range idx {
+			idx[i] = i
+		}
+		for i := 1; i < len(idx); i++ {
+			for j := i; j > 0 && pop[idx[j-1]].Obj > pop[idx[j]].Obj; j-- {
+				idx[j-1], idx[j] = idx[j], idx[j-1]
+			}
+		}
+		return idx[min(k, len(idx)-1)]
+	}
+	for trial := 0; trial < 200; trial++ {
+		levels := 1 + trial%6
+		for i := range pop {
+			pop[i].Obj = float64(r.Intn(levels))
+		}
+		for k := 0; k <= len(pop)+1; k++ {
+			if got, want := m.pickEmigrant(e, k), oracle(k); got != want {
+				t.Fatalf("trial %d k %d: picked %d, stable sort picks %d", trial, k, got, want)
+			}
+		}
+	}
+	for _, k := range []int{0, 3} {
+		if n := testing.AllocsPerRun(20, func() { m.pickEmigrant(e, k) }); n != 0 {
+			t.Errorf("pickEmigrant(k=%d) allocates %v per call", k, n)
+		}
+	}
+}

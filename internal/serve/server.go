@@ -77,6 +77,12 @@ type Server struct {
 	// keyed request cannot race into duplicate jobs.
 	idemMu sync.Mutex
 	idem   map[string]string
+
+	// window is the event streams' flush window (sseWindow; tests
+	// lengthen it), and wakeHook, when set by a test, observes each
+	// wake-up of a stream's writer with its cause.
+	window   time.Duration
+	wakeHook func(cause string)
 }
 
 // New builds a Server and its backing Service. With a configured Store it
@@ -108,10 +114,11 @@ func New(cfg Config) (*Server, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	s := &Server{
-		cfg:   cfg,
-		store: cfg.Store,
-		stop:  make(chan struct{}),
-		idem:  map[string]string{},
+		cfg:    cfg,
+		store:  cfg.Store,
+		stop:   make(chan struct{}),
+		idem:   map[string]string{},
+		window: sseWindow,
 	}
 	s.svc = &solver.Service{
 		MaxConcurrent: cfg.MaxConcurrent,
@@ -528,7 +535,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // sseWindow bounds how long a progress frame may wait in an event
 // stream's buffer before it is flushed. Flushing is the costly part of a
 // frame (a write syscall that also wakes the reader), so frames produced
-// within one window share one flush.
+// within one window share one flush; and while a window is open the
+// writer does not wake for progress at all, so emitting one costs the
+// job a buffered channel send instead of a hand-off to a parked
+// goroutine.
 const sseWindow = 5 * time.Millisecond
 
 // handleEvents: GET /v1/jobs/{id}/events — the job's typed event stream
@@ -540,12 +550,18 @@ const sseWindow = 5 * time.Millisecond
 // which is always delivered so a resumed stream still observes closure.
 //
 // Only the transport batches. One receive loop renders every frame into
-// one reused buffer, draining whatever is already queued after each
-// receive, and flushes it at once when the done event is in it or when
-// the last flush is at least sseWindow old (so a lone event after a quiet
-// spell is never held); otherwise one reused timer flushes at the last
-// flush + sseWindow. Progress frames thus arrive at most sseWindow late,
-// possibly several per network write, with the same bytes, ids and order.
+// one reused buffer. An event that arrives while no window is open is
+// rendered with whatever else is queued and flushed at once when the done
+// event is in it or the last flush is at least the window old (so a lone
+// event after a quiet spell is never held); otherwise it opens a window:
+// one reused timer flushes at the last flush + window. While the window is
+// open the writer waits only on that timer, the job's end (it then writes
+// the queued frames through the done event and flushes at once), the
+// request, the drain stop and the subscription's bell, which rings when
+// the subscription passes half its capacity so a burst is drained before
+// it could drop a frame. Progress frames thus arrive at most one window
+// late, possibly several per network write, with the same bytes, ids and
+// order.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.lookup(w, r)
 	if !ok {
@@ -565,7 +581,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	st.enc = json.NewEncoder(&st.buf)
 	// Subscribe before the headers go out, so a client that has the
 	// response in hand is already receiving live events.
-	events := job.Events()
+	events, bell := job.EventsBell()
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
@@ -573,14 +589,20 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 	st.last = time.Now()
-	timer := time.NewTimer(sseWindow)
+	timer := time.NewTimer(s.window)
 	timer.Stop()
 	defer timer.Stop()
 	armed := false
 	for {
+		// With a window open, progress waits on the subscription and
+		// wakes nobody: only the timer, the job's end or the bell do.
+		var recv <-chan solver.Event
 		var tick <-chan time.Time
+		var ended, ring <-chan struct{}
 		if armed {
-			tick = timer.C
+			tick, ended, ring = timer.C, job.Done(), bell
+		} else {
+			recv = events
 		}
 		open := true
 		select {
@@ -590,17 +612,30 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			// Drain closes stop only after every job is terminal, so the
 			// subscriber channel already holds the remaining events up to
 			// the done: write them out so the stream ends with it.
+			s.woke("stop")
 			st.drain(events)
 			open = false
+		case <-ended:
+			// Likewise: the closed subscription holds every event up to
+			// the done; write them out and flush now.
+			s.woke("done")
+			open = st.drain(events)
+		case <-ring:
+			s.woke("bell")
+			if st.drain(events) {
+				continue
+			}
+			open = false
 		case <-tick:
+			s.woke("timer")
 			armed = false
-		case ev, ok := <-events:
+			open = st.drain(events)
+		case ev, ok := <-recv:
+			s.woke("event")
 			open = ok && st.add(ev) && st.drain(events)
-			if open && time.Since(st.last) < sseWindow {
-				if !armed {
-					timer.Reset(time.Until(st.last.Add(sseWindow)))
-					armed = true
-				}
+			if open && time.Since(st.last) < s.window {
+				timer.Reset(time.Until(st.last.Add(s.window)))
+				armed = true
 				continue
 			}
 		}
@@ -611,6 +646,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			timer.Stop()
 			armed = false
 		}
+	}
+}
+
+// woke reports one wake-up of a stream writer to the test hook, if set.
+func (s *Server) woke(cause string) {
+	if s.wakeHook != nil {
+		s.wakeHook(cause)
 	}
 }
 

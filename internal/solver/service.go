@@ -509,7 +509,7 @@ type Job struct {
 	finished  time.Time
 	result    *Result
 	err       error
-	subs      []chan Event
+	subs      []subscriber
 	// hist is the replay ring: it fills up to Service.EventHistory
 	// events, then each new event overwrites the oldest, at head.
 	hist []Event
@@ -599,25 +599,42 @@ func (j *Job) Cancel() { j.cancel() }
 // behind loses oldest live events first (the channel is buffered; see
 // Service.EventBuffer), never the done event.
 func (j *Job) Events() <-chan Event {
+	ch, _ := j.EventsBell()
+	return ch
+}
+
+// EventsBell is Events plus a bell: a one-slot channel that receives,
+// without ever blocking the job, whenever a live event leaves the
+// subscription more than half full. A consumer that drains on a timer
+// instead of on every event (the SSE writer) waits on the bell as well,
+// so a burst wakes it before the buffer fills and drops events. The bell
+// is never closed; Done marks the end of the job.
+func (j *Job) EventsBell() (<-chan Event, <-chan struct{}) {
 	buf := j.svc.EventBuffer
 	if buf <= 0 {
 		buf = 256
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	ch := make(chan Event, len(j.hist)+buf)
+	sub := subscriber{ch: make(chan Event, len(j.hist)+buf), bell: make(chan struct{}, 1)}
 	for _, ev := range j.hist[j.head:] {
-		ch <- ev
+		sub.ch <- ev
 	}
 	for _, ev := range j.hist[:j.head] {
-		ch <- ev
+		sub.ch <- ev
 	}
 	if j.state.Terminal() {
-		close(ch)
-		return ch
+		close(sub.ch)
+		return sub.ch, sub.bell
 	}
-	j.subs = append(j.subs, ch)
-	return ch
+	j.subs = append(j.subs, sub)
+	return sub.ch, sub.bell
+}
+
+// subscriber is one subscription: its event channel and its bell.
+type subscriber struct {
+	ch   chan Event
+	bell chan struct{}
 }
 
 // recordLocked stamps the event (job ID, next sequence number), stores
@@ -634,8 +651,14 @@ func (j *Job) recordLocked(ev Event) {
 		j.head = (j.head + 1) % len(j.hist)
 		j.svc.ringDrops.Add(1)
 	}
-	for _, ch := range j.subs {
-		sendDropOldest(ch, ev)
+	for _, sub := range j.subs {
+		sendDropOldest(sub.ch, ev)
+		if 2*len(sub.ch) > cap(sub.ch) {
+			select {
+			case sub.bell <- struct{}{}:
+			default:
+			}
+		}
 	}
 }
 
@@ -703,8 +726,8 @@ func (j *Job) finish(res *Result, err error) {
 		ev.Error = err.Error()
 	}
 	j.recordLocked(ev)
-	for _, ch := range j.subs {
-		close(ch)
+	for _, sub := range j.subs {
+		close(sub.ch)
 	}
 	j.subs = nil
 	j.cancel() // release the job context's resources
