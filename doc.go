@@ -46,11 +46,11 @@
 // started with the same -peers list form a static, coordinator-less
 // fleet (rank = index in the sorted list), a Spec submitted with
 // params.federate to any node fans its demes across the fleet, and the
-// nodes exchange migrant elites each migration epoch over
-// POST /v1/federation/migrants — packed genomes re-validated on
-// arrival, injected at epoch barriers in sender-rank order, per-rank
-// seeds derived via rng.SplitN, so a healthy federated run is
-// replayable by seed. A peer missing a barrier is degraded (skipped
+// nodes exchange migrant elites each migration epoch over one ordered
+// stream per peer (POST /v1/federation/stream, upgraded) — packed
+// genomes re-validated on arrival, injected at epoch barriers in
+// sender-rank order, per-rank seeds derived via rng.SplitN, so a
+// healthy federated run is replayable by seed. A peer missing a barrier is degraded (skipped
 // thereafter, surfaced as a peer_degraded event and a counter on
 // GET /v1/stats, the Prometheus endpoint) while the submitting node
 // always reduces a best-of-fleet Result with per-node provenance. With

@@ -22,14 +22,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/decode"
+	"repro/internal/federation"
 	"repro/internal/op"
 	"repro/internal/rng"
 	"repro/internal/serve"
@@ -290,6 +294,77 @@ func BenchmarkHotPath(b *testing.B) {
 	// is the cost a job's compute goroutine pays per event with a live
 	// stream attached, which the back-to-back sse-job-302 row cannot show.
 	b.Run("sse-paced-302", func(b *testing.B) { benchSSEJob(b, 300, 1<<14) })
+
+	// Federation hop: two compute-free shards on two in-process nodes
+	// under httptest meet at barrier after barrier. Each epoch both shards
+	// send their batch and wait for the other's, so the two hops of an
+	// epoch overlap and ns/op is one hop: from a shard's send to the peer
+	// barrier's wake-up.
+	b.Run("fed-epoch-hop", benchFedEpochHop)
+}
+
+// benchFedEpochHop runs BenchmarkHotPath's fed-epoch-hop row: b.N
+// lockstep epochs of a two-node federated run, each shard sending the
+// two fed2-shaped migrants (10x10 operation sequences) a real epoch
+// ships.
+func benchFedEpochHop(b *testing.B) {
+	handlers := make([]atomic.Pointer[http.Handler], 2)
+	urls := make([]string, 2)
+	for i := range urls {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			(*handlers[i].Load()).ServeHTTP(w, r)
+		}))
+		defer ts.Close()
+		urls[i] = ts.URL
+	}
+	ctx := context.Background()
+	nodes := make([]*federation.Node, 2)
+	for i := range nodes {
+		srv, err := serve.New(serve.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		node, err := federation.New(federation.Config{Self: urls[i], Peers: urls, Service: srv.Service()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv.SetFederation(node)
+		h := node.Handler()
+		handlers[i].Store(&h)
+		defer srv.Drain(ctx)
+		nodes[i] = node
+	}
+	in := shop.GenerateJobShop("10x10", 10, 10, 914, 915)
+	r := rng.New(3)
+	out := make([]solver.Migrant, 2)
+	for i := range out {
+		out[i] = solver.Migrant{Genome: solver.Genome{Seq: decode.RandomOpSequence(in, r)}, Obj: 1000}
+	}
+	const key, warm = "f0-hop-1", 8
+	epochs := func(from, to int) {
+		var wg sync.WaitGroup
+		for _, n := range nodes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for e := from; e < to; e++ {
+					if rep := n.ExchangeMigrants(ctx, key, n.Rank(), e, out, nil); len(rep.Degraded) > 0 || len(rep.In) != len(out) {
+						b.Errorf("epoch %d on rank %d: %d migrants in, degraded %v", e, n.Rank(), len(rep.In), rep.Degraded)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for _, n := range nodes {
+		n.ShardStarted(key, n.Rank(), 2, 0)
+		defer n.ShardFinished(key, n.Rank())
+	}
+	epochs(0, warm) // connections up before the timer starts
+	b.ReportAllocs()
+	b.ResetTimer()
+	epochs(warm, warm+b.N)
 }
 
 // spinSink keeps spinWork's result live.

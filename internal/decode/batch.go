@@ -95,6 +95,7 @@ type BatchScratch struct {
 	// position carrying that job's completion from one block to the next
 	// (nil when m <= flowBlock, since the first block reads releases from
 	// flowTab and the last writes nothing). flowTab is nil unless
+	// in is a flow shop (no other kind runs the flow sweep) and
 	// flowShopFitsInt32 holds; the flow sweep then always falls back to
 	// the scalar kernel.
 	flowTab   []flowRow
@@ -139,7 +140,7 @@ func NewBatchScratch(in *shop.Instance) *BatchScratch {
 		in: in, n: len(in.Jobs), m: in.NumMachines,
 		scalar: NewScratch(in),
 	}
-	if flowShopFitsInt32(in) {
+	if in.Kind == shop.FlowShop && flowShopFitsInt32(in) {
 		b.packFlowShop()
 	}
 	if jobShopFitsInt32(in) {

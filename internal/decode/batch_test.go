@@ -161,6 +161,23 @@ func TestBatchFallbackKindsMatchKernels(t *testing.T) {
 	}
 }
 
+// TestBatchJobShopPacksNoFlowTables: a regular job shop (every job has
+// one op per machine, so it passes the flow sweep's shape guard) packs
+// its job-shop table but none of the flow sweep's, which only flow-shop
+// genomes read.
+func TestBatchJobShopPacksNoFlowTables(t *testing.T) {
+	for _, in := range []*shop.Instance{shop.FT06(), shop.GenerateJobShop("10x10", 10, 10, 914, 915)} {
+		b := NewBatchScratch(in)
+		if b.ops == nil {
+			t.Errorf("%s: no job-shop table", in.Name)
+		}
+		if b.flowTab != nil || b.flowReady != nil || b.flowWork != nil {
+			t.Errorf("%s: job-shop scratch holds flow tables (%d rows, %d ready, %d work)",
+				in.Name, len(b.flowTab), len(b.flowReady), len(b.flowWork))
+		}
+	}
+}
+
 // TestBatchWideFallback: durations beyond int32 disable both int32 sweeps
 // (the packed job-shop table and the flow-shop block table), and the scalar
 // fallback must still agree with the kernels.

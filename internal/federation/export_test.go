@@ -1,6 +1,11 @@
 package federation
 
-import "sort"
+import (
+	"io"
+	"sort"
+
+	"repro/internal/serve"
+)
 
 // TrackedCheckpointRanks snapshots, per owned run key, the shard ranks
 // whose newest piggybacked checkpoint this node holds for failover.
@@ -15,4 +20,25 @@ func (n *Node) TrackedCheckpointRanks() map[string][]int {
 		sort.Ints(out[key])
 	}
 	return out
+}
+
+// PendingBatches is the number of batches buffered for a key whose shard
+// has not started here.
+func (n *Node) PendingBatches(key string) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.pending[key])
+}
+
+// ServeStream runs the inbound stream reader over r, as handleStream does
+// over an upgraded connection.
+func (n *Node) ServeStream(r io.Reader) error { return n.serveStream(r) }
+
+// AppendFrame appends b's migrant stream frame to dst.
+func AppendFrame(dst []byte, b *serve.MigrantBatch) ([]byte, error) { return appendFrame(dst, b) }
+
+// ReadFrame reads one migrant stream frame from r.
+func ReadFrame(r io.Reader) (*serve.MigrantBatch, error) {
+	b, _, err := readFrame(r, nil)
+	return b, err
 }

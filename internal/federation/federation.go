@@ -15,12 +15,20 @@
 // rebinding is broadcast so every survivor routes the rank's batches to
 // its new host.
 //
+// Transport. Each node keeps one long-lived, ordered migrant stream to
+// every peer it sends to (stream.go): a shard writes its epoch batches
+// and its final Done notice onto it from its own goroutine, nothing is
+// acknowledged, and the peer delivers the frames in the order written.
+//
 // Determinism. Each shard derives its RNG from the job seed split
 // FedNodes ways at its rank (the same rng.SplitN discipline the sharded
 // engine pipeline uses), migrant batches are applied at epoch barriers
 // in sender-rank order, and the barrier blocks until every live peer's
-// batch arrived — so a federated run over a healthy fleet is replayable:
-// the same fleet shape and seed reproduce the same incumbent trajectory.
+// batch arrived. A sender's Done follows its final batch on the same
+// stream, so it can never release a barrier that batch should have fed.
+// A federated run over a healthy fleet is therefore replayable: the same
+// fleet shape and seed reproduce the same trajectory, evaluation count
+// included.
 // A run that needed a failover is not bit-replayable (the resumed shard
 // rejoins mid-stream); its determinism guarantee is traded for the
 // stronger result guarantee below.
@@ -61,6 +69,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -77,13 +86,13 @@ import (
 // Bounds on what the migrant inbox accepts; they protect the daemon from
 // hostile or runaway peers, sitting far above anything a real fleet ships.
 const (
-	// MaxBatchMigrants bounds the migrants in one POSTed batch.
+	// MaxBatchMigrants bounds the migrants in one batch.
 	MaxBatchMigrants = 4096
-	// MaxBatchBytes bounds the POST /v1/federation/migrants and
-	// /v1/federation/resubmit bodies. A piggybacked checkpoint rides
-	// inside this cap; a shard population too large to fit simply loses
-	// failover coverage (push fails, owner keeps no checkpoint) and falls
-	// back to degradation.
+	// MaxBatchBytes bounds one migrant stream frame and the
+	// /v1/federation/resubmit body. A piggybacked checkpoint rides inside
+	// this cap; a shard population too large to fit is sent without it,
+	// so the shard loses failover coverage (the owner keeps no checkpoint)
+	// and falls back to degradation.
 	MaxBatchBytes = 8 << 20
 	// epochWindow bounds how far ahead of the local barrier a buffered
 	// batch may run; beyond it the sender has long since degraded us.
@@ -110,10 +119,11 @@ type Config struct {
 	// determinism is lost. A spec overrides it per job via
 	// params.fed_epoch_timeout_ms.
 	EpochTimeout time.Duration
-	// PushTimeout bounds one migrant push attempt (default 2s).
+	// PushTimeout bounds one frame's send on a migrant stream, a dial and
+	// one re-send included, and each health probe (default 2s).
 	PushTimeout time.Duration
 	// MaxRetries and RetryBackoff configure the typed client's transient
-	// retry policy for pushes and shard submissions (defaults: client's).
+	// retry policy for shard submissions and rebinds (defaults: client's).
 	MaxRetries   int
 	RetryBackoff time.Duration
 	// FailoverEnabled turns on shard failover: lost shards are resumed
@@ -144,6 +154,7 @@ type Node struct {
 	rank    int      // index of Self in peers
 	svc     *solver.Service
 	clients []*client.Client // by rank; nil at self
+	streams []*peerStream    // outbound migrant streams by rank; nil at self
 	logf    func(format string, args ...any)
 
 	mu sync.Mutex
@@ -164,6 +175,12 @@ type Node struct {
 	pending    map[string][]*serve.MigrantBatch
 	pendingN   int
 	dropLogged bool // inbox-overflow drops log once per process, count always
+	// conns holds every live migrant stream connection, inbound and
+	// outbound, for Close; closed refuses new ones. streamers counts the
+	// goroutines that serve them (see track).
+	conns     map[io.Closer]struct{}
+	closed    bool
+	streamers sync.WaitGroup
 
 	// nonce makes run keys unique per process incarnation: peers keep
 	// their idempotency maps and pending batches in memory across this
@@ -175,13 +192,17 @@ type Node struct {
 	// Monotonic counters (see serve.FederationCounters). Accepted counts
 	// migrants handed to a barrier's run; rejected counts the subset the
 	// solver's per-encoding validation then dropped.
-	sent         atomic.Int64
-	accepted     atomic.Int64
-	rejected     atomic.Int64
-	timeouts     atomic.Int64
-	shards       atomic.Int64
-	failovers    atomic.Int64
-	inboxDropped atomic.Int64
+	sent           atomic.Int64
+	accepted       atomic.Int64
+	rejected       atomic.Int64
+	timeouts       atomic.Int64
+	shards         atomic.Int64
+	failovers      atomic.Int64
+	inboxDropped   atomic.Int64
+	streamFailures atomic.Int64
+	framesRejected atomic.Int64
+	barrierWaitNS  atomic.Int64
+	barriers       atomic.Int64
 }
 
 // run is the exchange state of one live shard: the inbox of peer batches
@@ -247,6 +268,7 @@ func New(cfg Config) (*Node, error) {
 		rank:    rank,
 		svc:     cfg.Service,
 		clients: make([]*client.Client, len(peers)),
+		streams: make([]*peerStream, len(peers)),
 		logf:    cfg.Logf,
 		runs:    map[string]map[int]*run{},
 		routes:  map[string]map[int]int{},
@@ -254,6 +276,7 @@ func New(cfg Config) (*Node, error) {
 		ckpts:   map[string]map[int]*solver.Checkpoint{},
 		fastFwd: map[string]map[int]int{},
 		pending: map[string][]*serve.MigrantBatch{},
+		conns:   map[io.Closer]struct{}{},
 		nonce:   newNonce(),
 	}
 	newClient := cfg.NewClient
@@ -270,6 +293,7 @@ func New(cfg Config) (*Node, error) {
 	for i, p := range peers {
 		if i != rank {
 			n.clients[i] = newClient(p)
+			n.streams[i] = &peerStream{n: n, rank: i}
 		}
 	}
 	n.svc.Exchange = n
@@ -299,10 +323,10 @@ func dedup(sorted []string) []string {
 
 // ownerRank parses the owner's fleet rank out of a run key
 // ("f<rank>-<nonce>-<seq>", see SubmitFederated); -1 if the key does not
-// carry one. Keys are fleet-generated, so within a healthy fleet the
-// parse always succeeds; a foreign key simply gets no checkpoint
-// tracking.
-func ownerRank(key string) int {
+// carry a rank of this fleet. Keys are fleet-generated, so within a
+// healthy fleet the parse always succeeds; a foreign key (a shard spec
+// submitted by hand) simply gets no checkpoint tracking.
+func (n *Node) ownerRank(key string) int {
 	if len(key) < 2 || key[0] != 'f' {
 		return -1
 	}
@@ -311,7 +335,7 @@ func ownerRank(key string) int {
 		return -1
 	}
 	r, err := strconv.Atoi(key[1:i])
-	if err != nil || r < 0 {
+	if err != nil || r < 0 || r >= len(n.peers) {
 		return -1
 	}
 	return r
@@ -336,6 +360,10 @@ func (n *Node) Counters() serve.FederationCounters {
 		Shards:           n.shards.Load(),
 		Failovers:        n.failovers.Load(),
 		InboxDropped:     n.inboxDropped.Load(),
+		StreamFailures:   n.streamFailures.Load(),
+		FramesRejected:   n.framesRejected.Load(),
+		BarrierWaitNS:    n.barrierWaitNS.Load(),
+		Barriers:         n.barriers.Load(),
 	}
 }
 
@@ -355,31 +383,16 @@ func (n *Node) activeJobs() int {
 // front of the main API handler.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/federation/migrants", n.handleMigrants)
+	mux.HandleFunc("POST /v1/federation/stream", n.handleStream)
 	mux.HandleFunc("GET /v1/federation/info", n.handleInfo)
 	mux.HandleFunc("POST /v1/federation/rebind", n.handleRebind)
 	mux.HandleFunc("POST /v1/federation/resubmit", n.handleResubmit)
 	return mux
 }
 
-// handleMigrants: POST /v1/federation/migrants — one peer's elites for
-// one epoch. Shape-validated here (bounds, rank range); genome validation
-// happens at injection, through the solver's per-encoding validators.
-func (n *Node) handleMigrants(w http.ResponseWriter, r *http.Request) {
-	var batch serve.MigrantBatch
-	body := http.MaxBytesReader(w, r.Body, MaxBatchBytes)
-	if err := json.NewDecoder(body).Decode(&batch); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorBody{Error: "parsing batch: " + err.Error()})
-		return
-	}
-	if err := n.checkBatch(&batch); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorBody{Error: err.Error()})
-		return
-	}
-	n.deliver(&batch)
-	writeJSON(w, http.StatusAccepted, struct{}{})
-}
-
+// checkBatch shape-validates an inbound batch (bounds, rank range);
+// genome validation happens at injection, through the solver's
+// per-encoding validators.
 func (n *Node) checkBatch(b *serve.MigrantBatch) error {
 	switch {
 	case b.Key == "" || len(b.Key) > 200:
@@ -569,8 +582,9 @@ func (n *Node) deliver(b *serve.MigrantBatch) {
 }
 
 // deliver stores one batch in the run's inbox and wakes the barrier.
-// At-most-one batch per (epoch, sender) — redelivery (client retries)
-// overwrites, which is idempotent because batches are immutable.
+// At-most-one batch per (epoch, sender) — redelivery (a re-send after a
+// stream failure) overwrites, which is idempotent because batches are
+// immutable.
 func (st *run) deliver(b *serve.MigrantBatch) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -601,10 +615,11 @@ func (st *run) deliver(b *serve.MigrantBatch) {
 
 // ShardStarted implements solver.MigrantExchange: register the run's
 // inbox, consume any pre-registered fast-forward epoch, and adopt
-// batches that arrived before the shard started. It asks for the shard's
-// checkpoints only when failover is enabled here and the owner lives on
-// another node: a shard co-hosted with its owner dies with it, so its
-// checkpoint could never be resumed from.
+// batches that arrived before the shard started, and opens the streams
+// to the run's peers so its first epoch pays no dial. It asks for the
+// shard's checkpoints only when failover is enabled here and the owner
+// lives on another node: a shard co-hosted with its owner dies with it,
+// so its checkpoint could never be resumed from.
 func (n *Node) ShardStarted(key string, rank, nodes int, epochTimeoutMS int64) (wantCheckpoints bool) {
 	timeout := n.cfg.EpochTimeout
 	if epochTimeoutMS > 0 {
@@ -642,8 +657,13 @@ func (n *Node) ShardStarted(key string, rank, nodes int, epochTimeoutMS int64) (
 			st.deliver(b)
 		}
 	}
+	for _, h := range n.peerHosts(key, st, nil) {
+		if h != n.rank {
+			n.streams[h].predial()
+		}
+	}
 	n.shards.Add(1)
-	owner := ownerRank(key)
+	owner := n.ownerRank(key)
 	return n.cfg.FailoverEnabled && owner >= 0 && owner != n.rank
 }
 
@@ -651,7 +671,8 @@ func (n *Node) ShardStarted(key string, rank, nodes int, epochTimeoutMS int64) (
 func (n *Node) MigrantRejected(string) { n.rejected.Add(1) }
 
 // ShardFinished implements solver.MigrantExchange: tell the peers not to
-// wait for this shard at any further barrier, then drop the inbox.
+// wait for this shard at any further barrier, then drop the inbox. The
+// Done notice follows the shard's final batch on each stream.
 func (n *Node) ShardFinished(key string, rank int) {
 	n.mu.Lock()
 	km := n.runs[key]
@@ -677,14 +698,9 @@ func (n *Node) ShardFinished(key string, rank int) {
 		degraded[r] = true
 	}
 	st.mu.Unlock()
-	done := serve.MigrantBatch{Key: key, Epoch: epoch, From: st.rank, Done: true}
+	done := &serve.MigrantBatch{Key: key, Epoch: epoch, From: st.rank, Done: true}
 	for _, h := range n.peerHosts(key, st, degraded) {
-		if h == n.rank {
-			b := done
-			go n.deliver(&b)
-			continue
-		}
-		go n.push(h, done)
+		n.send(h, done)
 	}
 }
 
@@ -714,16 +730,18 @@ func (n *Node) peerHosts(key string, st *run, degraded map[int]bool) []int {
 	return out
 }
 
-// push ships one batch to one peer with the retrying client, bounded by
-// PushTimeout per attempt.
-func (n *Node) push(rank int, b serve.MigrantBatch) {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.PushTimeout*time.Duration(n.clientRetries()+1)*2)
-	defer cancel()
-	if err := n.clients[rank].PushMigrants(ctx, b); err != nil {
-		n.logf("federation: push %s/%d to %s: %v", b.Key, b.Epoch, n.peers[rank], err)
+// send hands one batch to the fleet node hosting its receivers, on the
+// caller's goroutine: a co-hosted shard gets it delivered in place, a
+// peer through its migrant stream (bounded by PushTimeout). Either way
+// the batches of one sender arrive in the order it sent them.
+func (n *Node) send(host int, b *serve.MigrantBatch) {
+	if host == n.rank {
+		n.deliver(b)
 		return
 	}
-	n.sent.Add(int64(len(b.Migrants)))
+	if n.streams[host].send(b) {
+		n.sent.Add(int64(len(b.Migrants)))
+	}
 }
 
 func (n *Node) clientRetries() int {
@@ -766,36 +784,28 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 	}
 	st.mu.Unlock()
 
-	// Ship our elites asynchronously: the barrier depends on the peers'
-	// pushes, not our own, and a dead peer must not serialise retries
-	// into the epoch. The owner's node additionally gets the shard's
-	// checkpoint — on the migrant batch when the owner hosts a live
-	// shard, on a dedicated empty batch otherwise.
-	owner := ownerRank(key)
+	// Ship our elites first, in order, each send bounded by PushTimeout:
+	// the barrier depends on the peers' batches, not on any answer to
+	// ours. The owner's node additionally gets the shard's checkpoint —
+	// on the migrant batch when the owner hosts a live shard, on a
+	// dedicated empty batch otherwise.
+	owner := n.ownerRank(key)
 	ownerServed := false
 	for _, h := range n.peerHosts(key, st, degraded) {
-		b := serve.MigrantBatch{Key: key, Epoch: epoch, From: st.rank, Migrants: out}
+		b := &serve.MigrantBatch{Key: key, Epoch: epoch, From: st.rank, Migrants: out}
 		if h == owner {
 			b.Checkpoint = cp
 			ownerServed = true
 		}
-		if h == n.rank {
-			bb := b
-			go n.deliver(&bb)
-			continue
-		}
-		go n.push(h, b)
+		n.send(h, b)
 	}
 	if cp != nil && owner >= 0 && !ownerServed {
-		if owner == n.rank {
-			n.deliver(&serve.MigrantBatch{Key: key, Epoch: epoch, From: st.rank, Checkpoint: cp})
-		} else {
-			go n.push(owner, serve.MigrantBatch{Key: key, Epoch: epoch, From: st.rank, Checkpoint: cp})
-		}
+		n.send(owner, &serve.MigrantBatch{Key: key, Epoch: epoch, From: st.rank, Checkpoint: cp})
 	}
 
 	var report solver.ExchangeReport
 	if wait {
+		waitStart := time.Now()
 		deadline := time.NewTimer(timeout)
 		defer deadline.Stop()
 		for {
@@ -825,6 +835,8 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 				break
 			}
 		}
+		n.barrierWaitNS.Add(int64(time.Since(waitStart)))
+		n.barriers.Add(1)
 	}
 
 	// Collect in sender-rank order — the injection order every node must

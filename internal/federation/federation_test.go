@@ -3,6 +3,7 @@ package federation_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,8 +12,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,7 +34,8 @@ type fleetNode struct {
 	Node *federation.Node
 	URL  string
 	// Kill simulates the node dying: every further HTTP request is
-	// refused and the node's in-flight jobs are cancelled.
+	// refused, its migrant streams are severed (so its shards send no
+	// Done notice), and its in-flight jobs are cancelled.
 	Kill func()
 }
 
@@ -82,6 +86,7 @@ func newFleet(t *testing.T, size int, fcfg federation.Config) []*fleetNode {
 				http.Error(w, "node killed", http.StatusServiceUnavailable)
 			})
 			handlers[i].Store(&dead)
+			node.Close()
 			srv.Service().Close()
 		}}
 		t.Cleanup(func() {
@@ -109,10 +114,12 @@ func fedSpec(seed uint64) solver.Spec {
 	}
 }
 
-// TestFederatedDeterminism is the issue's acceptance test: a two-node
-// fleet with a fixed seed reproduces the same final best objective across
-// two invocations, with demes running (and migrants flowing) on both
-// nodes.
+// TestFederatedDeterminism: a two-node fleet with a fixed seed replays
+// exactly — the same best objective, evaluation and generation counts,
+// per-node provenance and schedule across ten invocations — with demes
+// running (and migrants flowing) on both nodes. A sender's Done follows
+// its final batch on the same stream, so the last barrier always injects
+// the same migrants.
 func TestFederatedDeterminism(t *testing.T) {
 	fleet := newFleet(t, 2, federation.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -131,11 +138,20 @@ func TestFederatedDeterminism(t *testing.T) {
 		return res
 	}
 
+	const replays = 10
 	r1 := runOnce()
-	r2 := runOnce()
-
-	if r1.BestObjective != r2.BestObjective {
-		t.Errorf("federated run not replayable: best %v then %v", r1.BestObjective, r2.BestObjective)
+	for i := 1; i < replays; i++ {
+		r2 := runOnce()
+		if r1.BestObjective != r2.BestObjective || r1.Evaluations != r2.Evaluations || r1.Generations != r2.Generations {
+			t.Errorf("replay %d: best %v, %d evals, %d gens; first run %v, %d evals, %d gens", i,
+				r2.BestObjective, r2.Evaluations, r2.Generations, r1.BestObjective, r1.Evaluations, r1.Generations)
+		}
+		if !reflect.DeepEqual(r1.Nodes, r2.Nodes) {
+			t.Errorf("replay %d: provenance %+v, first run %+v", i, r2.Nodes, r1.Nodes)
+		}
+		if r1.Schedule == nil || r2.Schedule == nil || !reflect.DeepEqual(r1.Schedule.Ops, r2.Schedule.Ops) {
+			t.Errorf("replay %d: schedule differs from the first run's", i)
+		}
 	}
 	if len(r1.Nodes) != 2 {
 		t.Fatalf("Nodes provenance: got %d entries, want 2: %+v", len(r1.Nodes), r1.Nodes)
@@ -161,14 +177,17 @@ func TestFederatedDeterminism(t *testing.T) {
 	}
 	for i, fn := range fleet {
 		c := fn.Node.Counters()
-		if c.Shards < 2 { // two invocations, one shard each
-			t.Errorf("node %d ran %d shards, want >= 2", i, c.Shards)
+		if c.Shards < replays { // one shard per invocation
+			t.Errorf("node %d ran %d shards, want >= %d", i, c.Shards, replays)
 		}
 		if c.MigrantsSent == 0 || c.MigrantsAccepted == 0 {
 			t.Errorf("node %d exchanged no migrants: %+v", i, c)
 		}
-		if c.MigrantsRejected != 0 || c.PeerTimeouts != 0 {
+		if c.MigrantsRejected != 0 || c.PeerTimeouts != 0 || c.StreamFailures != 0 || c.FramesRejected != 0 {
 			t.Errorf("healthy fleet: node %d counters %+v", i, c)
+		}
+		if c.Barriers == 0 || c.BarrierWaitNS <= 0 {
+			t.Errorf("node %d recorded no barrier waits: %+v", i, c)
 		}
 	}
 }
@@ -269,7 +288,7 @@ func TestFederatedDegradedPeer(t *testing.T) {
 
 // TestFederationEndpoints drives the HTTP surface through the typed
 // client: fleet info, Prometheus stats with the federation block, and the
-// migrant inbox's shape validation.
+// migrant stream's shape validation.
 func TestFederationEndpoints(t *testing.T) {
 	fleet := newFleet(t, 2, federation.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -298,6 +317,10 @@ func TestFederationEndpoints(t *testing.T) {
 		"schedserver_federation_peer_timeouts_total",
 		"schedserver_federation_failovers_total",
 		"schedserver_federation_inbox_dropped_total",
+		"schedserver_federation_stream_failures_total",
+		"schedserver_federation_frames_rejected_total",
+		"schedserver_federation_barrier_wait_seconds_total",
+		"schedserver_federation_barriers_total",
 	} {
 		if !strings.Contains(stats, want) {
 			t.Errorf("stats missing %q:\n%s", want, stats)
@@ -310,17 +333,65 @@ func TestFederationEndpoints(t *testing.T) {
 		t.Errorf("idle node reports %d active jobs", info.ActiveJobs)
 	}
 
-	// A batch from an out-of-fleet rank is rejected at the door.
-	err = c.PushMigrants(ctx, serve.MigrantBatch{Key: "k", Epoch: 0, From: 9})
-	if err == nil {
-		t.Error("push with rank 9 accepted, want 400")
+	// A batch from an out-of-fleet rank is rejected at the door: dropped
+	// and counted, with the stream left open for the frames behind it.
+	stream, err := c.OpenMigrantStream(ctx)
+	if err != nil {
+		t.Fatalf("OpenMigrantStream: %v", err)
 	}
-	// A well-formed batch for a not-yet-started key is buffered (202).
-	if err := c.PushMigrants(ctx, serve.MigrantBatch{
+	defer stream.Close()
+	writeFrame(t, stream, &serve.MigrantBatch{Key: "k", Epoch: 0, From: 9})
+	// A well-formed batch for a not-yet-started key is buffered.
+	writeFrame(t, stream, &serve.MigrantBatch{
 		Key: "early", Epoch: 0, From: 1 - fleet[0].Node.Rank(),
 		Migrants: []solver.Migrant{{Genome: solver.Genome{Seq: []int{0}}, Obj: 1}},
-	}); err != nil {
-		t.Errorf("push for unknown key: %v", err)
+	})
+	waitFor(t, "the buffered early batch", func() bool { return fleet[0].Node.PendingBatches("early") == 1 })
+	if got := fleet[0].Node.Counters().FramesRejected; got != 1 {
+		t.Errorf("frame with rank 9: %d frames rejected, want 1", got)
+	}
+	if fleet[0].Node.PendingBatches("k") != 0 {
+		t.Error("frame with rank 9 was buffered")
+	}
+
+	// The stream endpoint refuses a request that does not upgrade, and the
+	// retired per-batch POST endpoint is gone.
+	for _, tc := range []struct {
+		path string
+		want int
+	}{{"/v1/federation/stream", http.StatusBadRequest}, {"/v1/federation/migrants", http.StatusNotFound}} {
+		resp, err := http.Post(fleet[0].URL+tc.path, "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("plain POST %s: %d, want %d", tc.path, resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// writeFrame writes one batch onto a migrant stream.
+func writeFrame(t *testing.T, w io.Writer, b *serve.MigrantBatch) {
+	t.Helper()
+	frame, err := federation.AppendFrame(nil, b)
+	if err != nil {
+		t.Fatalf("AppendFrame: %v", err)
+	}
+	if _, err := w.Write(frame); err != nil {
+		t.Fatalf("writing frame: %v", err)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -412,17 +483,25 @@ func TestFederationInboxOverflow(t *testing.T) {
 	defer cancel()
 	c := &client.Client{BaseURL: fleet[0].URL}
 	from := 1 - fleet[0].Node.Rank() // the other node's rank
+	stream, err := c.OpenMigrantStream(ctx)
+	if err != nil {
+		t.Fatalf("OpenMigrantStream: %v", err)
+	}
+	defer stream.Close()
 
 	// maxPendingBatches is 512; single-key floods cannot evict their way
 	// out, so everything past the cap must be counted as dropped.
 	for i := 0; i < 520; i++ {
-		if err := c.PushMigrants(ctx, serve.MigrantBatch{
+		writeFrame(t, stream, &serve.MigrantBatch{
 			Key: "flood", Epoch: i, From: from,
 			Migrants: []solver.Migrant{{Genome: solver.Genome{Seq: []int{0}}, Obj: 1}},
-		}); err != nil {
-			t.Fatalf("push %d: %v", i, err)
-		}
+		})
 	}
+	// The stream is one-way: wait until the reader has delivered the
+	// whole flood.
+	waitFor(t, "the flood's delivery", func() bool {
+		return fleet[0].Node.PendingBatches("flood")+int(fleet[0].Node.Counters().InboxDropped) == 520
+	})
 	if got := fleet[0].Node.Counters().InboxDropped; got < 1 {
 		t.Fatalf("no inbox drops recorded after flooding past the cap")
 	}
@@ -453,6 +532,30 @@ func TestFederatedSingleNode(t *testing.T) {
 	}
 }
 
+// spyStream wraps the writable body of an upgraded migrant stream and
+// hands every whole frame written through it to onFrame.
+type spyStream struct {
+	io.ReadWriteCloser
+	onFrame func(*serve.MigrantBatch, error)
+	mu      sync.Mutex
+	pending []byte
+}
+
+func (s *spyStream) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	s.pending = append(s.pending, p...)
+	for len(s.pending) >= 4 {
+		n := 4 + int(binary.BigEndian.Uint32(s.pending))
+		if len(s.pending) < n {
+			break
+		}
+		s.onFrame(federation.ReadFrame(bytes.NewReader(s.pending[:n])))
+		s.pending = s.pending[n:]
+	}
+	s.mu.Unlock()
+	return s.ReadWriteCloser.Write(p)
+}
+
 // roundTripFunc adapts a function to http.RoundTripper.
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
@@ -473,30 +576,25 @@ func TestFederatedCheckpointGating(t *testing.T) {
 			var ownerHost atomic.Pointer[string]
 			var batches, withCP, strayCP atomic.Int64
 			spy := roundTripFunc(func(r *http.Request) (*http.Response, error) {
-				if r.URL.Path != "/v1/federation/migrants" || r.Body == nil {
-					return http.DefaultTransport.RoundTrip(r)
+				resp, err := http.DefaultTransport.RoundTrip(r)
+				if err != nil || r.URL.Path != "/v1/federation/stream" || resp.StatusCode != http.StatusSwitchingProtocols {
+					return resp, err
 				}
-				body, err := io.ReadAll(r.Body)
-				r.Body.Close()
-				if err != nil {
-					return nil, err
-				}
-				var b struct {
-					Checkpoint json.RawMessage `json:"checkpoint"`
-				}
-				if err := json.Unmarshal(body, &b); err != nil {
-					t.Errorf("batch on the wire does not parse: %v", err)
-				}
-				batches.Add(1)
-				if len(b.Checkpoint) > 0 && string(b.Checkpoint) != "null" {
-					withCP.Add(1)
-					if h := ownerHost.Load(); h == nil || r.URL.Host != *h {
-						strayCP.Add(1)
+				host := r.URL.Host
+				resp.Body = &spyStream{ReadWriteCloser: resp.Body.(io.ReadWriteCloser), onFrame: func(b *serve.MigrantBatch, err error) {
+					if err != nil {
+						t.Errorf("batch on the wire does not parse: %v", err)
+						return
 					}
-				}
-				r2 := r.Clone(r.Context())
-				r2.Body = io.NopCloser(bytes.NewReader(body))
-				return http.DefaultTransport.RoundTrip(r2)
+					batches.Add(1)
+					if b.Checkpoint != nil {
+						withCP.Add(1)
+						if h := ownerHost.Load(); h == nil || host != *h {
+							strayCP.Add(1)
+						}
+					}
+				}}
+				return resp, nil
 			})
 			fleet := newFleet(t, tc.size, federation.Config{
 				FailoverEnabled: tc.failover,

@@ -20,6 +20,10 @@ type RNG struct {
 	// cached second normal deviate for NormFloat64
 	hasGauss bool
 	gauss    float64
+	// Pad to 64 bytes, one cache line: streams are allocated back to back
+	// (SplitN) and advanced by different goroutines, which would otherwise
+	// contend for a line two 48-byte streams share.
+	_ [16]byte
 }
 
 // New returns a stream seeded from seed via SplitMix64 so that nearby seeds

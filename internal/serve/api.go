@@ -16,7 +16,7 @@
 // A federated daemon (cmd/schedserver -peers) additionally serves the
 // internal/federation endpoints, composed in front of this handler:
 //
-//	POST   /v1/federation/migrants  one node's elites for one epoch
+//	POST   /v1/federation/stream    a peer's ordered migrant stream (Upgrade)
 //	GET    /v1/federation/info      fleet shape + federation counters
 //	POST   /v1/federation/rebind    a failover moved a shard to a new node
 //	POST   /v1/federation/resubmit  resume a lost shard from its checkpoint
@@ -91,14 +91,24 @@ type Federation interface {
 	// StatsText returns the federation's counters as Prometheus text
 	// exposition lines (appended to GET /v1/stats).
 	StatsText() string
+	// Close severs the federation's peer connections; Drain calls it once
+	// the jobs have finished.
+	Close()
 }
 
-// MigrantBatch is the POST /v1/federation/migrants payload: one node's
-// elites for one migration epoch of one federated job. Epochs are
-// barriers: the receiver holds the batch until its own shard reaches
-// Epoch, then injects the migrants in sender-rank order. Done marks the
-// sender's final word on Key — its shard finished, peers must not wait
-// for it at later barriers.
+// MigrantStreamProtocol is the Upgrade token of POST
+// /v1/federation/stream. The request upgrades its connection (101
+// Switching Protocols) into a one-way stream of length-prefixed
+// MigrantBatch frames from the dialling node to the served one; the
+// frame layout lives with the federation layer that writes and reads it.
+const MigrantStreamProtocol = "schedserver-migrants/1"
+
+// MigrantBatch is one frame of a migrant stream (POST
+// /v1/federation/stream): one node's elites for one migration epoch of
+// one federated job. Epochs are barriers: the receiver holds the batch
+// until its own shard reaches Epoch, then injects the migrants in
+// sender-rank order. Done marks the sender's final word on Key — its
+// shard finished, peers must not wait for it at later barriers.
 type MigrantBatch struct {
 	Key      string           `json:"key"`
 	Epoch    int              `json:"epoch"`
@@ -155,6 +165,15 @@ type FederationCounters struct {
 	// pending-inbox overflow.
 	Failovers    int64 `json:"failovers"`
 	InboxDropped int64 `json:"inbox_dropped"`
+	// StreamFailures counts failed dials and writes on outbound migrant
+	// streams; FramesRejected counts inbound frames dropped because their
+	// batch failed shape validation.
+	StreamFailures int64 `json:"stream_failures"`
+	FramesRejected int64 `json:"frames_rejected"`
+	// BarrierWaitNS is the time shards spent waiting at epoch barriers,
+	// summed over Barriers waits: their ratio is the mean wait per barrier.
+	BarrierWaitNS int64 `json:"barrier_wait_ns"`
+	Barriers      int64 `json:"barriers"`
 }
 
 // FederationInfo is the GET /v1/federation/info payload: the fleet as

@@ -282,15 +282,38 @@ func (c *Client) Instances(ctx context.Context) ([]serve.InstanceInfo, error) {
 	return out, nil
 }
 
-// PushMigrants posts one epoch's migrant batch to the peer's federation
-// inbox. The request is idempotent by construction — the receiver keeps
-// at most one batch per (key, epoch, sender) — so transient failures
-// retry with the standard backoff (the header marks it retry-safe for
-// the POST retry gate).
-func (c *Client) PushMigrants(ctx context.Context, batch serve.MigrantBatch) error {
-	hdr := http.Header{}
-	hdr.Set("Idempotency-Key", fmt.Sprintf("mig-%s-%d-%d", batch.Key, batch.Epoch, batch.From))
-	return c.doHeaders(ctx, http.MethodPost, "/v1/federation/migrants", hdr, batch, nil)
+// OpenMigrantStream opens the peer's federation migrant stream: a POST
+// to /v1/federation/stream that upgrades its connection (101 Switching
+// Protocols) to serve.MigrantStreamProtocol, returned for writing
+// frames. ctx and RequestTimeout bound the handshake only; the stream
+// lives until it is closed. It never retries: whether to dial again is
+// the caller's call.
+func (c *Client) OpenMigrantStream(ctx context.Context) (io.ReadWriteCloser, error) {
+	if c.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.RequestTimeout)
+		defer cancel()
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/federation/stream", nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", serve.MigrantStreamProtocol)
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		defer drainClose(resp.Body)
+		return nil, decodeAPIError(resp)
+	}
+	rwc, ok := resp.Body.(io.ReadWriteCloser)
+	if !ok {
+		resp.Body.Close()
+		return nil, fmt.Errorf("client: the upgraded stream's body is not writable (%T)", resp.Body)
+	}
+	return rwc, nil
 }
 
 // FederationInfo fetches the peer's view of the fleet (shape, rank and

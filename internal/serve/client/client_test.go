@@ -279,7 +279,7 @@ func TestClientEventsReconnectGivesUp(t *testing.T) {
 	}
 }
 
-// TestClientReusesConnections: bodyless successes (PushMigrants) and API
+// TestClientReusesConnections: bodyless successes (Rebind) and API
 // errors both leave the connection reusable, so 50 sequential calls ride
 // one TCP connection instead of dialling 50.
 func TestClientReusesConnections(t *testing.T) {
@@ -309,13 +309,13 @@ func TestClientReusesConnections(t *testing.T) {
 			t.Cleanup(tr.CloseIdleConnections)
 			c := &client.Client{BaseURL: ts.URL, HTTPClient: &http.Client{Transport: tr}, MaxRetries: -1}
 			for i := 0; i < 50; i++ {
-				err := c.PushMigrants(context.Background(), serve.MigrantBatch{Key: "k", Epoch: i, From: 1})
+				err := c.Rebind(context.Background(), serve.RebindRequest{Key: "k", Rank: 1, Node: i})
 				if (err != nil) != (tc.status >= 400) {
-					t.Fatalf("push %d: %v", i, err)
+					t.Fatalf("call %d: %v", i, err)
 				}
 			}
 			if got := dials.Load(); got != 1 {
-				t.Errorf("50 pushes opened %d connections, want 1", got)
+				t.Errorf("50 calls opened %d connections, want 1", got)
 			}
 		})
 	}

@@ -148,10 +148,14 @@ func (s *Server) SetFederation(f Federation) { s.fed = f }
 // Drain gracefully stops the server's job service: no new submissions,
 // in-flight jobs run to completion until ctx expires, then they are
 // cancelled and collected promptly. Event streams observe the terminal
-// events and end, and every terminal record reaches the store. Safe to
-// call more than once.
+// events and end, every terminal record reaches the store, and a
+// registered federation closes its peer streams. Safe to call more than
+// once.
 func (s *Server) Drain(ctx context.Context) error {
 	err := s.svc.Drain(ctx)
+	if s.fed != nil {
+		s.fed.Close()
+	}
 	s.watchers.Wait()
 	s.stopOnce.Do(func() { close(s.stop) })
 	return err

@@ -139,5 +139,17 @@ func FederationStatsText(peers int, c FederationCounters) string {
 	b.WriteString("# HELP schedserver_federation_inbox_dropped_total Migrant batches dropped on pending-inbox overflow.\n")
 	b.WriteString("# TYPE schedserver_federation_inbox_dropped_total counter\n")
 	fmt.Fprintf(&b, "schedserver_federation_inbox_dropped_total %d\n", c.InboxDropped)
+	b.WriteString("# HELP schedserver_federation_stream_failures_total Failed dials and writes on outbound migrant streams.\n")
+	b.WriteString("# TYPE schedserver_federation_stream_failures_total counter\n")
+	fmt.Fprintf(&b, "schedserver_federation_stream_failures_total %d\n", c.StreamFailures)
+	b.WriteString("# HELP schedserver_federation_frames_rejected_total Inbound migrant frames dropped by shape validation.\n")
+	b.WriteString("# TYPE schedserver_federation_frames_rejected_total counter\n")
+	fmt.Fprintf(&b, "schedserver_federation_frames_rejected_total %d\n", c.FramesRejected)
+	b.WriteString("# HELP schedserver_federation_barrier_wait_seconds_total Time shards waited at epoch barriers.\n")
+	b.WriteString("# TYPE schedserver_federation_barrier_wait_seconds_total counter\n")
+	fmt.Fprintf(&b, "schedserver_federation_barrier_wait_seconds_total %g\n", float64(c.BarrierWaitNS)/1e9)
+	b.WriteString("# HELP schedserver_federation_barriers_total Epoch barriers shards waited at.\n")
+	b.WriteString("# TYPE schedserver_federation_barriers_total counter\n")
+	fmt.Fprintf(&b, "schedserver_federation_barriers_total %d\n", c.Barriers)
 	return b.String()
 }

@@ -43,14 +43,22 @@ var genomeB64 = base64.RawStdEncoding.Strict()
 // encoding/json writes it as a JSON string.
 func (g Genome) MarshalText() ([]byte, error) {
 	var buf [512]byte // fits an ft10-size frame; append moves larger ones to the heap
-	frame := append(buf[:0], genomeWireV1)
-	frame = appendVarints(frame, g.Seq)
-	frame = appendVarints(frame, g.Assign)
-	frame = binary.AppendUvarint(frame, uint64(len(g.Keys)))
-	for _, k := range g.Keys {
-		frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(k))
-	}
+	frame, _ := g.AppendBinary(buf[:0])
 	return genomeB64.AppendEncode(make([]byte, 0, genomeB64.EncodedLen(len(frame))), frame), nil
+}
+
+// AppendBinary implements encoding.BinaryAppender: it appends the raw
+// packed frame (no base64), the form binary wires such as the federation
+// migrant stream carry.
+func (g Genome) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, genomeWireV1)
+	b = appendVarints(b, g.Seq)
+	b = appendVarints(b, g.Assign)
+	b = binary.AppendUvarint(b, uint64(len(g.Keys)))
+	for _, k := range g.Keys {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(k))
+	}
+	return b, nil
 }
 
 func appendVarints(b []byte, xs []int) []byte {
@@ -74,10 +82,13 @@ func (g *Genome) UnmarshalText(text []byte) error {
 	if err != nil {
 		return fmt.Errorf("genome: %w", err)
 	}
-	return g.decodeFrame(frame[:n])
+	return g.UnmarshalBinary(frame[:n])
 }
 
-func (g *Genome) decodeFrame(b []byte) error {
+// UnmarshalBinary implements encoding.BinaryUnmarshaler for the raw
+// packed frame AppendBinary writes, with the same bounds as
+// UnmarshalText. The genome shares no memory with b.
+func (g *Genome) UnmarshalBinary(b []byte) error {
 	if len(b) == 0 || b[0] != genomeWireV1 {
 		return errors.New("genome: unknown frame version")
 	}
