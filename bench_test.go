@@ -74,6 +74,7 @@ func BenchmarkTableIV_Cellular(b *testing.B) {
 				ReplaceIfBetter: true, Partitions: parts,
 				Generations: 1 << 30,
 			})
+			defer m.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.Step()

@@ -87,7 +87,11 @@
 // executor-owned scratches — each shard of 4 children is exactly one
 // batch tile — allocation-free and bit-identical for any worker count, so
 // the serial and master-slave models are one trajectory;
-// Spec.Params.Workers threads the width through every model. Each
+// Spec.Params.Workers threads the width through every model. One
+// core.Executor (fixed width, persistent workers, the caller as executor
+// 0, a spin-then-park step barrier) runs every parallel model: the
+// engine's shards, island and hybrid demes, cellular partitions and the
+// agent system's processor agents. Each
 // executor owns a contiguous range of shards and steals from the others'
 // once its own is drained. Variation inside a shard is linear and
 // branch-free: JOX builds both children in one compaction pass and OX is

@@ -34,6 +34,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/decode"
 	"repro/internal/federation"
+	"repro/internal/island"
 	"repro/internal/op"
 	"repro/internal/rng"
 	"repro/internal/serve"
@@ -280,6 +281,24 @@ func BenchmarkHotPath(b *testing.B) {
 		}
 		<-done
 	})
+
+	// In-process islands at perfbench island's shape: the 10x10 job shop,
+	// 4 islands of 30, ring migration every 5 generations. One op is one
+	// migration epoch (every island steps 5 generations, then the ring
+	// exchange); workers-N steps the islands on an N-wide executor.
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("island-epoch-10x10-pop120/workers-%d", workers), func(b *testing.B) {
+			m := island.New(rng.New(7), island.Config[[]int]{
+				Islands: 4, SubPop: 30, Interval: 5, Epochs: b.N,
+				Workers: workers,
+				Engine:  core.Config[[]int]{Ops: shopga.SeqOps(ms)},
+				Problem: func(int) core.Problem[[]int] { return msProb },
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			m.Run()
+		})
+	}
 
 	// HTTP job transport: a runner job emits started, 300 generation
 	// events and done (a perfbench ms/flow job's 302 frames) through

@@ -1,17 +1,19 @@
 // Package agents implements the agent-based parallel island GA of
 // Asadzadeh & Zamanifar [27]. The original system ran on the JADE
-// multi-agent middleware; here each agent is a goroutine and every message
-// travels through typed mailbox channels:
+// multi-agent middleware; here the agents run on one core.Executor:
 //
 //   - the management agent (the caller) creates the population, splits it
 //     into equal subpopulations and hands them to processor agents;
-//   - each of the eight processor agents lives on its own "host"
-//     (goroutine) and runs a GA on its subpopulation independently;
+//   - each of the eight processor agents lives on its own "host" (one
+//     executor of an Executor Processors wide, whatever the solver's
+//     Workers knob says) and runs a GA on its subpopulation independently;
 //   - the synchronisation agent routes migrants between processor agents,
-//     which form a virtual cube: each agent has three neighbours.
+//     which form a virtual cube: each agent has three neighbours. It runs
+//     on the caller's goroutine between epochs.
 //
-// Message flow forms a natural epoch barrier — a processor sends its best
-// and then blocks until its neighbours' bests arrive — so the run is
+// The executor's step barrier separates the phases of an epoch —
+// processors evolve, the synchronisation agent fills each inbox in
+// ascending sender order, processors absorb their inboxes — so the run is
 // deterministic for a fixed seed despite the concurrency.
 package agents
 
@@ -22,11 +24,6 @@ import (
 	"repro/internal/island"
 	"repro/internal/rng"
 )
-
-// migrant is the payload exchanged between processor agents.
-type migrant[G any] struct {
-	genome G
-}
 
 // Config parameterises the agent system.
 type Config[G any] struct {
@@ -44,15 +41,14 @@ type Config[G any] struct {
 
 	// Stop, when set, is polled between generations by every processor
 	// agent; returning true makes agents skip further GA steps while still
-	// completing the synchronisation protocol (so no agent deadlocks on the
-	// epoch barrier). Must be safe for concurrent use.
+	// reporting to the synchronisation agent, which polls it too and then
+	// halts the system. Must be safe for concurrent use.
 	Stop func() bool
 
 	// OnEpoch, when set, is called by the synchronisation agent at every
 	// epoch barrier with the completed epoch index and the best objective
 	// reported across all processor agents — the model's
-	// streaming-progress seam. It runs on the synchronisation agent's
-	// goroutine only, and always before Run returns.
+	// streaming-progress seam. It runs on Run's goroutine.
 	OnEpoch func(epoch int, best float64)
 }
 
@@ -64,7 +60,7 @@ type Result[G any] struct {
 	Epochs      int // synchronisation rounds actually executed
 }
 
-// Run executes the agent-based island GA and blocks until the management
+// Run executes the agent-based island GA and returns once the management
 // agent has collected all results.
 func Run[G any](p core.Problem[G], r *rng.RNG, cfg Config[G]) Result[G] {
 	if p == nil {
@@ -94,114 +90,69 @@ func Run[G any](p core.Problem[G], r *rng.RNG, cfg Config[G]) Result[G] {
 		ecfg.Term = core.Termination{MaxGenerations: 1 << 30}
 		engines[i] = core.New(p, r.Split(), ecfg)
 	}
+	x := core.NewExecutor(n)
+	defer x.Close()
+	stopped := func() bool { return cfg.Stop != nil && cfg.Stop() }
 
-	// Mailboxes: processor agents receive migrants; the synchronisation
-	// agent receives (agent, best) reports.
-	inbox := make([]chan migrant[G], n)
-	for i := range inbox {
-		inbox[i] = make(chan migrant[G], n) // ample buffering: no deadlock
+	// Processor agents: evolve for an interval, then report the best.
+	bests := make([]core.Individual[G], n)
+	evolve := func(id int) {
+		e := engines[id]
+		for s := 0; s < cfg.Interval && !stopped(); s++ {
+			e.Step()
+		}
+		bests[id] = e.Best()
 	}
-	type report struct {
-		from   int
-		genome G
-		obj    float64
-	}
-	syncIn := make(chan report, n)
-	done := make(chan core.Individual[G], n)
-	// ctl carries the synchronisation agent's per-epoch continue/halt
-	// decision; buffered so the sync agent never blocks on a processor.
-	ctl := make([]chan bool, n)
-	for i := range ctl {
-		ctl[i] = make(chan bool, 1)
-	}
-
-	// Synchronisation agent: every epoch, gather all bests, decide whether
-	// to halt (the single cancellation decision point: every processor
-	// sees the same verdict at the same barrier, so early termination
-	// cannot deadlock the exchange), then route each agent's best to its
-	// cube neighbours.
-	epochsDone := make(chan int, 1)
-	go func() {
-		completed := 0
-		for e := 0; e < cfg.Epochs; e++ {
-			bests := make([]G, n)
-			bestObj := math.Inf(1)
-			for k := 0; k < n; k++ {
-				rep := <-syncIn
-				bests[rep.from] = rep.genome
-				if rep.obj < bestObj {
-					bestObj = rep.obj
+	// inbox[i] holds the migrants routed to processor agent i, in ascending
+	// sender order; absorb replaces the worst resident with each in turn.
+	inbox := make([][]G, n)
+	absorb := func(id int) {
+		e := engines[id]
+		for _, g := range inbox[id] {
+			ind := e.MakeIndividual(e.Problem().Clone(g))
+			pop := e.Population()
+			worst := 0
+			for k := range pop {
+				if pop[k].Obj > pop[worst].Obj {
+					worst = k
 				}
 			}
-			completed = e + 1
-			if cfg.OnEpoch != nil {
-				cfg.OnEpoch(e, bestObj)
-			}
-			halt := cfg.Stop != nil && cfg.Stop()
-			if cfg.TargetSet && bestObj <= cfg.Target {
-				halt = true
-			}
-			for i := range ctl {
-				ctl[i] <- !halt
-			}
-			if halt {
-				break
-			}
-			for i := 0; i < n; i++ {
-				for _, t := range cube.Targets(i, n) {
-					inbox[t] <- migrant[G]{genome: bests[i]}
-				}
+			pop[worst] = ind
+		}
+		inbox[id] = inbox[id][:0]
+	}
+
+	res := Result[G]{Best: core.Individual[G]{Obj: math.Inf(1)}}
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		x.Run(evolve)
+		// Synchronisation agent: gather all bests, decide whether to halt
+		// (the single decision point, so every processor sees the same
+		// verdict at the same barrier), then route each agent's best to its
+		// cube neighbours.
+		bestObj := math.Inf(1)
+		for _, b := range bests {
+			bestObj = math.Min(bestObj, b.Obj)
+		}
+		res.Epochs = epoch + 1
+		if cfg.OnEpoch != nil {
+			cfg.OnEpoch(epoch, bestObj)
+		}
+		if stopped() || cfg.TargetSet && bestObj <= cfg.Target {
+			break
+		}
+		for i := 0; i < n; i++ {
+			for _, t := range cube.Targets(i, n) {
+				inbox[t] = append(inbox[t], bests[i].Genome)
 			}
 		}
-		epochsDone <- completed
-	}()
-
-	// Processor agents.
-	for i := 0; i < n; i++ {
-		go func(id int) {
-			e := engines[id]
-			expect := len(cube.Targets(id, n))
-			for epoch := 0; epoch < cfg.Epochs; epoch++ {
-				for s := 0; s < cfg.Interval; s++ {
-					if cfg.Stop != nil && cfg.Stop() {
-						break
-					}
-					e.Step()
-				}
-				best := e.Best()
-				syncIn <- report{from: id, genome: best.Genome, obj: best.Obj}
-				if !<-ctl[id] {
-					break
-				}
-				for k := 0; k < expect; k++ {
-					m := <-inbox[id]
-					ind := e.MakeIndividual(e.Problem().Clone(m.genome))
-					pop := e.Population()
-					worst := 0
-					for x := range pop {
-						if pop[x].Obj > pop[worst].Obj {
-							worst = x
-						}
-					}
-					pop[worst] = ind
-				}
-			}
-			done <- e.Best()
-		}(i)
+		x.Run(absorb)
 	}
 
 	// Management agent: collect results.
-	res := Result[G]{Best: core.Individual[G]{Obj: math.Inf(1)}}
-	finals := make([]core.Individual[G], 0, n)
-	for k := 0; k < n; k++ {
-		finals = append(finals, <-done)
-	}
-	res.Epochs = <-epochsDone
-	for _, e := range engines {
-		res.Evaluations += e.Evaluations()
-	}
 	res.PerAgent = make([]float64, 0, n)
-	for _, b := range finals {
+	for _, e := range engines {
+		b := e.Best()
+		res.Evaluations += e.Evaluations()
 		res.PerAgent = append(res.PerAgent, b.Obj)
 		if b.Obj < res.Best.Obj {
 			res.Best = b

@@ -17,7 +17,7 @@
 //
 // The synchronous update is double-buffered and every cell draws its
 // randomness from a stream derived from (seed, generation, cell), so
-// partitioning the grid over goroutines cannot change the result: the
+// partitioning the grid over a core.Executor cannot change the result: the
 // parallel run is bit-identical to the sequential one. Virtual-time
 // accounting with a per-neighbour communication charge reproduces the
 // Transputer observation that message passing keeps the speedup of the
@@ -26,7 +26,6 @@ package cellular
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/rng"
@@ -109,7 +108,7 @@ type Config[G any] struct {
 	Mutate  core.Mutation[G]
 	Fitness core.Fitness // default InverseFitness
 
-	Partitions int // goroutines for the synchronous update (default 1)
+	Partitions int // row bands of the synchronous update, one per executor (default 1)
 
 	Generations int // default 100
 	Target      float64
@@ -154,6 +153,12 @@ type Model[G any] struct {
 	seed  uint64
 	hist  []GenStats
 
+	// exec (Partitions wide) runs part, bound once at New, for every band
+	// of the synchronous update, filling next.
+	exec *core.Executor
+	part func(k int)
+	next []core.Individual[G]
+
 	virtualTime   float64
 	virtualSerial float64
 }
@@ -190,7 +195,8 @@ func New[G any](p core.Problem[G], r *rng.RNG, cfg Config[G]) *Model[G] {
 	if cfg.Cross == nil || cfg.Mutate == nil {
 		panic("cellular: Config must provide Cross and Mutate")
 	}
-	m := &Model[G]{prob: p, cfg: cfg, seed: r.Uint64()}
+	m := &Model[G]{prob: p, cfg: cfg, seed: r.Uint64(), exec: core.NewExecutor(cfg.Partitions)}
+	m.part = m.updatePartition
 	n := cfg.Width * cfg.Height
 	m.cells = make([]core.Individual[G], n)
 	for i := range m.cells {
@@ -266,6 +272,16 @@ func (m *Model[G]) updateCell(prev []core.Individual[G], gen, idx int) core.Indi
 	return ind
 }
 
+// updatePartition fills band k of the next grid: rows
+// [k·r, (k+1)·r) for r = ceil(Height/Partitions), clipped to the grid.
+func (m *Model[G]) updatePartition(k int) {
+	rows := (m.cfg.Height + m.cfg.Partitions - 1) / m.cfg.Partitions
+	lo, hi := k*rows*m.cfg.Width, min((k+1)*rows*m.cfg.Width, len(m.cells))
+	for i := lo; i < hi; i++ {
+		m.next[i] = m.updateCell(m.cells, m.gen, i)
+	}
+}
+
 // Step advances one generation.
 func (m *Model[G]) Step() {
 	gen := m.gen
@@ -276,35 +292,9 @@ func (m *Model[G]) Step() {
 			m.cells[i] = m.updateCell(m.cells, gen, i)
 		}
 	default: // Synchronous, double-buffered, optionally partitioned
-		next := make([]core.Individual[G], n)
-		parts := m.cfg.Partitions
-		if parts == 1 {
-			for i := 0; i < n; i++ {
-				next[i] = m.updateCell(m.cells, gen, i)
-			}
-		} else {
-			var wg sync.WaitGroup
-			rowsPer := (m.cfg.Height + parts - 1) / parts
-			for p := 0; p < parts; p++ {
-				lo := p * rowsPer * m.cfg.Width
-				hi := (p + 1) * rowsPer * m.cfg.Width
-				if hi > n {
-					hi = n
-				}
-				if lo >= hi {
-					continue
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					for i := lo; i < hi; i++ {
-						next[i] = m.updateCell(m.cells, gen, i)
-					}
-				}(lo, hi)
-			}
-			wg.Wait()
-		}
-		m.cells = next
+		m.next = make([]core.Individual[G], n)
+		m.exec.Run(m.part)
+		m.cells, m.next = m.next, nil
 	}
 	m.evals += int64(n)
 	m.gen++
@@ -443,9 +433,15 @@ func (m *Model[G]) Restore(s Snapshot[G]) error {
 	return nil
 }
 
+// Close stops the partition workers a partitioned Step spawned; Run calls
+// it on return, a caller driving Step itself should too. The next Step
+// respawns them.
+func (m *Model[G]) Close() { m.exec.Close() }
+
 // Run executes the configured number of generations (stopping early at the
 // target) and reports the result.
 func (m *Model[G]) Run() Result[G] {
+	defer m.Close()
 	for m.gen < m.cfg.Generations {
 		if m.cfg.TargetSet && m.best.Obj <= m.cfg.Target {
 			break

@@ -22,9 +22,6 @@ package core
 
 import (
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/rng"
 )
@@ -188,41 +185,4 @@ type Operators[G any] struct {
 	// storage, which is what drops steady-state crossover allocations to
 	// zero.
 	CrossInto func() CrossoverInto[G]
-}
-
-// ParallelFor runs fn(i) for every i in [0, n) on up to workers goroutines
-// (0 or negative: GOMAXPROCS), claiming indices from a shared cursor so a
-// slow item never idles the pool. It is the bounded-pool primitive behind
-// the island and hybrid models' deme stepping; fn must make i's work
-// independent of every other index for the result to be
-// schedule-independent.
-func ParallelFor(n, workers int, fn func(int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := cursor.Add(1) - 1
-				if i >= int64(n) {
-					return
-				}
-				fn(int(i))
-			}
-		}()
-	}
-	wg.Wait()
 }

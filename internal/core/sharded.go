@@ -1,8 +1,6 @@
 package core
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/rng"
@@ -52,19 +50,10 @@ import (
 //     on one core from step to step, and executors claim without touching
 //     a shared line; an executor that drains its own range steals from the
 //     others' in turn, which re-balances skewed costs. Which executor runs
-//     a shard never changes what the shard computes. Executor 0 is the
-//     calling goroutine; Workers-1 persistent goroutines join it through a
-//     spin-then-park step barrier (stepBarrier): the master publishes a
-//     step by bumping an atomic epoch, and the workers — and the master
-//     waiting for the last of them — poll an atomic for a bounded window
-//     before they park on a wake channel. A generation of a 10x10 job
-//     shop at Pop 80 is only ~50-100 us of work, so two futex wake-ups per
-//     generation cost about what a second worker saves; the poll catches
-//     the common case without them. Every poll calls runtime.Gosched, so
-//     a waiting executor hands its CPU to any runnable goroutine — another
-//     job's executors, a server's connection handlers — instead of
-//     burning it while executors outnumber the CPUs. Under GOMAXPROCS=1
-//     nobody can publish while a waiter polls, so waiters park at once.
+//     a shard never changes what the shard computes. The executors are an
+//     Executor of width Workers, created at New: executor 0 is the calling
+//     goroutine, and Workers-1 persistent goroutines join it through the
+//     executor's spin-then-park step barrier.
 //
 // The previous population is read-only during a step (selection reads it
 // from every executor); elitism, replacement and best-tracking stay on the
@@ -86,10 +75,9 @@ type shardRange struct{ lo, hi int }
 
 // shardedState is the engine's pipeline state.
 type shardedState[G any] struct {
-	workers int
-	shards  []shardRange
-	rngs    []*rng.RNG // per-shard substream, advanced only by its shard
-	free    [][]G      // per-shard free list of retired genomes
+	shards []shardRange
+	rngs   []*rng.RNG // per-shard substream, advanced only by its shard
+	free   [][]G      // per-shard free list of retired genomes
 
 	// The slot plan: [0, nBest) elites, [nBest, crossEnd) offspring,
 	// [crossEnd, Pop) random immigrants.
@@ -100,7 +88,8 @@ type shardedState[G any] struct {
 	next []Individual[G]
 
 	claims []claimRange // per-executor shard ranges, reset each step
-	bar    *stepBarrier // the spawned workers' barrier; nil when none run
+	exec   *Executor    // Workers wide; runs step once per executor each Step
+	step   func(exec int)
 
 	// Per-executor batch-evaluation closures and recycling crossover
 	// instances, both possibly holding private scratch, plus the gather and
@@ -134,11 +123,14 @@ func newShardedState[G any](e *Engine[G], workers int) *shardedState[G] {
 	if workers < 1 {
 		workers = 1
 	}
-	sh := &shardedState[G]{workers: workers, crossEnd: n}
+	sh := &shardedState[G]{crossEnd: n}
 	if im := e.cfg.Immigration; im.Enabled {
 		sh.nBest = int(float64(n) * im.BestFrac)
 		sh.crossEnd = n - int(float64(n)*im.RandomFrac)
 	}
+	sh.exec = NewExecutor(workers)
+	// Bound once: a method value taken on every Step would allocate.
+	sh.step = e.runShards
 	sh.shards = make([]shardRange, nShards)
 	for s := range sh.shards {
 		sh.shards[s] = shardRange{s * shardSize, min((s+1)*shardSize, n)}
@@ -184,134 +176,13 @@ func take2[G any](free []G) (d1, d2 G, rest []G) {
 	return d1, d2, free
 }
 
-// spinPolls bounds the barrier's poll window: the number of atomic polls,
-// each followed by runtime.Gosched, before a waiter parks. A poll takes
-// ~120 ns with nothing else runnable (2-vCPU x86-64 host), so 200 polls
-// span ~24 us — more than the master's between-step tail plus one shard,
-// the gaps a waiter normally sees — and longer when other goroutines are
-// runnable, since each poll yields to them.
-const spinPolls = 200
-
-// parker is one waiter's park slot; parked holds the epoch its waiter is
-// parked for, or 0. A waiter that exhausts its polls stores its epoch and
-// re-checks its condition; the signaller, after publishing the condition,
-// claims the slot with CompareAndSwap(epoch, 0) and sends one token.
-// Whichever side wins the swap decides whether a token is in flight, so no
-// wake-up is lost and none is left behind. The epoch tag stops a late
-// signal from waking a waiter parked for a later step: the last worker of
-// step E may still be inside signal when the master, having already polled
-// pending to zero, runs step E+1 and parks.
-type parker struct {
-	parked atomic.Uint64
-	wake   chan struct{} // buffered: the signaller never blocks
-}
-
-// await returns once done reports true: it polls up to spins times, then
-// parks until signal(epoch) hands it a token.
-func (p *parker) await(epoch uint64, spins int, done func() bool) {
-	for i := 0; i < spins; i++ {
-		if done() {
-			return
-		}
-		runtime.Gosched()
-	}
-	p.parked.Store(epoch)
-	if done() && p.parked.CompareAndSwap(epoch, 0) {
-		return
-	}
-	<-p.wake
-}
-
-// signal wakes the waiter if it is parked for epoch. Call it after
-// publishing the condition the waiter polls.
-func (p *parker) signal(epoch uint64) {
-	if p.parked.CompareAndSwap(epoch, 0) {
-		p.wake <- struct{}{}
-	}
-}
-
-// stepBarrier synchronises the master with one spawn of worker goroutines.
-// Each Step bumps epoch to release the workers and waits for pending to
-// drop to zero; the worker that takes it there signals the master. Close
-// sets quit before its final bump, so the workers see it and exit, and
-// waits on exited for them; a respawn builds a fresh barrier.
-type stepBarrier struct {
-	epoch   atomic.Uint64
-	pending atomic.Int32
-	quit    atomic.Bool
-	spins   int // spinPolls, or 0 when GOMAXPROCS is 1 and nobody could publish mid-poll
-	master  parker
-	workers []parker
-	exited  sync.WaitGroup
-}
-
-// release publishes a new epoch, wakes every worker parked for it and
-// returns it.
-func (b *stepBarrier) release() uint64 {
-	ep := b.epoch.Add(1)
-	for k := range b.workers {
-		b.workers[k].signal(ep)
-	}
-	return ep
-}
-
-// startWorkers lazily spawns the persistent worker goroutines (the master
-// participates as executor 0, so Workers-1 goroutines are spawned). Between
-// steps they wait on the step barrier, polling its epoch and then parking;
-// Close stops them.
-func (e *Engine[G]) startWorkers() {
-	sh := e.sharded
-	if sh.bar != nil {
-		return
-	}
-	b := &stepBarrier{workers: make([]parker, sh.workers-1)}
-	if runtime.GOMAXPROCS(0) > 1 {
-		b.spins = spinPolls
-	}
-	b.master.wake = make(chan struct{}, 1)
-	for k := range b.workers {
-		p := &b.workers[k]
-		p.wake = make(chan struct{}, 1)
-		exec := k + 1
-		b.exited.Add(1)
-		go func() {
-			defer b.exited.Done()
-			// The master bumps the epoch once per step and only after
-			// every worker has finished the last one, so epoch ep follows
-			// ep-1 with no skips; Close's bump is the last.
-			for ep := uint64(1); ; ep++ {
-				p.await(ep, b.spins, func() bool { return b.epoch.Load() == ep })
-				if b.quit.Load() {
-					return
-				}
-				e.runShards(exec)
-				if b.pending.Add(-1) == 0 {
-					b.master.signal(ep)
-				}
-			}
-		}()
-	}
-	sh.bar = b
-}
-
 // Close stops the pipeline's persistent worker goroutines and returns once
-// they have exited: it marks their barrier quit and releases it, so
-// polling workers see the quit on their next poll and parked ones are
-// woken to see it. The engine stays usable: the next Step respawns the
-// workers on a fresh barrier. Close is a no-op on single-executor engines
+// they have exited (Executor.Close). The engine stays usable: the next Step
+// respawns the workers. Close is a no-op on single-executor engines
 // (Workers <= 1), is idempotent, and must not be called concurrently with
 // Step. Callers that abandon a multi-worker engine before Run returns
 // should Close it; the solver's model adapters do.
-func (e *Engine[G]) Close() {
-	b := e.sharded.bar
-	if b == nil {
-		return
-	}
-	b.quit.Store(true)
-	b.release()
-	b.exited.Wait()
-	e.sharded.bar = nil
-}
+func (e *Engine[G]) Close() { e.sharded.exec.Close() }
 
 // Step runs one generation (Table II lines 4-7): harvest the retired
 // generation's genome storage, copy the immigration elites on the master,
@@ -357,11 +228,7 @@ func (e *Engine[G]) Step() {
 	for k := range sh.claims {
 		sh.claims[k].next.Store(sh.claims[k].lo)
 	}
-	if sh.workers > 1 {
-		e.runShardsWithWorkers()
-	} else {
-		e.runShards(0)
-	}
+	sh.exec.Run(sh.step)
 	e.evals += int64(n - sh.nBest)
 
 	if e.cfg.Elite > 0 && !e.cfg.Immigration.Enabled {
@@ -371,18 +238,6 @@ func (e *Engine[G]) Step() {
 	e.pop = next
 	e.refreshBest()
 	e.record()
-}
-
-// runShardsWithWorkers releases the spawned workers into their shard
-// ranges, drains its own alongside them as executor 0, and returns once
-// the last worker has finished its shard.
-func (e *Engine[G]) runShardsWithWorkers() {
-	e.startWorkers()
-	b := e.sharded.bar
-	b.pending.Store(int32(e.sharded.workers - 1))
-	ep := b.release()
-	e.runShards(0)
-	b.master.await(ep, b.spins, func() bool { return b.pending.Load() == 0 })
 }
 
 // runShards is one executor's claim loop: run the shards of its own range

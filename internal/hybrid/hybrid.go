@@ -29,10 +29,9 @@ type RingOfTorusConfig[G any] struct {
 
 	Grid cellular.Config[G] // per-island cellular configuration
 
-	// Workers bounds the goroutines stepping grids within an epoch
-	// (default min(GOMAXPROCS, Grids) — one shared pool rather than a
-	// goroutine per grid). Every grid owns its randomness, so results are
-	// identical for every worker count.
+	// Workers is the width of the core.Executor each Run steps the grids
+	// on (default 0: min(GOMAXPROCS, Grids)). Every grid owns its
+	// randomness, so results are identical for every worker count.
 	Workers int
 
 	Target    float64
@@ -132,11 +131,11 @@ func (h *RingOfTorus[G]) migrate() {
 	}
 }
 
-// stepGrids advances every grid by Interval generations on one shared
-// bounded pool (core.ParallelFor, Config.Workers wide). Every grid owns
-// its randomness, so the pool width cannot change the result.
-func (h *RingOfTorus[G]) stepGrids(stopped func() bool) {
-	core.ParallelFor(len(h.grids), h.cfg.Workers, func(i int) {
+// stepGrids advances every grid by Interval generations on the run's
+// executor (Executor.For, Config.Workers wide). Every grid owns its
+// randomness, so the executor width cannot change the result.
+func (h *RingOfTorus[G]) stepGrids(x *core.Executor, stopped func() bool) {
+	x.For(len(h.grids), func(i int) {
 		g := h.grids[i]
 		for s := 0; s < h.cfg.Interval; s++ {
 			if stopped() {
@@ -149,7 +148,7 @@ func (h *RingOfTorus[G]) stepGrids(stopped func() bool) {
 
 // Snapshot captures the hybrid's complete evolution state: one cellular
 // snapshot per torus grid plus the epoch counter. Call it between epochs
-// (e.g. from OnEpoch) — never while stepGrids' goroutines are live. The
+// (e.g. from OnEpoch) — never while stepGrids is stepping the grids. The
 // snapshot shares nothing with the model.
 func (h *RingOfTorus[G]) Snapshot() Snapshot[G] {
 	s := Snapshot[G]{Epoch: h.epoch}
@@ -192,6 +191,13 @@ func (h *RingOfTorus[G]) Restore(s Snapshot[G]) error {
 // picks up at the snapshot's epoch, so Result.Epochs still counts the
 // run's total.
 func (h *RingOfTorus[G]) Run() Result[G] {
+	x := core.NewExecutor(core.Width(h.cfg.Workers, len(h.grids)))
+	defer func() {
+		x.Close()
+		for _, g := range h.grids {
+			g.Close()
+		}
+	}()
 	stopped := func() bool { return h.cfg.Stop != nil && h.cfg.Stop() }
 	epoch := h.epoch
 	for ; epoch < h.cfg.Epochs; epoch++ {
@@ -201,7 +207,7 @@ func (h *RingOfTorus[G]) Run() Result[G] {
 		if stopped() {
 			break
 		}
-		h.stepGrids(stopped)
+		h.stepGrids(x, stopped)
 		h.migrate()
 		// Advance before the observer runs: a Snapshot taken from inside
 		// OnEpoch captures "epoch done, next not begun".

@@ -15,9 +15,9 @@
 //	11: end while
 //
 // Each island is a core.Engine with its own split RNG; islands advance in
-// parallel goroutines between synchronised migration epochs, so runs are
-// deterministic for a fixed master seed regardless of scheduling. The
-// configuration space covers the designs the survey analyses: connection
+// parallel on one core.Executor between synchronised migration epochs, so
+// runs are deterministic for a fixed master seed regardless of scheduling.
+// The configuration space covers the designs the survey analyses: connection
 // topologies, emigrant-selection and replacement policies, migration
 // interval and rate, heterogeneous per-island operators (Park [26], Bożejko
 // [30]), per-island objectives (Rashidi [38]), merge-on-stagnation (Spanos
@@ -136,18 +136,17 @@ type Config[G any] struct {
 	Merge    *MergeConfig[G]
 	TwoLevel *TwoLevel
 
-	// Workers bounds the goroutines stepping islands within an epoch. The
-	// default (0) is min(GOMAXPROCS, Islands): one pool shared across all
-	// islands instead of a goroutine per island, so a 32-island run on 8
+	// Workers is the width of the core.Executor each Run steps the islands
+	// on (default 0: min(GOMAXPROCS, Islands)), so a 32-island run on 8
 	// cores does not oversubscribe the scheduler. Results are identical for
 	// every worker count — each island owns its engine and RNG stream, so
-	// which goroutine steps it cannot matter.
+	// which executor steps it cannot matter.
 	Workers int
 
 	// OnEpoch, when set, is called after every migration epoch with the
 	// epoch's stats — the model's streaming-progress seam. It runs on the
 	// model's own goroutine, between epochs, so it never races the island
-	// goroutines.
+	// steps.
 	OnEpoch func(EpochStats)
 
 	// Exchange, when set, extends each migration epoch beyond the process
@@ -168,7 +167,7 @@ type Config[G any] struct {
 	// Stop, when set, is polled between generations on every island and at
 	// every epoch boundary; returning true ends the run with the best found
 	// so far. Must be safe for concurrent use (the islands poll it from
-	// their goroutines).
+	// the executor's goroutines).
 	Stop func() bool
 }
 
@@ -288,14 +287,14 @@ func (m *Model[G]) stopped() bool {
 	return m.cfg.Stop != nil && m.cfg.Stop()
 }
 
-// stepAll advances every island by the migration interval on one shared
-// bounded pool (core.ParallelFor, Config.Workers wide; 1 steps them on
-// the calling goroutine).
+// stepAll advances every island by the migration interval on the run's
+// executor (Executor.For, Config.Workers wide; width 1 steps them on the
+// calling goroutine).
 // Islands only touch their own state and RNGs, so the result is
-// independent of goroutine scheduling — and of the pool width.
-func (m *Model[G]) stepAll() {
+// independent of goroutine scheduling — and of the executor width.
+func (m *Model[G]) stepAll(x *core.Executor) {
 	steps := m.cfg.Interval
-	stepIsland := func(i int) {
+	x.For(len(m.engines), func(i int) {
 		e := m.engines[i]
 		for s := 0; s < steps; s++ {
 			if m.stopped() {
@@ -303,8 +302,7 @@ func (m *Model[G]) stepAll() {
 			}
 			e.Step()
 		}
-	}
-	core.ParallelFor(len(m.engines), m.cfg.Workers, stepIsland)
+	})
 	m.gen += steps
 }
 
@@ -498,7 +496,7 @@ func (m *Model[G]) record(epoch int, edges []Exchange) {
 // (which drives migrant selection, replacement and topology draws), the
 // generation and epoch counters, and the evaluations of merged-away
 // islands. Call it between epochs (e.g. from OnEpoch) — never while
-// stepAll's island goroutines are live. The snapshot shares nothing with
+// stepAll is stepping the islands. The snapshot shares nothing with
 // the model.
 func (m *Model[G]) Snapshot() Snapshot[G] {
 	s := Snapshot[G]{
@@ -551,9 +549,11 @@ func (m *Model[G]) Restore(s Snapshot[G]) error {
 // target) and returns the result. After a Restore it picks up at the
 // snapshot's epoch, so Result.Epochs still counts the run's total.
 func (m *Model[G]) Run() Result[G] {
+	x := core.NewExecutor(core.Width(m.cfg.Workers, len(m.engines)))
+	defer x.Close()
 	epoch := m.epoch
 	for ; epoch < m.cfg.Epochs && !m.done(); epoch++ {
-		m.stepAll()
+		m.stepAll(x)
 		edges := m.migrate()
 		edges = append(edges, m.exchange(epoch)...)
 		if tl := m.cfg.TwoLevel; tl != nil {

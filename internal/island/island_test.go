@@ -268,7 +268,7 @@ func TestMergeRealisticCriterion(t *testing.T) {
 		Threshold: 2,
 	}
 	m := New(rng.New(17), cfg)
-	m.stepAll()
+	m.stepAll(core.NewExecutor(1))
 	m.maybeMerge()
 	if len(m.Engines()) < 2 {
 		t.Error("diverse islands merged prematurely")

@@ -51,12 +51,13 @@ type ProblemSpec struct {
 // JSON-round-trippable; each model reads the fields it understands.
 type Params struct {
 	Pop int `json:"pop,omitempty"` // total population across islands (default 80)
-	// Workers is the parallel-execution width, threaded into every model
-	// that has one: ms sharded-pipeline workers (default 4), island/hybrid
-	// island-stepping pool (default GOMAXPROCS), cellular partitions
-	// (default 1). serial, agents and qga run their fixed concurrency
-	// structure and ignore it. Every model is deterministic in it: the
-	// same Spec.Seed yields the same Result for workers 1, 2 or 8
+	// Workers is the width of the core.Executor a model runs on, for the
+	// models that have one: ms sharded-pipeline executors (default 4),
+	// island/hybrid deme stepping (default min(GOMAXPROCS, demes)),
+	// cellular partitions (default 1). serial, agents (one executor per
+	// processor agent) and qga run their fixed concurrency structure and
+	// ignore it. Every model is deterministic in it: the same Spec.Seed
+	// yields the same Result for workers 1, 2 or 8
 	// (TestWorkerCountInvariance).
 	Workers  int `json:"workers,omitempty"`
 	Islands  int `json:"islands,omitempty"`  // islands, grids, processor agents (default 4; agents 8)

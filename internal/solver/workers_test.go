@@ -3,16 +3,19 @@ package solver
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestWorkerCountInvariance pins the contract of Params.Workers across the
 // whole registry: the knob sets how wide a model executes, never what it
 // computes. For every model, the same Spec.Seed must produce an identical
-// Result for workers 1, 2 and 8 — the engine's sharded pipeline
-// guarantees it through its fixed shard decomposition and per-shard RNG
-// substreams, the island/hybrid stepping pools because each deme owns its
-// stream, cellular because every cell's stream is derived from (seed,
+// Result for workers 1, 2 and 8 — the knob is the width of the model's
+// core.Executor, and the engine's sharded pipeline guarantees it through
+// its fixed shard decomposition and per-shard RNG substreams, island and
+// hybrid deme stepping because each deme owns its stream, cellular
+// partitions because every cell's stream is derived from (seed,
 // generation, cell), and serial/agents/qga because their concurrency
 // structure is fixed.
 func TestWorkerCountInvariance(t *testing.T) {
@@ -48,6 +51,51 @@ func TestWorkerCountInvariance(t *testing.T) {
 						w, got, baseWorkers, *base)
 				}
 			}
+		})
+	}
+}
+
+// TestModelsCloseTheirExecutors: every model owns the executors it runs
+// on for exactly one run. At workers 2, Solve run to completion and Solve
+// cancelled mid-run (at the first progress event) must both leave the
+// goroutine count back at its baseline, so every return path closes them.
+func TestModelsCloseTheirExecutors(t *testing.T) {
+	settle := func(t *testing.T, baseline int, how string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before the run: executors leaked",
+					how, runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			spec := smallSpec(name)
+			spec.Params.Workers = 2
+			if _, err := Solve(context.Background(), spec); err != nil {
+				t.Fatal(err)
+			}
+			settle(t, baseline, "run to completion")
+
+			spec.Budget = Budget{Generations: 1 << 20}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			res, err := solve(ctx, spec, func(ev Event) {
+				if ev.Type != EventStarted {
+					cancel()
+				}
+			}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Canceled {
+				t.Fatalf("the run was not cancelled mid-run: %d generations", res.Generations)
+			}
+			settle(t, baseline, "cancelled mid-run")
 		})
 	}
 }
