@@ -202,6 +202,8 @@ type Node struct {
 	streamFailures atomic.Int64
 	framesRejected atomic.Int64
 	barrierWaitNS  atomic.Int64
+	barrierLateNS  atomic.Int64
+	barrierWakeNS  atomic.Int64
 	barriers       atomic.Int64
 }
 
@@ -220,9 +222,16 @@ type run struct {
 	// failover-resumed shard replaying epochs the fleet already passed
 	// must not stall an epochTimeout per replayed epoch.
 	fastForward int
-	batches     map[int]map[int]*serve.MigrantBatch
-	finished    map[int]bool // ranks whose sender declared Done
-	degraded    map[int]bool // ranks that missed a barrier; never waited again
+	batches     map[int]map[int]inbound
+	finished    map[int]time.Time // ranks whose sender declared Done, and when
+	degraded    map[int]bool      // ranks that missed a barrier; never waited again
+}
+
+// inbound is one buffered batch and the time it reached the inbox, which
+// splits a barrier's wait into the peer's lateness and the wake-up.
+type inbound struct {
+	b  *serve.MigrantBatch
+	at time.Time
 }
 
 // New builds the node, derives its rank from the sorted peer list and
@@ -364,6 +373,8 @@ func (n *Node) Counters() serve.FederationCounters {
 		FramesRejected:   n.framesRejected.Load(),
 		BarrierWaitNS:    n.barrierWaitNS.Load(),
 		Barriers:         n.barriers.Load(),
+		BarrierLateNS:    n.barrierLateNS.Load(),
+		BarrierWakeNS:    n.barrierWakeNS.Load(),
 	}
 }
 
@@ -593,8 +604,9 @@ func (st *run) deliver(b *serve.MigrantBatch) {
 	if b.From >= st.nodes {
 		return
 	}
+	now := time.Now()
 	if b.Done {
-		st.finished[b.From] = true
+		st.finished[b.From] = now
 	}
 	// Reject stale (already collected) and absurdly-early epochs, and
 	// senders the run has degraded: a degraded peer does not know it was
@@ -604,10 +616,10 @@ func (st *run) deliver(b *serve.MigrantBatch) {
 	if !st.degraded[b.From] && b.Epoch >= st.epoch && b.Epoch < st.epoch+epochWindow && len(b.Migrants) > 0 {
 		em := st.batches[b.Epoch]
 		if em == nil {
-			em = map[int]*serve.MigrantBatch{}
+			em = map[int]inbound{}
 			st.batches[b.Epoch] = em
 		}
-		em[b.From] = b
+		em[b.From] = inbound{b, now}
 	}
 	close(st.notify)
 	st.notify = make(chan struct{})
@@ -628,8 +640,8 @@ func (n *Node) ShardStarted(key string, rank, nodes int, epochTimeoutMS int64) (
 	st := &run{
 		rank: rank, nodes: nodes, epochTimeout: timeout,
 		notify:   make(chan struct{}),
-		batches:  map[int]map[int]*serve.MigrantBatch{},
-		finished: map[int]bool{},
+		batches:  map[int]map[int]inbound{},
+		finished: map[int]time.Time{},
 		degraded: map[int]bool{},
 	}
 	n.mu.Lock()
@@ -808,10 +820,16 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 		waitStart := time.Now()
 		deadline := time.NewTimer(timeout)
 		defer deadline.Stop()
+		// released is when the last awaited batch or Done notice reached
+		// the inbox, or when the barrier gave up on the rest.
+		var released time.Time
 		for {
 			st.mu.Lock()
 			missing := missingRanks(st, epoch, waiting)
 			notify := st.notify
+			if len(missing) == 0 {
+				released = lastArrival(st, epoch, waiting, released)
+			}
 			st.mu.Unlock()
 			if len(missing) == 0 {
 				break
@@ -827,15 +845,21 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 					n.logf("federation: %s epoch %d: peer %s missed the barrier, degraded", key, epoch, n.peers[r])
 				}
 				st.mu.Unlock()
+				released = time.Now()
 			case <-ctx.Done():
 				// Cancellation mid-barrier: return what arrived; the run is
 				// stopping anyway.
+				released = time.Now()
 			}
 			if ctx.Err() != nil {
 				break
 			}
 		}
-		n.barrierWaitNS.Add(int64(time.Since(waitStart)))
+		wait := time.Since(waitStart)
+		late := min(max(released.Sub(waitStart), 0), wait)
+		n.barrierWaitNS.Add(int64(wait))
+		n.barrierLateNS.Add(int64(late))
+		n.barrierWakeNS.Add(int64(wait - late))
 		n.barriers.Add(1)
 	}
 
@@ -855,7 +879,7 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 	}
 	sort.Ints(ranks)
 	for _, r := range ranks {
-		report.In = append(report.In, em[r].Migrants...)
+		report.In = append(report.In, em[r].b.Migrants...)
 	}
 	// Drop this epoch and anything staler; redeliveries are stale now.
 	for e := range st.batches {
@@ -875,13 +899,33 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 func missingRanks(st *run, epoch int, waiting []int) []int {
 	var out []int
 	for _, r := range waiting {
-		if st.degraded[r] || st.finished[r] {
+		if st.degraded[r] {
 			continue
 		}
-		if em := st.batches[epoch]; em != nil && em[r] != nil {
+		if _, done := st.finished[r]; done {
+			continue
+		}
+		if _, ok := st.batches[epoch][r]; ok {
 			continue
 		}
 		out = append(out, r)
 	}
 	return out
+}
+
+// lastArrival is the latest of t and the inbox arrivals that satisfied
+// the waited-on ranks: each rank's epoch batch, or its Done notice when
+// no batch came. Callers hold st.mu.
+func lastArrival(st *run, epoch int, waiting []int, t time.Time) time.Time {
+	for _, r := range waiting {
+		in, ok := st.batches[epoch][r]
+		at := in.at
+		if !ok {
+			at = st.finished[r] // zero for a rank degraded instead
+		}
+		if at.After(t) {
+			t = at
+		}
+	}
+	return t
 }

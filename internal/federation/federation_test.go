@@ -321,6 +321,8 @@ func TestFederationEndpoints(t *testing.T) {
 		"schedserver_federation_frames_rejected_total",
 		"schedserver_federation_barrier_wait_seconds_total",
 		"schedserver_federation_barriers_total",
+		"schedserver_federation_barrier_late_seconds_total",
+		"schedserver_federation_barrier_wake_seconds_total",
 	} {
 		if !strings.Contains(stats, want) {
 			t.Errorf("stats missing %q:\n%s", want, stats)

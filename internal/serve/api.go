@@ -174,6 +174,12 @@ type FederationCounters struct {
 	// summed over Barriers waits: their ratio is the mean wait per barrier.
 	BarrierWaitNS int64 `json:"barrier_wait_ns"`
 	Barriers      int64 `json:"barriers"`
+	// BarrierLateNS and BarrierWakeNS split BarrierWaitNS at the moment
+	// the last batch (or Done notice) a barrier waited for reached the
+	// inbox: late is the time before it arrived, the peer's lag; wake is
+	// the time from its arrival to the barrier's return.
+	BarrierLateNS int64 `json:"barrier_late_ns"`
+	BarrierWakeNS int64 `json:"barrier_wake_ns"`
 }
 
 // FederationInfo is the GET /v1/federation/info payload: the fleet as

@@ -151,5 +151,11 @@ func FederationStatsText(peers int, c FederationCounters) string {
 	b.WriteString("# HELP schedserver_federation_barriers_total Epoch barriers shards waited at.\n")
 	b.WriteString("# TYPE schedserver_federation_barriers_total counter\n")
 	fmt.Fprintf(&b, "schedserver_federation_barriers_total %d\n", c.Barriers)
+	b.WriteString("# HELP schedserver_federation_barrier_late_seconds_total Barrier wait before the last awaited batch arrived.\n")
+	b.WriteString("# TYPE schedserver_federation_barrier_late_seconds_total counter\n")
+	fmt.Fprintf(&b, "schedserver_federation_barrier_late_seconds_total %g\n", float64(c.BarrierLateNS)/1e9)
+	b.WriteString("# HELP schedserver_federation_barrier_wake_seconds_total Barrier wait from the last awaited batch's arrival to the barrier's return.\n")
+	b.WriteString("# TYPE schedserver_federation_barrier_wake_seconds_total counter\n")
+	fmt.Fprintf(&b, "schedserver_federation_barrier_wake_seconds_total %g\n", float64(c.BarrierWakeNS)/1e9)
 	return b.String()
 }
