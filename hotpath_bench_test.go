@@ -367,7 +367,11 @@ func benchFedEpochHop(b *testing.B) {
 			go func() {
 				defer wg.Done()
 				for e := from; e < to; e++ {
-					if rep := n.ExchangeMigrants(ctx, key, n.Rank(), e, out, nil); len(rep.Degraded) > 0 || len(rep.In) != len(out) {
+					want := len(out)
+					if e == 0 {
+						want = 0 // epoch 0 injects nothing
+					}
+					if rep := n.ExchangeMigrants(ctx, key, n.Rank(), e, out, nil); len(rep.Degraded) > 0 || len(rep.In) != want {
 						b.Errorf("epoch %d on rank %d: %d migrants in, degraded %v", e, n.Rank(), len(rep.In), rep.Degraded)
 						return
 					}

@@ -42,3 +42,7 @@ func ReadFrame(r io.Reader) (*serve.MigrantBatch, error) {
 	b, _, err := readFrame(r, nil)
 	return b, err
 }
+
+// SetFastForward pre-registers the fleet epoch the next ShardStarted of
+// (key, rank) fast-forwards to, as a resubmission does.
+func (n *Node) SetFastForward(key string, rank, epoch int) { n.setFastForward(key, rank, epoch) }

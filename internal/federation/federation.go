@@ -217,10 +217,13 @@ type run struct {
 
 	mu     sync.Mutex
 	notify chan struct{} // closed and replaced on every delivery
-	epoch  int           // the barrier currently (or next) waited on
-	// fastForward: barriers below it collect without waiting — a
-	// failover-resumed shard replaying epochs the fleet already passed
-	// must not stall an epochTimeout per replayed epoch.
+	// epoch is the barrier currently (or next) waited on; it collects the
+	// peers' batches of epoch-1 (see ExchangeMigrants).
+	epoch int
+	// fastForward: barriers whose batches come from below it collect
+	// without waiting — a failover-resumed shard replaying epochs the
+	// fleet already passed must not stall an epochTimeout per replayed
+	// epoch, nor wait for a batch the peers sent to the dead host.
 	fastForward int
 	batches     map[int]map[int]inbound
 	finished    map[int]time.Time // ranks whose sender declared Done, and when
@@ -612,8 +615,10 @@ func (st *run) deliver(b *serve.MigrantBatch) {
 	// senders the run has degraded: a degraded peer does not know it was
 	// dropped and keeps pushing, but the barrier no longer waits for it,
 	// so whether its batch lands is a timing race — injecting it would
-	// make the run nondeterministic.
-	if !st.degraded[b.From] && b.Epoch >= st.epoch && b.Epoch < st.epoch+epochWindow && len(b.Migrants) > 0 {
+	// make the run nondeterministic. The barrier at st.epoch collects the
+	// batches of st.epoch-1, so that is the oldest one still wanted.
+	next := st.epoch - 1
+	if !st.degraded[b.From] && b.Epoch >= next && b.Epoch < next+epochWindow && len(b.Migrants) > 0 {
 		em := st.batches[b.Epoch]
 		if em == nil {
 			em = map[int]inbound{}
@@ -766,12 +771,17 @@ func (n *Node) clientRetries() int {
 	return 3
 }
 
-// ExchangeMigrants implements solver.MigrantExchange: one epoch barrier.
-// Ship the local elites to every live peer (the batch bound for the
-// owner's node carries cp, when the shard ships one), wait (bounded) for
-// each live peer's batch for this epoch, degrade the ones that miss it,
-// and return the arrived migrants in sender-rank order. Barriers below
-// the run's fast-forward epoch collect without waiting.
+// ExchangeMigrants implements solver.MigrantExchange: one epoch barrier,
+// with a fixed lag of one epoch. Ship the local elites of this epoch to
+// every live peer (the batch bound for the owner's node carries cp, when
+// the shard ships one), wait (bounded) for each live peer's batch of the
+// previous epoch, degrade the ones that miss it, and return those
+// migrants in sender-rank order. The batches had a whole epoch of compute
+// to arrive, so the barrier only waits for a peer more than an epoch
+// behind. Epoch 0 injects nothing, but waits for the peers' epoch-0
+// batches: the shards start in step, and a dead or hung peer is found at
+// the first barrier. A barrier whose batches come from below the run's
+// fast-forward epoch collects without waiting.
 func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int, out []solver.Migrant, cp *solver.Checkpoint) solver.ExchangeReport {
 	n.mu.Lock()
 	st := n.runs[key][rank]
@@ -782,7 +792,11 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 
 	st.mu.Lock()
 	st.epoch = epoch
-	wait := epoch >= st.fastForward
+	// in is the epoch whose batches this barrier injects; need is the one
+	// it waits for (the same, except at epoch 0).
+	in := epoch - 1
+	need := max(in, 0)
+	wait := need >= st.fastForward
 	timeout := st.epochTimeout
 	waiting := make([]int, 0, st.nodes)
 	for r := 0; r < st.nodes && r < len(n.peers); r++ {
@@ -825,10 +839,10 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 		var released time.Time
 		for {
 			st.mu.Lock()
-			missing := missingRanks(st, epoch, waiting)
+			missing := missingRanks(st, need, waiting)
 			notify := st.notify
 			if len(missing) == 0 {
-				released = lastArrival(st, epoch, waiting, released)
+				released = lastArrival(st, need, waiting, released)
 			}
 			st.mu.Unlock()
 			if len(missing) == 0 {
@@ -838,7 +852,7 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 			case <-notify:
 			case <-deadline.C:
 				st.mu.Lock()
-				for _, r := range missingRanks(st, epoch, waiting) {
+				for _, r := range missingRanks(st, need, waiting) {
 					st.degraded[r] = true
 					n.timeouts.Add(1)
 					report.Degraded = append(report.Degraded, n.peers[r])
@@ -870,7 +884,7 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 	// degradation) raced the timeout, and injecting it would be
 	// nondeterministic.
 	st.mu.Lock()
-	em := st.batches[epoch]
+	em := st.batches[in]
 	ranks := make([]int, 0, len(em))
 	for r := range em {
 		if !st.degraded[r] && r < st.nodes {
@@ -881,9 +895,10 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 	for _, r := range ranks {
 		report.In = append(report.In, em[r].b.Migrants...)
 	}
-	// Drop this epoch and anything staler; redeliveries are stale now.
+	// Drop the collected epoch and anything staler; redeliveries are
+	// stale now.
 	for e := range st.batches {
-		if e <= epoch {
+		if e <= in {
 			delete(st.batches, e)
 		}
 	}

@@ -499,3 +499,52 @@ func TestRestoreTerminal(t *testing.T) {
 		t.Fatal("restored job not removable")
 	}
 }
+
+// FuzzCheckpoint feeds damaged checkpoint bytes down the path a lost
+// federated shard takes when /v1/federation/resubmit or a restart resumes
+// it: JSON decode, ValidateCheckpoint, then the island resume itself.
+// Damaged input must come back as an error, never a panic, and whatever
+// the gate accepts must resume. The seeds are real checkpoints of one
+// island shard of a two-node run.
+func FuzzCheckpoint(f *testing.F) {
+	spec := Spec{
+		Problem: ProblemSpec{Instance: "ft06"},
+		Model:   "island",
+		Seed:    7,
+		Params: Params{
+			Islands: 2, Pop: 20, Interval: 2, Migrants: 1,
+			FedKey: "f0-fuzz-1", FedRank: 1, FedNodes: 2,
+		},
+		Budget: Budget{Generations: 12},
+	}
+	var cps []*Checkpoint
+	if _, err := SolveWithCheckpoints(context.Background(), spec, CheckpointOptions{
+		Every: 4,
+		Save:  func(cp *Checkpoint) { cps = append(cps, cp) },
+	}); err != nil {
+		f.Fatal(err)
+	}
+	if len(cps) == 0 {
+		f.Fatal("the shard saved no checkpoint")
+	}
+	for _, cp := range cps {
+		data, err := json.Marshal(cp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cp Checkpoint
+		if json.Unmarshal(data, &cp) != nil {
+			return
+		}
+		if ValidateCheckpoint(spec, &cp) != nil {
+			return
+		}
+		if _, err := SolveWithCheckpoints(context.Background(), spec, CheckpointOptions{Resume: &cp}); err != nil {
+			t.Fatalf("checkpoint passed ValidateCheckpoint but did not resume: %v", err)
+		}
+	})
+}
