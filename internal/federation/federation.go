@@ -19,19 +19,33 @@
 // every peer it sends to (stream.go): a shard writes its epoch batches
 // and its final Done notice onto it from its own goroutine, nothing is
 // acknowledged, and the peer delivers the frames in the order written.
+// The inbox stamps each batch's arrival, which splits a barrier's wait
+// into the peer's lateness and the wake-up (barrier_late_ns and
+// barrier_wake_ns).
 //
 // Determinism. Each shard derives its RNG from the job seed split
 // FedNodes ways at its rank (the same rng.SplitN discipline the sharded
-// engine pipeline uses), migrant batches are applied at epoch barriers
-// in sender-rank order, and the barrier blocks until every live peer's
-// batch arrived. A sender's Done follows its final batch on the same
-// stream, so it can never release a barrier that batch should have fed.
-// A federated run over a healthy fleet is therefore replayable: the same
-// fleet shape and seed reproduce the same trajectory, evaluation count
-// included.
+// engine pipeline uses), and migrants are injected one epoch late: the
+// barrier at epoch e ships the shard's epoch-e elites and injects the
+// batches the peers sent at epoch e-1, in sender-rank order. It blocks
+// until every live peer's e-1 batch arrived, so it waits only for a peer
+// more than an epoch behind. Epoch 0 injects nothing, but waits for the
+// epoch-0 batches, so the shards start in step and a dead peer is found
+// at the first barrier. A sender's Done follows its final batch on the
+// same stream, so a finished sender is never waited for, and every batch
+// a barrier injects arrived before that Done. When every shard runs the
+// same epochs (a generation budget), no barrier injects a final batch:
+// the last barrier injects the one before it. The final batch carries
+// the sender's own elites, which its NodeResult reports, so the fleet
+// best is unaffected. (A shard that stops early on its target leaves its
+// peers running; their next barrier injects its final batch, which
+// arrived before its Done either way.) A federated run over a healthy
+// fleet is therefore replayable: the same fleet shape and seed reproduce
+// the same trajectory, evaluation count included.
 // A run that needed a failover is not bit-replayable (the resumed shard
-// rejoins mid-stream); its determinism guarantee is traded for the
-// stronger result guarantee below.
+// rejoins mid-stream, and its checkpoint does not carry the peers' batch
+// it would have injected next); its determinism guarantee is traded for
+// the stronger result guarantee below.
 //
 // Degradation. Migration is an accelerator, not a correctness
 // dependency. A peer that misses an epoch barrier (crash, partition,
@@ -57,7 +71,9 @@
 // node, and broadcasts the rebinding so the survivors clear the rank's
 // degradation and re-route its batches. The resumed shard replays its
 // checkpointed epochs without waiting at barriers the fleet has already
-// passed (fast-forward), then rejoins the exchange. Only a shard that
+// passed (fast-forward), then rejoins the exchange; with the lag, its
+// barriers wait only for batches sent at or after the fast-forward
+// epoch, since the older ones went to the dead host. Only a shard that
 // never checkpointed (died during epoch 0, or its node runs without
 // failover), a peer that is merely slow (probe succeeds), or a failed
 // resubmission falls back to degradation.
@@ -617,8 +633,8 @@ func (st *run) deliver(b *serve.MigrantBatch) {
 	// so whether its batch lands is a timing race — injecting it would
 	// make the run nondeterministic. The barrier at st.epoch collects the
 	// batches of st.epoch-1, so that is the oldest one still wanted.
-	next := st.epoch - 1
-	if !st.degraded[b.From] && b.Epoch >= next && b.Epoch < next+epochWindow && len(b.Migrants) > 0 {
+	oldest := st.epoch - 1
+	if !st.degraded[b.From] && b.Epoch >= oldest && b.Epoch < oldest+epochWindow && len(b.Migrants) > 0 {
 		em := st.batches[b.Epoch]
 		if em == nil {
 			em = map[int]inbound{}
@@ -839,15 +855,13 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 		var released time.Time
 		for {
 			st.mu.Lock()
-			missing := missingRanks(st, need, waiting)
-			notify := st.notify
-			if len(missing) == 0 {
+			if len(missingRanks(st, need, waiting)) == 0 {
 				released = lastArrival(st, need, waiting, released)
-			}
-			st.mu.Unlock()
-			if len(missing) == 0 {
+				st.mu.Unlock()
 				break
 			}
+			notify := st.notify
+			st.mu.Unlock()
 			select {
 			case <-notify:
 			case <-deadline.C:

@@ -117,9 +117,11 @@ func fedSpec(seed uint64) solver.Spec {
 // TestFederatedDeterminism: a two-node fleet with a fixed seed replays
 // exactly — the same best objective, evaluation and generation counts,
 // per-node provenance and schedule across ten invocations — with demes
-// running (and migrants flowing) on both nodes. A sender's Done follows
-// its final batch on the same stream, so the last barrier always injects
-// the same migrants.
+// running (and migrants flowing) on both nodes. Each barrier injects the
+// batches its peers sent one epoch earlier, which it waits for unless
+// their sender finished; a sender's Done follows its batches on the same
+// stream, so every barrier, the last one included, always injects the
+// same migrants.
 func TestFederatedDeterminism(t *testing.T) {
 	fleet := newFleet(t, 2, federation.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)

@@ -158,7 +158,8 @@ type Config[G any] struct {
 	// returned genomes the injection is deterministic. It runs on the
 	// model's own goroutine, between epochs. This is the federation seam:
 	// the caller serialises the elites, ships them to peers, and returns
-	// whatever migrants arrived for this epoch.
+	// the migrants to absorb this epoch (the federation returns those
+	// its peers shipped one epoch earlier, so none at epoch 0).
 	Exchange func(epoch int, elites []core.Individual[G]) []G
 
 	Target    float64 // optional global early stop on best objective

@@ -106,9 +106,10 @@ const MigrantStreamProtocol = "schedserver-migrants/1"
 // MigrantBatch is one frame of a migrant stream (POST
 // /v1/federation/stream): one node's elites for one migration epoch of
 // one federated job. Epochs are barriers: the receiver holds the batch
-// until its own shard reaches Epoch, then injects the migrants in
-// sender-rank order. Done marks the sender's final word on Key — its
-// shard finished, peers must not wait for it at later barriers.
+// until its own shard reaches the barrier after Epoch (migration lags
+// one epoch), then injects the migrants in sender-rank order. Done marks
+// the sender's final word on Key — its shard finished, peers must not
+// wait for it at later barriers.
 type MigrantBatch struct {
 	Key      string           `json:"key"`
 	Epoch    int              `json:"epoch"`

@@ -25,11 +25,12 @@ type Migrant struct {
 	Obj    float64 `json:"obj"`
 }
 
-// ExchangeReport is what one epoch barrier returned: the migrants that
-// arrived from peers (already ordered by peer rank — the order they must
-// be injected in for determinism) and the peers that missed the barrier
-// this epoch (reported once per peer per epoch, surfaced as typed
-// peer_degraded events by the island runner).
+// ExchangeReport is what one epoch barrier returned: the migrants to
+// inject, which the peers sent one epoch earlier (already ordered by
+// peer rank — the order they must be injected in for determinism; empty
+// at epoch 0), and the peers that missed the barrier this epoch
+// (reported once per peer per epoch, surfaced as typed peer_degraded
+// events by the island runner).
 type ExchangeReport struct {
 	In       []Migrant
 	Degraded []string // peer addresses that missed this epoch's barrier
@@ -53,10 +54,13 @@ type MigrantExchange interface {
 	// false the island runner never snapshots for the exchange and every
 	// ExchangeMigrants call gets cp == nil.
 	ShardStarted(key string, rank, nodes int, epochTimeoutMS int64) (wantCheckpoints bool)
-	// ExchangeMigrants runs one epoch barrier: ship the local elites,
-	// wait (bounded) for the peers' epoch batches, and return whatever
-	// arrived in rank order. ctx is the shard job's context — barrier
-	// waits must abort on cancellation. cp, when non-nil, is the shard's
+	// ExchangeMigrants runs one epoch barrier: ship the local elites of
+	// this epoch, wait (bounded) for the batches the peers shipped at the
+	// previous one, and return them in rank order. The one-epoch lag lets
+	// a batch travel while its receiver computes, so the barrier waits
+	// only for a peer more than an epoch behind; epoch 0 returns nothing.
+	// ctx is the shard job's context — barrier waits must abort on
+	// cancellation. cp, when non-nil, is the shard's
 	// newest epoch checkpoint; implementations piggyback it on the
 	// outbound batch so the owner can resubmit the shard elsewhere if
 	// this node dies. It is nil when ShardStarted declined checkpoints,
