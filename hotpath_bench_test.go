@@ -210,7 +210,7 @@ func BenchmarkHotPath(b *testing.B) {
 	// shard-4 is the parallel-step speedup the CI gate ratchets
 	// (TestShardedStepSpeedup).
 	b.Run("engine-step-fs-20x5/shard-1", func(b *testing.B) {
-		eng := core.New(shopga.FlowShopMakespanProblem(fs), rng.New(7), core.Config[[]int]{
+		eng := core.New(shopga.FlowShopProblem(fs, shop.Makespan), rng.New(7), core.Config[[]int]{
 			Pop: 160, Ops: shopga.PermOps(), Workers: 1,
 			Term: core.Termination{MaxGenerations: 1 << 30},
 		})

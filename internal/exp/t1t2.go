@@ -107,7 +107,7 @@ func T2SimpleGA() []*tables.Table {
 
 	fs := shop.GenerateFlowShop("t2-fs", 20, 5, 873654221)
 	fres := summarizeRuns(3, func(seed uint64) float64 {
-		return core.New(shopga.FlowShopMakespanProblem(fs), rng.New(seed), core.Config[[]int]{
+		return core.New(shopga.FlowShopProblem(fs, shop.Makespan), rng.New(seed), core.Config[[]int]{
 			Pop: 60, Elite: 2, Ops: shopga.PermOps(),
 			Term: core.Termination{MaxGenerations: 150},
 		}).Run().Best.Obj

@@ -200,7 +200,7 @@ func T5eSubpops() []*tables.Table {
 // to reference and run-to-run deviation.
 func T5fStrategies() []*tables.Table {
 	in := shop.GenerateFlowShop("t5f-fs", 20, 5, 509)
-	prob := shopga.FlowShopMakespanProblem(in)
+	prob := shopga.FlowShopProblem(in, shop.Makespan)
 	ref := decode.Reference(in, shop.Makespan)
 	t := &tables.Table{
 		ID:      "T5f",

@@ -162,7 +162,7 @@ type Config struct {
 
 // Node is one member of the fleet. It implements solver.MigrantExchange
 // (the shard-side epoch barrier) and serve.Federation (the submit-side
-// fan-out and the stats hook), and serves the federation endpoints via
+// fan-out and the Info snapshot), and serves the federation endpoints via
 // Handler.
 type Node struct {
 	cfg     Config
@@ -217,7 +217,6 @@ type Node struct {
 	inboxDropped   atomic.Int64
 	streamFailures atomic.Int64
 	framesRejected atomic.Int64
-	barrierWaitNS  atomic.Int64
 	barrierLateNS  atomic.Int64
 	barrierWakeNS  atomic.Int64
 	barriers       atomic.Int64
@@ -380,6 +379,9 @@ func (n *Node) Peers() []string { return append([]string(nil), n.peers...) }
 
 // Counters snapshots the federation counters.
 func (n *Node) Counters() serve.FederationCounters {
+	// Every barrier splits its whole wait into late and wake, so the
+	// total wait is their sum.
+	late, wake := n.barrierLateNS.Load(), n.barrierWakeNS.Load()
 	return serve.FederationCounters{
 		MigrantsSent:     n.sent.Load(),
 		MigrantsAccepted: n.accepted.Load(),
@@ -390,16 +392,24 @@ func (n *Node) Counters() serve.FederationCounters {
 		InboxDropped:     n.inboxDropped.Load(),
 		StreamFailures:   n.streamFailures.Load(),
 		FramesRejected:   n.framesRejected.Load(),
-		BarrierWaitNS:    n.barrierWaitNS.Load(),
+		BarrierWaitNS:    late + wake,
 		Barriers:         n.barriers.Load(),
-		BarrierLateNS:    n.barrierLateNS.Load(),
-		BarrierWakeNS:    n.barrierWakeNS.Load(),
+		BarrierLateNS:    late,
+		BarrierWakeNS:    wake,
 	}
 }
 
-// StatsText implements serve.Federation.
-func (n *Node) StatsText() string {
-	return serve.FederationStatsText(len(n.peers), n.Counters())
+// Info implements serve.Federation: the snapshot GET /v1/federation/info
+// encodes as JSON and GET /v1/stats renders as Prometheus text.
+func (n *Node) Info() serve.FederationInfo {
+	return serve.FederationInfo{
+		Self:           n.cfg.Self,
+		Peers:          n.Peers(),
+		Rank:           n.rank,
+		Counters:       n.Counters(),
+		EpochTimeoutMS: n.cfg.EpochTimeout.Milliseconds(),
+		ActiveJobs:     n.activeJobs(),
+	}
 }
 
 // activeJobs is this node's pending+running job count — the load signal
@@ -441,14 +451,7 @@ func (n *Node) checkBatch(b *serve.MigrantBatch) error {
 
 // handleInfo: GET /v1/federation/info.
 func (n *Node) handleInfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, serve.FederationInfo{
-		Self:           n.cfg.Self,
-		Peers:          n.Peers(),
-		Rank:           n.rank,
-		Counters:       n.Counters(),
-		EpochTimeoutMS: n.cfg.EpochTimeout.Milliseconds(),
-		ActiveJobs:     n.activeJobs(),
-	})
+	writeJSON(w, http.StatusOK, n.Info())
 }
 
 // handleRebind: POST /v1/federation/rebind — the owner moved a shard rank
@@ -885,7 +888,6 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 		}
 		wait := time.Since(waitStart)
 		late := min(max(released.Sub(waitStart), 0), wait)
-		n.barrierWaitNS.Add(int64(wait))
 		n.barrierLateNS.Add(int64(late))
 		n.barrierWakeNS.Add(int64(wait - late))
 		n.barriers.Add(1)

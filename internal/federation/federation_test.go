@@ -509,7 +509,11 @@ func TestFederationInboxOverflow(t *testing.T) {
 	if got := fleet[0].Node.Counters().InboxDropped; got < 1 {
 		t.Fatalf("no inbox drops recorded after flooding past the cap")
 	}
-	if stats := fleet[0].Node.StatsText(); !strings.Contains(stats, "schedserver_federation_inbox_dropped_total 8") {
+	stats, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatalf("Stats: %v", err)
+	}
+	if !strings.Contains(stats, "schedserver_federation_inbox_dropped_total 8") {
 		t.Errorf("stats do not expose the 8 dropped batches:\n%s", stats)
 	}
 }

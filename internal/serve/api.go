@@ -10,7 +10,8 @@
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /v1/models           registered GA models
 //	GET    /v1/instances        benchmark registry
-//	GET    /v1/stats            operational counters, Prometheus text
+//	GET    /v1/stats            operational counters, Prometheus text;
+//	                            a federated daemon adds its Federation.Info
 //	GET    /healthz             liveness + job counts
 //
 // A federated daemon (cmd/schedserver -peers) additionally serves the
@@ -88,9 +89,10 @@ type Federation interface {
 	// and returns the owner job that tracks the whole federated run (its
 	// terminal Result is the best-of-fleet reduction).
 	SubmitFederated(ctx context.Context, spec solver.Spec) (*solver.Job, error)
-	// StatsText returns the federation's counters as Prometheus text
-	// exposition lines (appended to GET /v1/stats).
-	StatsText() string
+	// Info snapshots the fleet as this node sees it: GET
+	// /v1/federation/info encodes it as JSON, and GET /v1/stats renders
+	// its fleet size and counters as Prometheus text.
+	Info() FederationInfo
 	// Close severs the federation's peer connections; Drain calls it once
 	// the jobs have finished.
 	Close()
@@ -154,7 +156,8 @@ type ResubmitResponse struct {
 }
 
 // FederationCounters are the federation's monotonic counters, exposed on
-// /v1/federation/info and as Prometheus text on /v1/stats.
+// /v1/federation/info and, through federationMetrics, as Prometheus text
+// on /v1/stats.
 type FederationCounters struct {
 	MigrantsSent     int64 `json:"migrants_sent"`
 	MigrantsAccepted int64 `json:"migrants_accepted"`
@@ -181,6 +184,30 @@ type FederationCounters struct {
 	// the time from its arrival to the barrier's return.
 	BarrierLateNS int64 `json:"barrier_late_ns"`
 	BarrierWakeNS int64 `json:"barrier_wake_ns"`
+}
+
+// federationMetrics renders FederationCounters on /v1/stats as counter
+// families, one row per counter in exposition order: the metric name
+// after "schedserver_federation_", its help text, the field it reads, and
+// whether that field holds ns to be shown as seconds.
+var federationMetrics = []struct {
+	name, help string
+	value      func(FederationCounters) int64
+	seconds    bool
+}{
+	{"shards_total", "Federated shard runs executed on this node.", func(c FederationCounters) int64 { return c.Shards }, false},
+	{"migrants_sent_total", "Migrants shipped to peers.", func(c FederationCounters) int64 { return c.MigrantsSent }, false},
+	{"migrants_accepted_total", "Inbound migrants accepted.", func(c FederationCounters) int64 { return c.MigrantsAccepted }, false},
+	{"migrants_rejected_total", "Inbound migrants dropped by validation.", func(c FederationCounters) int64 { return c.MigrantsRejected }, false},
+	{"peer_timeouts_total", "Epoch barriers a peer missed.", func(c FederationCounters) int64 { return c.PeerTimeouts }, false},
+	{"failovers_total", "Lost shards resumed on a surviving node.", func(c FederationCounters) int64 { return c.Failovers }, false},
+	{"inbox_dropped_total", "Migrant batches dropped on pending-inbox overflow.", func(c FederationCounters) int64 { return c.InboxDropped }, false},
+	{"stream_failures_total", "Failed dials and writes on outbound migrant streams.", func(c FederationCounters) int64 { return c.StreamFailures }, false},
+	{"frames_rejected_total", "Inbound migrant frames dropped by shape validation.", func(c FederationCounters) int64 { return c.FramesRejected }, false},
+	{"barrier_wait_seconds_total", "Time shards waited at epoch barriers.", func(c FederationCounters) int64 { return c.BarrierWaitNS }, true},
+	{"barriers_total", "Epoch barriers shards waited at.", func(c FederationCounters) int64 { return c.Barriers }, false},
+	{"barrier_late_seconds_total", "Barrier wait before the last awaited batch arrived.", func(c FederationCounters) int64 { return c.BarrierLateNS }, true},
+	{"barrier_wake_seconds_total", "Barrier wait from the last awaited batch's arrival to the barrier's return.", func(c FederationCounters) int64 { return c.BarrierWakeNS }, true},
 }
 
 // FederationInfo is the GET /v1/federation/info payload: the fleet as

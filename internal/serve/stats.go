@@ -12,38 +12,65 @@ import (
 
 // handleStats: GET /v1/stats — the service's operational counters in
 // Prometheus text exposition format (version 0.0.4), plus the federation
-// layer's counters when one is registered. Gauges for instantaneous
+// layer's Info snapshot when one is registered. Gauges for instantaneous
 // state (jobs by state, queue depth), counters for monotonic totals
 // (evaluations, replay-ring drops).
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.svc.Stats()
-	var b strings.Builder
-	b.WriteString("# HELP schedserver_jobs Jobs by lifecycle state.\n")
-	b.WriteString("# TYPE schedserver_jobs gauge\n")
+	var p promWriter
+	p.family("schedserver_jobs", "gauge", "Jobs by lifecycle state.")
 	for _, state := range []solver.JobState{
 		solver.JobPending, solver.JobRunning, solver.JobDone, solver.JobCanceled, solver.JobFailed,
 	} {
-		fmt.Fprintf(&b, "schedserver_jobs{state=%q} %d\n", string(state), st.Jobs[state])
+		p.sample("schedserver_jobs", fmt.Sprintf("{state=%q}", state), st.Jobs[state])
 	}
-	b.WriteString("# HELP schedserver_queue_depth Pending jobs awaiting a worker slot.\n")
-	b.WriteString("# TYPE schedserver_queue_depth gauge\n")
-	fmt.Fprintf(&b, "schedserver_queue_depth %d\n", st.QueueDepth)
-	b.WriteString("# HELP schedserver_evaluations_total Fitness evaluations observed across all jobs.\n")
-	b.WriteString("# TYPE schedserver_evaluations_total counter\n")
-	fmt.Fprintf(&b, "schedserver_evaluations_total %d\n", st.Evaluations)
-	b.WriteString("# HELP schedserver_evals_per_second Lifetime average evaluation rate.\n")
-	b.WriteString("# TYPE schedserver_evals_per_second gauge\n")
-	fmt.Fprintf(&b, "schedserver_evals_per_second %g\n", st.EvalsPerSec)
-	b.WriteString("# HELP schedserver_replay_ring_drops_total Events aged out of per-job SSE replay rings.\n")
-	b.WriteString("# TYPE schedserver_replay_ring_drops_total counter\n")
-	fmt.Fprintf(&b, "schedserver_replay_ring_drops_total %d\n", st.RingDrops)
-	s.writeGapHistogram(&b)
+	p.metric("schedserver_queue_depth", "gauge", "Pending jobs awaiting a worker slot.", st.QueueDepth)
+	p.metric("schedserver_evaluations_total", "counter", "Fitness evaluations observed across all jobs.", st.Evaluations)
+	p.metric("schedserver_evals_per_second", "gauge", "Lifetime average evaluation rate.", st.EvalsPerSec)
+	p.metric("schedserver_replay_ring_drops_total", "counter", "Events aged out of per-job SSE replay rings.", st.RingDrops)
+	s.writeGapHistogram(&p)
 	if s.fed != nil {
-		b.WriteString(s.fed.StatsText())
+		writeFederation(&p, s.fed.Info())
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(b.String()))
+	_, _ = w.Write([]byte(p.String()))
+}
+
+// promWriter builds a Prometheus text exposition: each family is one
+// # HELP / # TYPE header followed by its samples. Values print with %v,
+// which is %d for counts and %g for seconds and rates.
+type promWriter struct{ strings.Builder }
+
+// family writes a family's header; its samples must follow.
+func (p *promWriter) family(name, typ, help string) {
+	fmt.Fprintf(p, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// sample writes one sample line; labels is empty or a rendered
+// {name="value",...} set.
+func (p *promWriter) sample(name, labels string, v any) {
+	fmt.Fprintf(p, "%s%s %v\n", name, labels, v)
+}
+
+// metric writes a family of one unlabelled sample.
+func (p *promWriter) metric(name, typ, help string, v any) {
+	p.family(name, typ, help)
+	p.sample(name, "", v)
+}
+
+// writeFederation renders a federation snapshot: the fleet size, then
+// one counter family per federationMetrics row.
+func writeFederation(p *promWriter, info FederationInfo) {
+	p.metric("schedserver_federation_peers", "gauge", "Fleet size, self included.", len(info.Peers))
+	for _, m := range federationMetrics {
+		n := m.value(info.Counters)
+		var v any = n
+		if m.seconds {
+			v = float64(n) / 1e9
+		}
+		p.metric("schedserver_federation_"+m.name, "counter", m.help, v)
+	}
 }
 
 // gapBuckets are the upper bounds of the solution-quality histogram:
@@ -56,7 +83,7 @@ var gapBuckets = []float64{0.02, 0.05, 0.1, 0.2, 0.5, 1}
 // against. Aggregated on demand from the job list rather than tracked by
 // a watcher, so every submission path (API, federation shards, restart
 // recovery) is covered; pruning a job removes its sample.
-func (s *Server) writeGapHistogram(b *strings.Builder) {
+func (s *Server) writeGapHistogram(p *promWriter) {
 	type hist struct {
 		counts []int64 // one per bucket, +Inf last
 		sum    float64
@@ -94,68 +121,19 @@ func (s *Server) writeGapHistogram(b *strings.Builder) {
 		return
 	}
 	sort.Strings(models)
-	b.WriteString("# HELP schedserver_job_gap Relative gap to the reference objective of retained finished jobs, by model.\n")
-	b.WriteString("# TYPE schedserver_job_gap histogram\n")
+	p.family("schedserver_job_gap", "histogram", "Relative gap to the reference objective of retained finished jobs, by model.")
 	for _, m := range models {
 		h := byModel[m]
 		var cum int64
-		for i, le := range gapBuckets {
-			cum += h.counts[i]
-			fmt.Fprintf(b, "schedserver_job_gap_bucket{model=%q,le=%q} %d\n", m, strconv.FormatFloat(le, 'g', -1, 64), cum)
+		for i, n := range h.counts {
+			le := "+Inf"
+			if i < len(gapBuckets) {
+				le = strconv.FormatFloat(gapBuckets[i], 'g', -1, 64)
+			}
+			cum += n
+			p.sample("schedserver_job_gap_bucket", fmt.Sprintf("{model=%q,le=%q}", m, le), cum)
 		}
-		cum += h.counts[len(gapBuckets)]
-		fmt.Fprintf(b, "schedserver_job_gap_bucket{model=%q,le=\"+Inf\"} %d\n", m, cum)
-		fmt.Fprintf(b, "schedserver_job_gap_sum{model=%q} %g\n", m, h.sum)
-		fmt.Fprintf(b, "schedserver_job_gap_count{model=%q} %d\n", m, h.total)
+		p.sample("schedserver_job_gap_sum", fmt.Sprintf("{model=%q}", m), h.sum)
+		p.sample("schedserver_job_gap_count", fmt.Sprintf("{model=%q}", m), h.total)
 	}
-}
-
-// FederationStatsText renders federation counters as Prometheus text —
-// shared by the federation layer's StatsText implementation so the
-// metric names live next to the serve-side metrics they extend.
-func FederationStatsText(peers int, c FederationCounters) string {
-	var b strings.Builder
-	b.WriteString("# HELP schedserver_federation_peers Fleet size, self included.\n")
-	b.WriteString("# TYPE schedserver_federation_peers gauge\n")
-	fmt.Fprintf(&b, "schedserver_federation_peers %d\n", peers)
-	b.WriteString("# HELP schedserver_federation_shards_total Federated shard runs executed on this node.\n")
-	b.WriteString("# TYPE schedserver_federation_shards_total counter\n")
-	fmt.Fprintf(&b, "schedserver_federation_shards_total %d\n", c.Shards)
-	b.WriteString("# HELP schedserver_federation_migrants_sent_total Migrants shipped to peers.\n")
-	b.WriteString("# TYPE schedserver_federation_migrants_sent_total counter\n")
-	fmt.Fprintf(&b, "schedserver_federation_migrants_sent_total %d\n", c.MigrantsSent)
-	b.WriteString("# HELP schedserver_federation_migrants_accepted_total Inbound migrants accepted.\n")
-	b.WriteString("# TYPE schedserver_federation_migrants_accepted_total counter\n")
-	fmt.Fprintf(&b, "schedserver_federation_migrants_accepted_total %d\n", c.MigrantsAccepted)
-	b.WriteString("# HELP schedserver_federation_migrants_rejected_total Inbound migrants dropped by validation.\n")
-	b.WriteString("# TYPE schedserver_federation_migrants_rejected_total counter\n")
-	fmt.Fprintf(&b, "schedserver_federation_migrants_rejected_total %d\n", c.MigrantsRejected)
-	b.WriteString("# HELP schedserver_federation_peer_timeouts_total Epoch barriers a peer missed.\n")
-	b.WriteString("# TYPE schedserver_federation_peer_timeouts_total counter\n")
-	fmt.Fprintf(&b, "schedserver_federation_peer_timeouts_total %d\n", c.PeerTimeouts)
-	b.WriteString("# HELP schedserver_federation_failovers_total Lost shards resumed on a surviving node.\n")
-	b.WriteString("# TYPE schedserver_federation_failovers_total counter\n")
-	fmt.Fprintf(&b, "schedserver_federation_failovers_total %d\n", c.Failovers)
-	b.WriteString("# HELP schedserver_federation_inbox_dropped_total Migrant batches dropped on pending-inbox overflow.\n")
-	b.WriteString("# TYPE schedserver_federation_inbox_dropped_total counter\n")
-	fmt.Fprintf(&b, "schedserver_federation_inbox_dropped_total %d\n", c.InboxDropped)
-	b.WriteString("# HELP schedserver_federation_stream_failures_total Failed dials and writes on outbound migrant streams.\n")
-	b.WriteString("# TYPE schedserver_federation_stream_failures_total counter\n")
-	fmt.Fprintf(&b, "schedserver_federation_stream_failures_total %d\n", c.StreamFailures)
-	b.WriteString("# HELP schedserver_federation_frames_rejected_total Inbound migrant frames dropped by shape validation.\n")
-	b.WriteString("# TYPE schedserver_federation_frames_rejected_total counter\n")
-	fmt.Fprintf(&b, "schedserver_federation_frames_rejected_total %d\n", c.FramesRejected)
-	b.WriteString("# HELP schedserver_federation_barrier_wait_seconds_total Time shards waited at epoch barriers.\n")
-	b.WriteString("# TYPE schedserver_federation_barrier_wait_seconds_total counter\n")
-	fmt.Fprintf(&b, "schedserver_federation_barrier_wait_seconds_total %g\n", float64(c.BarrierWaitNS)/1e9)
-	b.WriteString("# HELP schedserver_federation_barriers_total Epoch barriers shards waited at.\n")
-	b.WriteString("# TYPE schedserver_federation_barriers_total counter\n")
-	fmt.Fprintf(&b, "schedserver_federation_barriers_total %d\n", c.Barriers)
-	b.WriteString("# HELP schedserver_federation_barrier_late_seconds_total Barrier wait before the last awaited batch arrived.\n")
-	b.WriteString("# TYPE schedserver_federation_barrier_late_seconds_total counter\n")
-	fmt.Fprintf(&b, "schedserver_federation_barrier_late_seconds_total %g\n", float64(c.BarrierLateNS)/1e9)
-	b.WriteString("# HELP schedserver_federation_barrier_wake_seconds_total Barrier wait from the last awaited batch's arrival to the barrier's return.\n")
-	b.WriteString("# TYPE schedserver_federation_barrier_wake_seconds_total counter\n")
-	fmt.Fprintf(&b, "schedserver_federation_barrier_wake_seconds_total %g\n", float64(c.BarrierWakeNS)/1e9)
-	return b.String()
 }

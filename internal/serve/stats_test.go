@@ -45,10 +45,7 @@ func (fakeFederation) SubmitFederated(context.Context, solver.Spec) (*solver.Job
 	return nil, context.Canceled
 }
 
-// StatsText renders fakeInfo through the federation hook.
-func (fakeFederation) StatsText() string {
-	return serve.FederationStatsText(len(fakeInfo.Peers), fakeInfo.Counters)
-}
+func (fakeFederation) Info() serve.FederationInfo { return fakeInfo }
 
 func (fakeFederation) Close() {}
 

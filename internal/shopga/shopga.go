@@ -109,12 +109,6 @@ func FlowShopProblem(in *shop.Instance, obj shop.Objective) core.Problem[[]int] 
 	}
 }
 
-// FlowShopMakespanProblem is the makespan special case of FlowShopProblem,
-// kept as the named entry point for the fast completion-row recurrence.
-func FlowShopMakespanProblem(in *shop.Instance) core.Problem[[]int] {
-	return FlowShopProblem(in, shop.Makespan)
-}
-
 // JobShopProblem is the operation-sequence-encoded job shop (the direct
 // representation of Section III.A) under an arbitrary objective. Makespan
 // routes to the allocation-free semi-active kernel.

@@ -12,8 +12,10 @@ import (
 
 func TestFlowShopProblemsAgree(t *testing.T) {
 	in := shop.GenerateFlowShop("f", 10, 5, 314)
-	general := FlowShopProblem(in, shop.Makespan)
-	fast := FlowShopMakespanProblem(in)
+	// A wrapped Makespan is not recognised as makespan, so it takes the
+	// schedule-decoding path the completion-row kernel must agree with.
+	general := FlowShopProblem(in, func(s *shop.Schedule) float64 { return shop.Makespan(s) })
+	fast := FlowShopProblem(in, shop.Makespan)
 	r := rng.New(1)
 	for i := 0; i < 30; i++ {
 		g := general.Random(r)
@@ -187,7 +189,7 @@ func TestFlexibleProblemAndOps(t *testing.T) {
 
 func TestOperatorBundlesDriveEngine(t *testing.T) {
 	in := shop.GenerateFlowShop("f", 8, 4, 717)
-	res := core.New(FlowShopMakespanProblem(in), rng.New(6), core.Config[[]int]{
+	res := core.New(FlowShopProblem(in, shop.Makespan), rng.New(6), core.Config[[]int]{
 		Pop: 30, Ops: PermOps(), Term: core.Termination{MaxGenerations: 40},
 	}).Run()
 	ref := decode.Reference(in, shop.Makespan)

@@ -234,27 +234,23 @@ func (c *ckptSeam) active() bool {
 	return c != nil && c.save != nil && c.every > 0
 }
 
-// packCheckpoint converts an engine snapshot into the wire form.
+// packCheckpoint converts an engine snapshot into the wire form: the
+// flat section is one deme's population and incumbent.
 func packCheckpoint[G any](run *Run, enc encoding[G], snap core.Snapshot[G]) *Checkpoint {
-	cp := &Checkpoint{
-		Model:       run.Spec.Model,
-		Encoding:    run.Encoding,
-		Generation:  snap.Generation,
-		Evaluations: snap.Evaluations,
-		Stagnation:  snap.Stagnation,
-		RNG:         snap.RNG,
-		Shards:      snap.Shards,
-		Pop:         make([]Genome, len(snap.Pop)),
-		Objs:        make([]float64, len(snap.Pop)),
+	ds := packDeme(enc, snap.Pop, snap.Best)
+	return &Checkpoint{
+		Model:         run.Spec.Model,
+		Encoding:      run.Encoding,
+		Generation:    snap.Generation,
+		Evaluations:   snap.Evaluations,
+		Stagnation:    snap.Stagnation,
+		RNG:           snap.RNG,
+		Shards:        snap.Shards,
+		Pop:           ds.Pop,
+		Objs:          ds.Objs,
+		Best:          ds.Best,
+		BestObjective: ds.BestObjective,
 	}
-	for i, ind := range snap.Pop {
-		cp.Pop[i] = enc.pack(ind.Genome)
-		cp.Objs[i] = ind.Obj
-	}
-	best := enc.pack(snap.Best.Genome)
-	cp.Best = &best
-	cp.BestObjective = snap.Best.Obj
-	return cp
 }
 
 // unpackSnapshot validates a wire checkpoint against the resolved run and
@@ -262,53 +258,35 @@ func packCheckpoint[G any](run *Run, enc encoding[G], snap core.Snapshot[G]) *Ch
 // passed the store's checksum can still be semantically wrong (wrong
 // instance, truncated population, out-of-range genes), and a corrupt
 // genome must surface as a resume error the caller can downgrade to a
-// cold start, never as a crash deep in a decode kernel.
+// cold start, never as a crash deep in a decode kernel. The flat section
+// is checked as one deme, by unpackDeme.
 func unpackSnapshot[G any](run *Run, enc encoding[G], cp *Checkpoint) (core.Snapshot[G], error) {
-	var snap core.Snapshot[G]
 	if cp.Model != run.Spec.Model {
-		return snap, fmt.Errorf("solver: checkpoint is for model %q, run is %q", cp.Model, run.Spec.Model)
+		return core.Snapshot[G]{}, fmt.Errorf("solver: checkpoint is for model %q, run is %q", cp.Model, run.Spec.Model)
 	}
 	if cp.Encoding != run.Encoding {
-		return snap, fmt.Errorf("solver: checkpoint encoding %q, run resolved %q", cp.Encoding, run.Encoding)
+		return core.Snapshot[G]{}, fmt.Errorf("solver: checkpoint encoding %q, run resolved %q", cp.Encoding, run.Encoding)
 	}
-	if len(cp.Pop) == 0 || len(cp.Pop) != len(cp.Objs) {
-		return snap, fmt.Errorf("solver: checkpoint population %d with %d objectives", len(cp.Pop), len(cp.Objs))
+	pop, best, err := unpackDeme(enc, &DemeState{
+		Pop: cp.Pop, Objs: cp.Objs, Best: cp.Best, BestObjective: cp.BestObjective,
+		Generation: cp.Generation, Evaluations: cp.Evaluations,
+	})
+	if err == nil {
+		err = checkShards(cp.Shards, len(cp.Pop))
 	}
-	if cp.Best == nil {
-		return snap, fmt.Errorf("solver: checkpoint has no incumbent")
-	}
-	if cp.Generation < 0 || cp.Evaluations < 0 {
-		return snap, fmt.Errorf("solver: checkpoint counters out of range")
-	}
-	if err := checkShards(cp.Shards, len(cp.Pop)); err != nil {
-		return snap, fmt.Errorf("solver: checkpoint %w", err)
-	}
-	snap.Pop = make([]core.Individual[G], len(cp.Pop))
-	for i := range cp.Pop {
-		g, err := enc.unpack(cp.Pop[i])
-		if err != nil {
-			return core.Snapshot[G]{}, fmt.Errorf("solver: checkpoint genome %d: %w", i, err)
-		}
-		if math.IsNaN(cp.Objs[i]) {
-			return core.Snapshot[G]{}, fmt.Errorf("solver: checkpoint objective %d is NaN", i)
-		}
-		snap.Pop[i] = core.Individual[G]{Genome: g, Obj: cp.Objs[i]}
-	}
-	bg, err := enc.unpack(*cp.Best)
 	if err != nil {
-		return core.Snapshot[G]{}, fmt.Errorf("solver: checkpoint incumbent: %w", err)
+		return core.Snapshot[G]{}, fmt.Errorf("solver: checkpoint %w", err)
 	}
-	if math.IsNaN(cp.BestObjective) {
-		return core.Snapshot[G]{}, fmt.Errorf("solver: checkpoint incumbent objective is NaN")
-	}
-	snap.Best = core.Individual[G]{Genome: bg, Obj: cp.BestObjective}
-	snap.HasBest = true
-	snap.Generation = cp.Generation
-	snap.Evaluations = cp.Evaluations
-	snap.Stagnation = cp.Stagnation
-	snap.RNG = cp.RNG
-	snap.Shards = cp.Shards
-	return snap, nil
+	return core.Snapshot[G]{
+		Pop:         pop,
+		Best:        best,
+		HasBest:     true,
+		Generation:  cp.Generation,
+		Evaluations: cp.Evaluations,
+		Stagnation:  cp.Stagnation,
+		RNG:         cp.RNG,
+		Shards:      cp.Shards,
+	}, nil
 }
 
 // checkShards requires one shard RNG stream per engine shard. Checkpoints
@@ -322,7 +300,7 @@ func checkShards(shards []rng.State, pop int) error {
 }
 
 // packDeme converts one deme's population and incumbent into the wire
-// form shared by both epoch models.
+// form shared by both epoch models and the flat section.
 func packDeme[G any](enc encoding[G], pop []core.Individual[G], best core.Individual[G]) DemeState {
 	ds := DemeState{
 		Pop:  make([]Genome, len(pop)),
@@ -338,8 +316,8 @@ func packDeme[G any](enc encoding[G], pop []core.Individual[G], best core.Indivi
 	return ds
 }
 
-// unpackDeme validates and rebuilds one deme's population and incumbent,
-// applying the same strict per-genome validation as the flat models.
+// unpackDeme validates and rebuilds one deme's population and incumbent
+// with strict per-genome validation; the flat section goes through it too.
 func unpackDeme[G any](enc encoding[G], ds *DemeState) (pop []core.Individual[G], best core.Individual[G], err error) {
 	if len(ds.Pop) == 0 || len(ds.Pop) != len(ds.Objs) {
 		return nil, best, fmt.Errorf("population %d with %d objectives", len(ds.Pop), len(ds.Objs))

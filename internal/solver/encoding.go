@@ -76,12 +76,8 @@ func seqEncoding(run *Run) (encoding[[]int], error) {
 	pack, unpack := seqPackers(run)
 	switch {
 	case run.Encoding == EncPerm:
-		prob := shopga.FlowShopProblem(in, obj)
-		if run.Spec.Objective == "" || run.Spec.Objective == "makespan" {
-			prob = shopga.FlowShopMakespanProblem(in)
-		}
 		return encoding[[]int]{
-			problem:  prob,
+			problem:  shopga.FlowShopProblem(in, obj),
 			ops:      shopga.PermOps(),
 			schedule: func(g []int) *shop.Schedule { return decode.FlowShop(in, g) },
 			pack:     pack, unpack: unpack,
