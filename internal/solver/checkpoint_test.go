@@ -50,6 +50,10 @@ func testCheckpointResumeBitIdentical(t *testing.T, spec Spec) {
 	if coldCps[0].Generation != 10 {
 		t.Fatalf("first checkpoint at gen %d, want 10", coldCps[0].Generation)
 	}
+	// What the run saved passes the recovery gate.
+	if err := ValidateCheckpoint(spec, coldCps[0]); err != nil {
+		t.Fatalf("gate refused the run's own checkpoint: %v", err)
+	}
 
 	warm, warmCps := collectCheckpoints(t, spec, 10, coldCps[0])
 	if warm.BestObjective != cold.BestObjective ||
@@ -114,6 +118,26 @@ func TestCheckpointResumeMasterSlaveSeq(t *testing.T) {
 
 func TestCheckpointResumeMasterSlaveFlex(t *testing.T) {
 	testCheckpointResumeBitIdentical(t, ckSpec("ms", EncFlex, ProblemSpec{Kind: "fjs", Jobs: 5, Machines: 4}))
+}
+
+// TestCheckpointResumeMasterSlaveOddPop: the engine rounds an odd
+// population up to even, so a pop-21 ms job checkpoints 22 individuals.
+// The gate accepts that checkpoint and refuses a 21-individual copy,
+// which the engine could not restore.
+func TestCheckpointResumeMasterSlaveOddPop(t *testing.T) {
+	spec := ckSpec("ms", EncSeq, ProblemSpec{Instance: "ft06"})
+	spec.Params.Pop = 21
+	testCheckpointResumeBitIdentical(t, spec)
+
+	_, cps := collectCheckpoints(t, spec, 10, nil)
+	cp := *cps[0]
+	if len(cp.Pop) != 22 {
+		t.Fatalf("pop-21 checkpoint carries %d individuals, want 22", len(cp.Pop))
+	}
+	cp.Pop, cp.Objs = cp.Pop[:21], cp.Objs[:21]
+	if err := ValidateCheckpoint(spec, &cp); err == nil {
+		t.Fatal("gate accepted a 21-individual checkpoint the engine cannot restore")
+	}
 }
 
 // A resumed ms run may use a different worker count: the shard substreams
