@@ -258,8 +258,9 @@ func TestServerRestartResumesIslandWarm(t *testing.T) {
 func TestServerRestartColdOnBadCheckpoint(t *testing.T) {
 	spec := durableSpec(12)
 	cp, _ := midCheckpoint(t, spec, 4)
-	cp.Pop = cp.Pop[:len(cp.Pop)-1] // truncated population: checksum-clean damage
-	cp.Objs = cp.Objs[:len(cp.Objs)-1]
+	d := &cp.Demes[0]
+	d.Pop = d.Pop[:len(d.Pop)-1] // truncated population: checksum-clean damage
+	d.Objs = d.Objs[:len(d.Objs)-1]
 
 	dir := t.TempDir()
 	seedRunningJob(t, openStore(t, dir), "j000007", spec, cp)
@@ -367,50 +368,101 @@ func oldWireCheckpoint(t *testing.T, cp *solver.Checkpoint) []byte {
 	return mustRaw(top)
 }
 
-// TestServerRestartColdOnOldWireCheckpoint: a durable island checkpoint
-// written with the retired int-array genome form no longer decodes.
-// Recovery downgrades it to a logged cold start and the job completes as
-// the plain run — an upgrade never fails a job.
+// flatCheckpoint marshals a one-deme serial/ms checkpoint in the retired
+// flat layout, as daemons wrote them before every checkpoint carried its
+// populations as demes: the engine's population, objectives, incumbent,
+// streams and stagnation counter at the top level, and no demes.
+func flatCheckpoint(t *testing.T, cp *solver.Checkpoint) []byte {
+	t.Helper()
+	mustRaw := func(v any) json.RawMessage {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	var top, deme map[string]json.RawMessage
+	if err := json.Unmarshal(mustRaw(cp), &top); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(mustRaw(cp.Demes[0]), &deme); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"pop", "objs", "best", "rng", "shards", "stagnation"} {
+		if v, ok := deme[k]; ok {
+			top[k] = v
+		}
+	}
+	delete(top, "demes")
+	return mustRaw(top)
+}
+
+// TestServerRestartColdOnOldWireCheckpoint: durable checkpoints in a
+// retired wire form — an island checkpoint with the int-array genome form,
+// an ms checkpoint in the flat layout — no longer resume. Recovery
+// downgrades each to a logged cold start and the job completes as the
+// plain run — an upgrade never fails a job.
 func TestServerRestartColdOnOldWireCheckpoint(t *testing.T) {
-	spec := solver.Spec{
-		Problem: solver.ProblemSpec{Instance: "ft06"},
-		Model:   "island",
-		Params:  solver.Params{Pop: 32, Islands: 4, Interval: 2, Migrants: 1},
-		Budget:  solver.Budget{Generations: 20},
-		Seed:    23,
+	cases := []struct {
+		name, id string
+		spec     solver.Spec
+		encode   func(*testing.T, *solver.Checkpoint) []byte
+		marker   string // proves the bytes are in the retired form
+		logged   string // the recovery step that refuses them
+	}{
+		{
+			name: "island old genomes", id: "j000045",
+			spec: solver.Spec{
+				Problem: solver.ProblemSpec{Instance: "ft06"},
+				Model:   "island",
+				Params:  solver.Params{Pop: 32, Islands: 4, Interval: 2, Migrants: 1},
+				Budget:  solver.Budget{Generations: 20},
+				Seed:    23,
+			},
+			encode: oldWireCheckpoint, marker: `"pop":[{"seq":[`, logged: "checkpoint decode",
+		},
+		{
+			name: "ms flat layout", id: "j000046",
+			spec:   durableSpec(12),
+			encode: flatCheckpoint, marker: `"pop":["`, logged: "checkpoint invalid",
+		},
 	}
-	cp, _ := midCheckpoint(t, spec, 4)
-	data := oldWireCheckpoint(t, cp)
-	if !strings.Contains(string(data), `"pop":[{"seq":[`) {
-		t.Fatalf("checkpoint not in the old wire form: %.200s", data)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cp, _ := midCheckpoint(t, tc.spec, 4)
+			data := tc.encode(t, cp)
+			if !strings.Contains(string(data), tc.marker) {
+				t.Fatalf("checkpoint not in the retired form: %.200s", data)
+			}
 
-	dir := t.TempDir()
-	st := openStore(t, dir)
-	seedRunningJob(t, st, "j000045", spec, nil)
-	if err := st.AppendCheckpoint("j000045", data); err != nil {
-		t.Fatalf("AppendCheckpoint: %v", err)
-	}
+			dir := t.TempDir()
+			st := openStore(t, dir)
+			seedRunningJob(t, st, tc.id, tc.spec, nil)
+			if err := st.AppendCheckpoint(tc.id, data); err != nil {
+				t.Fatalf("AppendCheckpoint: %v", err)
+			}
 
-	logs := &logBuf{}
-	_, c := newTestServer(t, serve.Config{Store: openStore(t, dir), Logf: logs.Logf})
-	final, err := c.Await(testCtx(t), "j000045")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != solver.JobDone || final.Result == nil {
-		t.Fatalf("final %+v", final)
-	}
-	if !logs.contains("checkpoint decode") || !logs.contains("restarted job j000045 cold") {
-		t.Errorf("cold-start downgrade not logged: %q", logs.all())
-	}
-	want, err := solver.Solve(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Result.BestObjective != want.BestObjective || final.Result.Evaluations != want.Evaluations {
-		t.Errorf("cold restart (best %v, evals %d), want the plain run's (best %v, evals %d)",
-			final.Result.BestObjective, final.Result.Evaluations, want.BestObjective, want.Evaluations)
+			logs := &logBuf{}
+			_, c := newTestServer(t, serve.Config{Store: openStore(t, dir), Logf: logs.Logf})
+			final, err := c.Await(testCtx(t), tc.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final.State != solver.JobDone || final.Result == nil {
+				t.Fatalf("final %+v", final)
+			}
+			if !logs.contains(tc.logged) || !logs.contains("restarted job "+tc.id+" cold") {
+				t.Errorf("cold-start downgrade not logged: %q", logs.all())
+			}
+			want, err := solver.Solve(context.Background(), tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final.Result.BestObjective != want.BestObjective || final.Result.Evaluations != want.Evaluations {
+				t.Errorf("cold restart (best %v, evals %d), want the plain run's (best %v, evals %d)",
+					final.Result.BestObjective, final.Result.Evaluations, want.BestObjective, want.Evaluations)
+			}
+		})
 	}
 }
 

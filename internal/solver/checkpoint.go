@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/cellular"
 	"repro/internal/core"
@@ -14,24 +15,26 @@ import (
 	"repro/internal/shopga"
 )
 
-// Checkpoint is a resumable snapshot of a run (see SupportsCheckpoint).
-// Engine-driven models (serial, ms) fill the flat section: the full
-// population with its objectives, the incumbent, the loop counters, and
-// every RNG stream state. Epoch-structured models (island, hybrid) leave
-// the flat population empty and fill Demes instead — one DemeState per
-// island/grid — plus the Epoch counter and the model-level RNG stream.
-// Resuming from either layout is bit-identical to never having stopped:
-// the streams are the only hidden input of the deterministic models, and
-// they are all here.
+// Checkpoint is a resumable snapshot of a run (see SupportsCheckpoint):
+// one DemeState per population the model evolves, plus the run-level
+// counters. The engine-driven models (serial, ms) write their one engine
+// as Demes[0]; island writes one deme per island engine, the model-level
+// RNG stream and the epoch counter; hybrid writes one deme per cellular
+// grid and the epoch counter. Resuming is bit-identical to never having
+// stopped: the streams are the only hidden input of the deterministic
+// models, and they are all here.
 type Checkpoint struct {
 	// Model and Encoding pin the checkpoint to the run shape that produced
 	// it; resuming under any other is rejected.
 	Model    string `json:"model"`
 	Encoding string `json:"encoding"`
 
+	// Generation, Evaluations and BestObjective summarise the run for
+	// recovery logs. Evaluations is the run total: for island runs the
+	// per-deme sum plus the evaluations of merged-away islands, so the
+	// demes must sum to at most Evaluations.
 	Generation  int   `json:"generation"`
 	Evaluations int64 `json:"evaluations"`
-	Stagnation  int   `json:"stagnation,omitempty"`
 	// ElapsedMS accumulates wall time spent across every run segment up to
 	// this snapshot, so a serving layer can re-derive the remaining wall
 	// budget after a crash instead of granting the full budget again.
@@ -42,34 +45,23 @@ type Checkpoint struct {
 	// daemon restart.
 	EventSeq int64 `json:"event_seq,omitempty"`
 
-	// RNG is the engine stream (serial, ms) or the island model's
-	// model-level stream (migrant selection, replacement, topology draws).
-	// Hybrid runs have no model-level stream and leave it at its zero
-	// value, which is never fed back to an RNG. Shards holds the engine's
-	// per-shard substreams, exactly core.ShardCount(len(Pop)) of them.
-	RNG    rng.State   `json:"rng"`
-	Shards []rng.State `json:"shards,omitempty"`
-
-	Pop           []Genome  `json:"pop"`
-	Objs          []float64 `json:"objs"`
-	Best          *Genome   `json:"best"`
+	// RNG is the island model's model-level stream (migrant selection,
+	// replacement, topology draws). The other models keep their randomness
+	// in the demes and leave it at its zero value, which is never fed back
+	// to an RNG.
+	RNG           rng.State `json:"rng"`
 	BestObjective float64   `json:"best_objective"`
 
-	// Epoch and Demes are the epoch-structured section (island, hybrid):
-	// completed migration epochs and one deme per island/grid. For island
-	// checkpoints Evaluations is the run total — the per-deme sum plus the
-	// evaluations of merged-away islands — so the deme section must sum to
-	// at most Evaluations.
+	// Epoch counts completed migration epochs (island, hybrid).
 	Epoch int         `json:"epoch,omitempty"`
 	Demes []DemeState `json:"demes,omitempty"`
 }
 
-// DemeState is one deme's slice of an epoch-structured checkpoint: the
-// deme's population with objectives, its incumbent, its counters, and its
-// randomness — an engine RNG stream plus its per-shard substreams for
-// island demes (packed like the flat Checkpoint.Shards), a derivation seed
-// for hybrid grids (the cellular model's entire randomness is one seed).
-// RNG and Shards are meaningful for island demes, Seed for hybrid grids.
+// DemeState is one population's slice of a checkpoint: its individuals
+// with objectives, its incumbent, its counters, and its randomness. An
+// engine deme (serial/ms, every island) carries the engine RNG stream and
+// its per-shard substreams; a hybrid grid carries its derivation seed (the
+// cellular model's entire randomness is one seed).
 type DemeState struct {
 	Pop           []Genome  `json:"pop"`
 	Objs          []float64 `json:"objs"`
@@ -119,114 +111,42 @@ func SolveWithCheckpoints(ctx context.Context, spec Spec, opts CheckpointOptions
 	return solve(ctx, spec, nil, &ckptSeam{every: opts.Every, save: opts.Save, resume: opts.Resume}, nil)
 }
 
-// ValidateCheckpoint checks a decoded checkpoint against the spec it is
-// about to resume, without running anything: the model must support
-// checkpointing, the model/encoding pins must match the spec's resolved
-// shape, the population must be exactly the spec's, and every genome must
-// satisfy its encoding's invariants against the spec's instance. It is the
-// recovery layer's semantic gate — a checkpoint that passed the store's
-// checksum can still be wrong (edited spec, different instance, truncated
-// population), and the caller downgrades any error here to a cold start.
+// ValidateCheckpoint is the recovery layer's semantic gate: it runs the
+// resume itself and stops before the first generation. It resolves the
+// spec as Solve does, builds the model (which evaluates a fresh initial
+// population once), unpacks the checkpoint with strict per-genome
+// validation and Restores it, so whatever passes resumes. A checkpoint
+// that passed the store's checksum can still be wrong (edited spec,
+// different instance, truncated population); the caller downgrades any
+// error here to a cold start.
 func ValidateCheckpoint(spec Spec, cp *Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("solver: nil checkpoint")
 	}
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	if !SupportsCheckpoint(spec.Model) {
-		return fmt.Errorf("solver: model %q cannot resume from a checkpoint", spec.Model)
-	}
-	norm := spec.normalized()
-	in, err := BuildInstance(norm.Problem)
-	if err != nil {
-		return err
-	}
-	if _, err := objectiveByName(norm.Objective); err != nil {
-		return err
-	}
-	encName, err := resolveEncoding(norm.Encoding, in)
-	if err != nil {
-		return err
-	}
 	if cp.ElapsedMS < 0 || cp.EventSeq < 0 {
 		return fmt.Errorf("solver: checkpoint elapsed/event counters out of range")
 	}
-	run := &Run{Spec: norm, Instance: in, Encoding: encName}
-	// Shape gate per model family: the flat models carry the spec's exact
-	// population; the epoch models carry one deme per configured island or
-	// grid, each at the size the model would build (deme engines round odd
-	// populations up to even; grids hold Width*Height cells).
-	switch norm.Model {
-	case "island":
-		n := islandCount(run, 4)
-		if len(cp.Demes) != n {
-			return fmt.Errorf("solver: checkpoint has %d demes, spec wants %d islands", len(cp.Demes), n)
-		}
-		want := subPop(run, n)
-		if want%2 == 1 {
-			want++
-		}
-		for d := range cp.Demes {
-			if len(cp.Demes[d].Pop) != want {
-				return fmt.Errorf("solver: checkpoint deme %d population %d, spec wants %d", d, len(cp.Demes[d].Pop), want)
-			}
-		}
-	case "hybrid":
-		n := islandCount(run, 4)
-		if len(cp.Demes) != n {
-			return fmt.Errorf("solver: checkpoint has %d demes, spec wants %d grids", len(cp.Demes), n)
-		}
-		w, h := gridDims(run, 5)
-		for d := range cp.Demes {
-			if len(cp.Demes[d].Pop) != w*h {
-				return fmt.Errorf("solver: checkpoint deme %d has %d cells, spec wants %dx%d", d, len(cp.Demes[d].Pop), w, h)
-			}
-		}
-	default:
-		if len(cp.Pop) != norm.Params.Pop {
-			return fmt.Errorf("solver: checkpoint population %d, spec wants %d", len(cp.Pop), norm.Params.Pop)
-		}
+	run, model, err := newRun(spec, &ckptSeam{resume: cp, gate: true})
+	if err != nil {
+		return err
 	}
-	// Dry-run the resume path's unpack: the same strict per-genome
-	// validation the model restore will see.
-	switch encName {
-	case EncPerm, EncSeq:
-		pack, unpack := seqPackers(run)
-		err = dryUnpack(run, encoding[[]int]{pack: pack, unpack: unpack}, cp)
-	case EncKeys:
-		pack, unpack := keysPackers(run)
-		err = dryUnpack(run, encoding[[]float64]{pack: pack, unpack: unpack}, cp)
-	case EncFlex:
-		pack, unpack := flexPackers(run)
-		err = dryUnpack(run, encoding[shopga.FlexGenome]{pack: pack, unpack: unpack}, cp)
-	default:
-		return fmt.Errorf("solver: unknown encoding %q", encName)
-	}
+	_, err = model.Solve(context.TODO(), run)
 	return err
 }
 
-// dryUnpack runs the model family's unpack without building a model.
-func dryUnpack[G any](run *Run, enc encoding[G], cp *Checkpoint) error {
-	switch run.Spec.Model {
-	case "island":
-		_, err := unpackIslandSnapshot(run, enc, cp)
-		return err
-	case "hybrid":
-		_, err := unpackHybridSnapshot(run, enc, cp)
-		return err
-	default:
-		_, err := unpackSnapshot(run, enc, cp)
-		return err
-	}
-}
-
 // ckptSeam is the internal form of CheckpointOptions threaded through
-// solve into the engine runners.
+// solve into the checkpointing runners (serial, ms, island, hybrid). It
+// holds what they share: the save cadence, the wall-time stamp and the
+// resume (restore).
 type ckptSeam struct {
 	every  int
 	save   func(*Checkpoint)
 	resume *Checkpoint
+	// gate makes restore halt the runner before its first generation:
+	// ValidateCheckpoint's dry run of the resume.
+	gate bool
+	// start is when this run segment began.
+	start time.Time
 }
 
 // active reports whether periodic saving is configured.
@@ -234,73 +154,59 @@ func (c *ckptSeam) active() bool {
 	return c != nil && c.save != nil && c.every > 0
 }
 
-// packCheckpoint converts an engine snapshot into the wire form: the
-// flat section is one deme's population and incumbent.
-func packCheckpoint[G any](run *Run, enc encoding[G], snap core.Snapshot[G]) *Checkpoint {
-	ds := packDeme(enc, snap.Pop, snap.Best)
-	return &Checkpoint{
-		Model:         run.Spec.Model,
-		Encoding:      run.Encoding,
-		Generation:    snap.Generation,
-		Evaluations:   snap.Evaluations,
-		Stagnation:    snap.Stagnation,
-		RNG:           snap.RNG,
-		Shards:        snap.Shards,
-		Pop:           ds.Pop,
-		Objs:          ds.Objs,
-		Best:          ds.Best,
-		BestObjective: ds.BestObjective,
-	}
+// due reports whether a save falls after the n-th completed step of iv
+// generations (one generation for the engines, one epoch for the epoch
+// models): the generation cadence converted to steps, at least one.
+func (c *ckptSeam) due(n, iv int) bool {
+	return c.active() && n%max(c.every/iv, 1) == 0
 }
 
-// unpackSnapshot validates a wire checkpoint against the resolved run and
-// rebuilds the engine snapshot. Validation is strict — a checkpoint that
-// passed the store's checksum can still be semantically wrong (wrong
-// instance, truncated population, out-of-range genes), and a corrupt
-// genome must surface as a resume error the caller can downgrade to a
-// cold start, never as a crash deep in a decode kernel. The flat section
-// is checked as one deme, by unpackDeme.
-func unpackSnapshot[G any](run *Run, enc encoding[G], cp *Checkpoint) (core.Snapshot[G], error) {
+// stamp sets cp.ElapsedMS to the wall time of every run segment so far.
+func (c *ckptSeam) stamp(cp *Checkpoint) *Checkpoint {
+	cp.ElapsedMS = time.Since(c.start).Milliseconds()
+	if c.resume != nil {
+		cp.ElapsedMS += c.resume.ElapsedMS
+	}
+	return cp
+}
+
+// restore warm-starts a freshly built model from the seam's checkpoint, if
+// there is one: unpack, then Restore. halt tells the runner to return
+// before its first generation, with err: the resume failed, or it was the
+// gate's dry run.
+func restore[G, S any](run *Run, enc encoding[G], unpack func(*Run, encoding[G], *Checkpoint) (S, error), into func(S) error) (halt bool, err error) {
+	ck := run.ck
+	if ck == nil || ck.resume == nil {
+		return false, nil
+	}
+	snap, err := unpack(run, enc, ck.resume)
+	if err == nil {
+		err = into(snap)
+	}
+	return ck.gate || err != nil, err
+}
+
+// checkPins validates the header every checkpoint shares. Shape (deme
+// count, population, shard streams, grid cells) is left to the model's
+// Restore, which knows it.
+func checkPins(run *Run, cp *Checkpoint) error {
 	if cp.Model != run.Spec.Model {
-		return core.Snapshot[G]{}, fmt.Errorf("solver: checkpoint is for model %q, run is %q", cp.Model, run.Spec.Model)
+		return fmt.Errorf("solver: checkpoint is for model %q, run is %q", cp.Model, run.Spec.Model)
 	}
 	if cp.Encoding != run.Encoding {
-		return core.Snapshot[G]{}, fmt.Errorf("solver: checkpoint encoding %q, run resolved %q", cp.Encoding, run.Encoding)
+		return fmt.Errorf("solver: checkpoint encoding %q, run resolved %q", cp.Encoding, run.Encoding)
 	}
-	pop, best, err := unpackDeme(enc, &DemeState{
-		Pop: cp.Pop, Objs: cp.Objs, Best: cp.Best, BestObjective: cp.BestObjective,
-		Generation: cp.Generation, Evaluations: cp.Evaluations,
-	})
-	if err == nil {
-		err = checkShards(cp.Shards, len(cp.Pop))
+	if len(cp.Demes) == 0 {
+		return fmt.Errorf("solver: checkpoint has no demes")
 	}
-	if err != nil {
-		return core.Snapshot[G]{}, fmt.Errorf("solver: checkpoint %w", err)
-	}
-	return core.Snapshot[G]{
-		Pop:         pop,
-		Best:        best,
-		HasBest:     true,
-		Generation:  cp.Generation,
-		Evaluations: cp.Evaluations,
-		Stagnation:  cp.Stagnation,
-		RNG:         cp.RNG,
-		Shards:      cp.Shards,
-	}, nil
-}
-
-// checkShards requires one shard RNG stream per engine shard. Checkpoints
-// written before every engine ran the sharded pipeline carry none, so they
-// fail here and the recovery layer restarts them cold.
-func checkShards(shards []rng.State, pop int) error {
-	if want := core.ShardCount(pop); len(shards) != want {
-		return fmt.Errorf("has %d shard streams, population %d needs %d", len(shards), pop, want)
+	if cp.Generation < 0 || cp.Evaluations < 0 || cp.Epoch < 0 {
+		return fmt.Errorf("solver: checkpoint counters out of range")
 	}
 	return nil
 }
 
 // packDeme converts one deme's population and incumbent into the wire
-// form shared by both epoch models and the flat section.
+// form.
 func packDeme[G any](enc encoding[G], pop []core.Individual[G], best core.Individual[G]) DemeState {
 	ds := DemeState{
 		Pop:  make([]Genome, len(pop)),
@@ -317,7 +223,9 @@ func packDeme[G any](enc encoding[G], pop []core.Individual[G], best core.Indivi
 }
 
 // unpackDeme validates and rebuilds one deme's population and incumbent
-// with strict per-genome validation; the flat section goes through it too.
+// with strict per-genome validation: a corrupt genome must surface as a
+// resume error the caller can downgrade to a cold start, never as a crash
+// deep in a decode kernel.
 func unpackDeme[G any](enc encoding[G], ds *DemeState) (pop []core.Individual[G], best core.Individual[G], err error) {
 	if len(ds.Pop) == 0 || len(ds.Pop) != len(ds.Objs) {
 		return nil, best, fmt.Errorf("population %d with %d objectives", len(ds.Pop), len(ds.Objs))
@@ -349,29 +257,43 @@ func unpackDeme[G any](enc encoding[G], ds *DemeState) (pop []core.Individual[G]
 	return pop, core.Individual[G]{Genome: bg, Obj: ds.BestObjective}, nil
 }
 
-// checkEpochPins validates the shared header of an epoch-model checkpoint.
-func checkEpochPins(run *Run, cp *Checkpoint) error {
-	if cp.Model != run.Spec.Model {
-		return fmt.Errorf("solver: checkpoint is for model %q, run is %q", cp.Model, run.Spec.Model)
+// packEngine converts one engine snapshot (the serial/ms engine or one
+// island deme) into its wire deme.
+func packEngine[G any](enc encoding[G], snap core.Snapshot[G]) DemeState {
+	ds := packDeme(enc, snap.Pop, snap.Best)
+	r := snap.RNG
+	ds.RNG = &r
+	ds.Shards = snap.Shards
+	ds.Generation = snap.Generation
+	ds.Evaluations = snap.Evaluations
+	ds.Stagnation = snap.Stagnation
+	return ds
+}
+
+// unpackEngine validates one wire deme and rebuilds its engine snapshot.
+func unpackEngine[G any](enc encoding[G], ds *DemeState) (core.Snapshot[G], error) {
+	if ds.RNG == nil {
+		return core.Snapshot[G]{}, fmt.Errorf("no RNG stream")
 	}
-	if cp.Encoding != run.Encoding {
-		return fmt.Errorf("solver: checkpoint encoding %q, run resolved %q", cp.Encoding, run.Encoding)
+	pop, best, err := unpackDeme(enc, ds)
+	if err != nil {
+		return core.Snapshot[G]{}, err
 	}
-	if len(cp.Demes) == 0 {
-		return fmt.Errorf("solver: epoch checkpoint has no demes")
-	}
-	if len(cp.Pop) != 0 {
-		return fmt.Errorf("solver: epoch checkpoint carries a flat population")
-	}
-	if cp.Generation < 0 || cp.Evaluations < 0 || cp.Epoch < 0 {
-		return fmt.Errorf("solver: checkpoint counters out of range")
-	}
-	return nil
+	return core.Snapshot[G]{
+		Pop:         pop,
+		Best:        best,
+		HasBest:     true,
+		Generation:  ds.Generation,
+		Evaluations: ds.Evaluations,
+		Stagnation:  ds.Stagnation,
+		RNG:         *ds.RNG,
+		Shards:      ds.Shards,
+	}, nil
 }
 
 // packIslandCheckpoint converts an island-model snapshot into the wire
-// form: one DemeState per island engine plus the model-level RNG stream
-// and the epoch counter. Evaluations is the run total (deme sum plus
+// form: one engine deme per island plus the model-level RNG stream and
+// the epoch counter. Evaluations is the run total (deme sum plus
 // merged-away islands), matching Result accounting.
 func packIslandCheckpoint[G any](run *Run, enc encoding[G], snap island.Snapshot[G]) *Checkpoint {
 	cp := &Checkpoint{
@@ -384,14 +306,7 @@ func packIslandCheckpoint[G any](run *Run, enc encoding[G], snap island.Snapshot
 		Demes:       make([]DemeState, len(snap.Demes)),
 	}
 	for d, es := range snap.Demes {
-		ds := packDeme(enc, es.Pop, es.Best)
-		r := es.RNG
-		ds.RNG = &r
-		ds.Shards = es.Shards
-		ds.Generation = es.Generation
-		ds.Evaluations = es.Evaluations
-		ds.Stagnation = es.Stagnation
-		cp.Demes[d] = ds
+		cp.Demes[d] = packEngine(enc, es)
 		cp.Evaluations += es.Evaluations
 		if d == 0 || es.Best.Obj < cp.BestObjective {
 			cp.BestObjective = es.Best.Obj
@@ -401,38 +316,20 @@ func packIslandCheckpoint[G any](run *Run, enc encoding[G], snap island.Snapshot
 }
 
 // unpackIslandSnapshot validates a wire checkpoint against the resolved
-// run and rebuilds the island-model snapshot. Validation is as strict as
-// the flat unpack: damaged deme state must surface as a resume error the
-// caller can downgrade to a cold start, never as a crash.
+// run and rebuilds the island-model snapshot.
 func unpackIslandSnapshot[G any](run *Run, enc encoding[G], cp *Checkpoint) (island.Snapshot[G], error) {
 	var snap island.Snapshot[G]
-	if err := checkEpochPins(run, cp); err != nil {
+	if err := checkPins(run, cp); err != nil {
 		return snap, err
 	}
 	var demeSum int64
 	for d := range cp.Demes {
-		ds := &cp.Demes[d]
-		if ds.RNG == nil {
-			return island.Snapshot[G]{}, fmt.Errorf("solver: checkpoint deme %d has no RNG stream", d)
-		}
-		pop, best, err := unpackDeme(enc, ds)
-		if err == nil {
-			err = checkShards(ds.Shards, len(ds.Pop))
-		}
+		es, err := unpackEngine(enc, &cp.Demes[d])
 		if err != nil {
 			return island.Snapshot[G]{}, fmt.Errorf("solver: checkpoint deme %d: %w", d, err)
 		}
-		var es core.Snapshot[G]
-		es.Pop = pop
-		es.Best = best
-		es.HasBest = true
-		es.Generation = ds.Generation
-		es.Evaluations = ds.Evaluations
-		es.Stagnation = ds.Stagnation
-		es.RNG = *ds.RNG
-		es.Shards = ds.Shards
 		snap.Demes = append(snap.Demes, es)
-		demeSum += ds.Evaluations
+		demeSum += es.Evaluations
 	}
 	// Removed (evaluations of merged-away islands) is the total minus the
 	// deme sum; a checkpoint claiming less than its demes spent is damaged.
@@ -444,6 +341,25 @@ func unpackIslandSnapshot[G any](run *Run, enc encoding[G], cp *Checkpoint) (isl
 	snap.Epoch = cp.Epoch
 	snap.Removed = cp.Evaluations - demeSum
 	return snap, nil
+}
+
+// packEngineCheckpoint is the serial/ms layout: the run's one engine as
+// the only deme of an island-shaped checkpoint.
+func packEngineCheckpoint[G any](run *Run, enc encoding[G], snap core.Snapshot[G]) *Checkpoint {
+	return packIslandCheckpoint(run, enc, island.Snapshot[G]{Demes: []core.Snapshot[G]{snap}, Generation: snap.Generation})
+}
+
+// unpackEngineCheckpoint rebuilds the serial/ms engine snapshot from its
+// one deme.
+func unpackEngineCheckpoint[G any](run *Run, enc encoding[G], cp *Checkpoint) (core.Snapshot[G], error) {
+	snap, err := unpackIslandSnapshot(run, enc, cp)
+	if err == nil && len(snap.Demes) != 1 {
+		err = fmt.Errorf("solver: engine checkpoint has %d demes, want 1", len(snap.Demes))
+	}
+	if err != nil {
+		return core.Snapshot[G]{}, err
+	}
+	return snap.Demes[0], nil
 }
 
 // packHybridCheckpoint converts a ring-of-torus snapshot into the wire
@@ -478,7 +394,7 @@ func packHybridCheckpoint[G any](run *Run, enc encoding[G], snap hybrid.Snapshot
 // run and rebuilds the ring-of-torus snapshot.
 func unpackHybridSnapshot[G any](run *Run, enc encoding[G], cp *Checkpoint) (hybrid.Snapshot[G], error) {
 	var snap hybrid.Snapshot[G]
-	if err := checkEpochPins(run, cp); err != nil {
+	if err := checkPins(run, cp); err != nil {
 		return snap, err
 	}
 	for d := range cp.Demes {

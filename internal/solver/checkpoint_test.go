@@ -131,10 +131,11 @@ func TestCheckpointResumeMasterSlaveOddPop(t *testing.T) {
 
 	_, cps := collectCheckpoints(t, spec, 10, nil)
 	cp := *cps[0]
-	if len(cp.Pop) != 22 {
-		t.Fatalf("pop-21 checkpoint carries %d individuals, want 22", len(cp.Pop))
+	d := &cp.Demes[0]
+	if len(d.Pop) != 22 {
+		t.Fatalf("pop-21 checkpoint carries %d individuals, want 22", len(d.Pop))
 	}
-	cp.Pop, cp.Objs = cp.Pop[:21], cp.Objs[:21]
+	d.Pop, d.Objs = d.Pop[:21], d.Objs[:21]
 	if err := ValidateCheckpoint(spec, &cp); err == nil {
 		t.Fatal("gate accepted a 21-individual checkpoint the engine cannot restore")
 	}
@@ -215,8 +216,8 @@ func TestCheckpointIslandValidation(t *testing.T) {
 	spec := ckSpec("island", EncSeq, ProblemSpec{Instance: "ft06"})
 	_, cps := collectCheckpoints(t, spec, 10, nil)
 	base := cps[0]
-	if len(base.Demes) == 0 || len(base.Pop) != 0 {
-		t.Fatalf("island checkpoint shape: %d demes, %d flat pop", len(base.Demes), len(base.Pop))
+	if len(base.Demes) == 0 {
+		t.Fatalf("island checkpoint shape: %d demes", len(base.Demes))
 	}
 
 	corrupt := func(name string, mutate func(*Checkpoint)) {
@@ -258,21 +259,23 @@ func TestValidateCheckpointShardStreams(t *testing.T) {
 	spec.Params.Pop = 32
 	_, cps := collectCheckpoints(t, spec, 10, nil)
 	base := cps[0]
-	if len(base.Shards) != 8 {
-		t.Fatalf("pop-32 checkpoint carries %d shard streams, want 8", len(base.Shards))
+	if len(base.Demes[0].Shards) != 8 {
+		t.Fatalf("pop-32 checkpoint carries %d shard streams, want 8", len(base.Demes[0].Shards))
 	}
 	if err := ValidateCheckpoint(spec, base); err != nil {
 		t.Fatalf("intact checkpoint rejected: %v", err)
 	}
 	for _, keep := range []int{0, 1, 7} {
 		cp := *base
-		cp.Shards = base.Shards[:keep]
+		cp.Demes = []DemeState{base.Demes[0]}
+		cp.Demes[0].Shards = base.Demes[0].Shards[:keep]
 		if err := ValidateCheckpoint(spec, &cp); err == nil {
 			t.Errorf("checkpoint with %d of 8 shard streams passed validation", keep)
 		}
 	}
 	cp := *base
-	cp.Shards = append(append([]rng.State(nil), base.Shards...), base.Shards[0])
+	cp.Demes = []DemeState{base.Demes[0]}
+	cp.Demes[0].Shards = append(append([]rng.State(nil), base.Demes[0].Shards...), base.Demes[0].Shards[0])
 	if err := ValidateCheckpoint(spec, &cp); err == nil {
 		t.Error("checkpoint with 9 of 8 shard streams passed validation")
 	}
@@ -326,13 +329,13 @@ func TestCheckpointResumeValidation(t *testing.T) {
 	}
 	corrupt("wrong model", func(cp *Checkpoint) { cp.Model = "ms" })
 	corrupt("wrong encoding", func(cp *Checkpoint) { cp.Encoding = EncKeys })
-	corrupt("no incumbent", func(cp *Checkpoint) { cp.Best = nil })
-	corrupt("objs truncated", func(cp *Checkpoint) { cp.Objs = cp.Objs[:len(cp.Objs)-1] })
-	corrupt("NaN objective", func(cp *Checkpoint) { cp.Objs[0] = math.NaN() })
+	corrupt("no incumbent", func(cp *Checkpoint) { cp.Demes[0].Best = nil })
+	corrupt("objs truncated", func(cp *Checkpoint) { cp.Demes[0].Objs = cp.Demes[0].Objs[:len(cp.Demes[0].Objs)-1] })
+	corrupt("NaN objective", func(cp *Checkpoint) { cp.Demes[0].Objs[0] = math.NaN() })
 	corrupt("negative counters", func(cp *Checkpoint) { cp.Evaluations = -1 })
-	corrupt("out-of-range gene", func(cp *Checkpoint) { cp.Pop[0].Seq[0] = 99 })
-	corrupt("foreign field", func(cp *Checkpoint) { cp.Pop[0].Keys = []float64{0.5} })
-	corrupt("truncated genome", func(cp *Checkpoint) { cp.Pop[0].Seq = cp.Pop[0].Seq[:3] })
+	corrupt("out-of-range gene", func(cp *Checkpoint) { cp.Demes[0].Pop[0].Seq[0] = 99 })
+	corrupt("foreign field", func(cp *Checkpoint) { cp.Demes[0].Pop[0].Keys = []float64{0.5} })
+	corrupt("truncated genome", func(cp *Checkpoint) { cp.Demes[0].Pop[0].Seq = cp.Demes[0].Pop[0].Seq[:3] })
 
 	// Population size mismatch vs spec.Params.Pop surfaces via the
 	// engine's Restore shape check.
@@ -350,7 +353,7 @@ func TestCheckpointResumeValidation(t *testing.T) {
 	if err := json.Unmarshal(data, &pcp); err != nil {
 		t.Fatal(err)
 	}
-	pcp.Pop[0].Seq[0] = pcp.Pop[0].Seq[1]
+	pcp.Demes[0].Pop[0].Seq[0] = pcp.Demes[0].Pop[0].Seq[1]
 	if _, err := SolveWithCheckpoints(context.Background(), pspec, CheckpointOptions{Resume: &pcp}); err == nil ||
 		!strings.Contains(err.Error(), "permutation") {
 		t.Errorf("duplicate perm entry: %v", err)
@@ -524,42 +527,64 @@ func TestRestoreTerminal(t *testing.T) {
 	}
 }
 
-// FuzzCheckpoint feeds damaged checkpoint bytes down the path a lost
-// federated shard takes when /v1/federation/resubmit or a restart resumes
-// it: JSON decode, ValidateCheckpoint, then the island resume itself.
-// Damaged input must come back as an error, never a panic, and whatever
-// the gate accepts must resume. The seeds are real checkpoints of one
-// island shard of a two-node run.
+// FuzzCheckpoint feeds damaged checkpoint bytes down the path a restart,
+// a failover or /v1/federation/resubmit takes: JSON decode,
+// ValidateCheckpoint, then the resume itself. Damaged input must come
+// back as an error, never a panic, and whatever the gate accepts must
+// resume. The fuzz input picks the spec: one island shard of a two-node
+// run, an ms run with an odd population, or a hybrid run; the seeds are
+// real checkpoints of each, under every spec.
 func FuzzCheckpoint(f *testing.F) {
-	spec := Spec{
-		Problem: ProblemSpec{Instance: "ft06"},
-		Model:   "island",
-		Seed:    7,
-		Params: Params{
-			Islands: 2, Pop: 20, Interval: 2, Migrants: 1,
-			FedKey: "f0-fuzz-1", FedRank: 1, FedNodes: 2,
+	specs := []Spec{
+		{
+			Problem: ProblemSpec{Instance: "ft06"},
+			Model:   "island",
+			Seed:    7,
+			Params: Params{
+				Islands: 2, Pop: 20, Interval: 2, Migrants: 1,
+				FedKey: "f0-fuzz-1", FedRank: 1, FedNodes: 2,
+			},
+			Budget: Budget{Generations: 12},
 		},
-		Budget: Budget{Generations: 12},
+		{
+			Problem: ProblemSpec{Instance: "ft06"},
+			Model:   "ms",
+			Seed:    7,
+			Params:  Params{Pop: 21, Workers: 2},
+			Budget:  Budget{Generations: 12},
+		},
+		{
+			Problem: ProblemSpec{Instance: "ft06"},
+			Model:   "hybrid",
+			Seed:    7,
+			Params:  Params{Islands: 2, Width: 3, Height: 3, Interval: 2},
+			Budget:  Budget{Generations: 12},
+		},
 	}
-	var cps []*Checkpoint
-	if _, err := SolveWithCheckpoints(context.Background(), spec, CheckpointOptions{
-		Every: 4,
-		Save:  func(cp *Checkpoint) { cps = append(cps, cp) },
-	}); err != nil {
-		f.Fatal(err)
-	}
-	if len(cps) == 0 {
-		f.Fatal("the shard saved no checkpoint")
-	}
-	for _, cp := range cps {
-		data, err := json.Marshal(cp)
-		if err != nil {
+	for _, spec := range specs {
+		var cps []*Checkpoint
+		if _, err := SolveWithCheckpoints(context.Background(), spec, CheckpointOptions{
+			Every: 4,
+			Save:  func(cp *Checkpoint) { cps = append(cps, cp) },
+		}); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
-		f.Add(data[:len(data)/2])
+		if len(cps) == 0 {
+			f.Fatalf("%s saved no checkpoint", spec.Model)
+		}
+		for _, cp := range cps {
+			data, err := json.Marshal(cp)
+			if err != nil {
+				f.Fatal(err)
+			}
+			for i := range specs {
+				f.Add(uint8(i), data)
+				f.Add(uint8(i), data[:len(data)/2])
+			}
+		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		spec := specs[int(which)%len(specs)]
 		var cp Checkpoint
 		if json.Unmarshal(data, &cp) != nil {
 			return

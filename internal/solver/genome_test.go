@@ -104,7 +104,7 @@ func TestGenomeJSONRoundTrip(t *testing.T) {
 		}
 
 		// Inside a migrant and a checkpoint (pointer and slice positions).
-		cp := Checkpoint{Pop: []Genome{g, g}, Best: &g, Demes: []DemeState{{Pop: []Genome{g}, Best: &g}}}
+		cp := Checkpoint{Demes: []DemeState{{Pop: []Genome{g, g}, Best: &g}}}
 		if raw, err = json.Marshal(Migrant{Genome: g, Obj: 3}); err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestGenomeJSONRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(raw, &cb); err != nil {
 			t.Fatalf("checkpoint round trip: %v", err)
 		}
-		if !sameGenome(g, cb.Pop[1]) || !sameGenome(g, *cb.Best) || !sameGenome(g, cb.Demes[0].Pop[0]) || !sameGenome(g, *cb.Demes[0].Best) {
+		if !sameGenome(g, cb.Demes[0].Pop[1]) || !sameGenome(g, cb.Demes[0].Pop[0]) || !sameGenome(g, *cb.Demes[0].Best) {
 			t.Fatalf("checkpoint genomes changed")
 		}
 	}
@@ -130,11 +130,11 @@ func TestGenomeJSONRoundTrip(t *testing.T) {
 		t.Errorf("null into a genome: %v, %+v", err, g)
 	}
 	var cp Checkpoint
-	if err := json.Unmarshal([]byte(`{"pop":[null],"best":null}`), &cp); err != nil {
+	if err := json.Unmarshal([]byte(`{"demes":[{"pop":[null],"best":null}]}`), &cp); err != nil {
 		t.Fatalf("nulls in a checkpoint: %v", err)
 	}
-	if cp.Best != nil || len(cp.Pop) != 1 || !sameGenome(cp.Pop[0], Genome{}) {
-		t.Errorf("nulls decoded as %+v / %+v", cp.Best, cp.Pop)
+	if d := cp.Demes[0]; d.Best != nil || len(d.Pop) != 1 || !sameGenome(d.Pop[0], Genome{}) {
+		t.Errorf("nulls decoded as %+v / %+v", d.Best, d.Pop)
 	}
 	// An escaped token is still a string.
 	raw, _ := json.Marshal(Genome{Seq: []int{3, 1, 2}})

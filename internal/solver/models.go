@@ -3,7 +3,6 @@ package solver
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/agents"
 	"repro/internal/cellular"
@@ -196,12 +195,11 @@ func coreResult[G any](enc encoding[G], res core.Result[G]) *Result {
 
 // runEngine is the shared body of the engine-driven models (serial, ms):
 // build the engine, optionally warm-start it from a checkpoint, run, and
-// convert the result. It is also where the checkpoint seam materialises:
-// with saving configured, the per-generation hook snapshots the engine
-// every ck.every generations. The engine is built fresh even when
-// resuming — core.New's construction draws and initial evaluations are
-// then overwritten wholesale by Restore, whose RNG states make the
-// resumed trajectory bit-identical to the uninterrupted one.
+// convert the result. With saving configured, the per-generation hook
+// snapshots the engine on the seam's cadence. The engine is built fresh
+// even when resuming — core.New's construction draws and initial
+// evaluations are then overwritten wholesale by Restore, whose RNG states
+// make the resumed trajectory bit-identical to the uninterrupted one.
 func runEngine[G any](run *Run, enc encoding[G], workers int) (*Result, error) {
 	cfg := engineConfig(run, enc)
 	cfg.Workers = workers
@@ -209,35 +207,21 @@ func runEngine[G any](run *Run, enc encoding[G], workers int) (*Result, error) {
 	cfg.OnGeneration = genHook
 	var eng *core.Engine[G]
 	if ck := run.ck; ck.active() {
-		var baseElapsed int64
-		if ck.resume != nil {
-			baseElapsed = ck.resume.ElapsedMS
-		}
-		start := time.Now()
-		every, save := ck.every, ck.save
 		// eng is captured before assignment: the engine only invokes the
 		// hook from Step, after New returned.
 		cfg.OnGeneration = func(gs core.GenStats) {
 			if genHook != nil {
 				genHook(gs)
 			}
-			if gs.Generation%every == 0 {
-				cp := packCheckpoint(run, enc, eng.Snapshot())
-				cp.ElapsedMS = baseElapsed + time.Since(start).Milliseconds()
-				save(cp)
+			if ck.due(gs.Generation, 1) {
+				ck.save(ck.stamp(packEngineCheckpoint(run, enc, eng.Snapshot())))
 			}
 		}
 	}
 	eng = core.New(enc.problem, run.RNG, cfg)
 	defer eng.Close()
-	if ck := run.ck; ck != nil && ck.resume != nil {
-		snap, err := unpackSnapshot(run, enc, ck.resume)
-		if err != nil {
-			return nil, err
-		}
-		if err := eng.Restore(snap); err != nil {
-			return nil, err
-		}
+	if halt, err := restore(run, enc, unpackEngineCheckpoint[G], eng.Restore); halt {
+		return nil, err
 	}
 	res := eng.Run()
 	return coreResult(enc, res), nil
@@ -293,7 +277,6 @@ func runIsland[G any](ctx context.Context, run *Run, enc encoding[G]) (*Result, 
 		Stop: run.stop,
 	}
 	fed := run.exchange != nil && run.Spec.Params.FedKey != ""
-	ckActive := run.ck.active()
 	// shardCP is what the next ExchangeMigrants piggybacks for the owner's
 	// failover; shipCP says whether the exchange wants one at all.
 	var shardCP *Checkpoint
@@ -330,30 +313,18 @@ func runIsland[G any](ctx context.Context, run *Run, enc encoding[G]) (*Result, 
 	// island goroutines joined). A shard whose exchange wants checkpoints
 	// snapshots EVERY epoch into shardCP, while the durability seam saves
 	// on its generation cadence converted to epochs.
+	ck := run.ck
 	var mdl *island.Model[G]
-	var baseElapsed int64
-	if run.ck != nil && run.ck.resume != nil {
-		baseElapsed = run.ck.resume.ElapsedMS
-	}
-	saveEvery := 1
-	if ckActive {
-		saveEvery = run.ck.every / iv
-		if saveEvery < 1 {
-			saveEvery = 1
-		}
-	}
-	start := time.Now()
-	if run.emit != nil || shipCP || ckActive {
+	if run.emit != nil || shipCP || ck.active() {
 		icfg.OnEpoch = func(es island.EpochStats) {
 			if run.emit != nil {
 				run.observeEpoch(es.Epoch, es.Generation, es.Islands, es.BestObj, migrationEdges(es.Exchanges))
 			}
-			doSave := ckActive && (es.Epoch+1)%saveEvery == 0
+			doSave := ck.due(es.Epoch+1, iv)
 			if !shipCP && !doSave {
 				return
 			}
-			cp := packIslandCheckpoint(run, enc, mdl.Snapshot())
-			cp.ElapsedMS = baseElapsed + time.Since(start).Milliseconds()
+			cp := ck.stamp(packIslandCheckpoint(run, enc, mdl.Snapshot()))
 			if shipCP {
 				shardCP = cp
 			}
@@ -362,25 +333,19 @@ func runIsland[G any](ctx context.Context, run *Run, enc encoding[G]) (*Result, 
 				// EventSeq on it); give it a copy so the shard's wire copy
 				// stays immutable.
 				cpCopy := *cp
-				run.ck.save(&cpCopy)
+				ck.save(&cpCopy)
 			}
 		}
 	}
 	mdl = island.New(run.RNG, icfg)
-	if run.ck != nil && run.ck.resume != nil {
-		snap, uerr := unpackIslandSnapshot(run, enc, run.ck.resume)
-		if uerr != nil {
-			return nil, uerr
-		}
-		if rerr := mdl.Restore(snap); rerr != nil {
-			return nil, rerr
-		}
-		if shipCP {
-			// A resumed failover shard re-offers its resume point until the
-			// first fresh epoch snapshot replaces it, so a second node loss
-			// still finds a checkpoint at the owner.
-			shardCP = run.ck.resume
-		}
+	if halt, err := restore(run, enc, unpackIslandSnapshot[G], mdl.Restore); halt {
+		return nil, err
+	}
+	if shipCP && ck.resume != nil {
+		// A resumed failover shard re-offers its resume point until the
+		// first fresh epoch snapshot replaces it, so a second node loss
+		// still finds a checkpoint at the owner.
+		shardCP = ck.resume
 	}
 	res := mdl.Run()
 	out := &Result{
@@ -493,41 +458,21 @@ func runHybrid[G any](_ context.Context, run *Run, enc encoding[G]) (*Result, er
 	// Hybrid state sits at a resumable boundary between ring-migration
 	// epochs, so the checkpoint seam hangs off OnEpoch, mirroring runIsland
 	// (minus federation: hybrid does not shard across nodes).
+	ck := run.ck
 	var mdl *hybrid.RingOfTorus[G]
-	ckActive := run.ck.active()
-	var baseElapsed int64
-	if run.ck != nil && run.ck.resume != nil {
-		baseElapsed = run.ck.resume.ElapsedMS
-	}
-	saveEvery := 1
-	if ckActive {
-		saveEvery = run.ck.every / iv
-		if saveEvery < 1 {
-			saveEvery = 1
-		}
-	}
-	start := time.Now()
-	if run.emit != nil || ckActive {
+	if run.emit != nil || ck.active() {
 		hcfg.OnEpoch = func(epoch int, best float64) {
 			if run.emit != nil {
 				run.observeEpoch(epoch, (epoch+1)*iv, grids, best, nil)
 			}
-			if ckActive && (epoch+1)%saveEvery == 0 {
-				cp := packHybridCheckpoint(run, enc, mdl.Snapshot())
-				cp.ElapsedMS = baseElapsed + time.Since(start).Milliseconds()
-				run.ck.save(cp)
+			if ck.due(epoch+1, iv) {
+				ck.save(ck.stamp(packHybridCheckpoint(run, enc, mdl.Snapshot())))
 			}
 		}
 	}
 	mdl = hybrid.NewRingOfTorus(enc.problem, run.RNG, hcfg)
-	if run.ck != nil && run.ck.resume != nil {
-		snap, uerr := unpackHybridSnapshot(run, enc, run.ck.resume)
-		if uerr != nil {
-			return nil, uerr
-		}
-		if rerr := mdl.Restore(snap); rerr != nil {
-			return nil, rerr
-		}
+	if halt, err := restore(run, enc, unpackHybridSnapshot[G], mdl.Restore); halt {
+		return nil, err
 	}
 	res := mdl.Run()
 	return &Result{

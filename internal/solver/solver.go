@@ -237,9 +237,9 @@ type Run struct {
 	lastBest float64
 	hasBest  bool
 
-	// ck, when non-nil, is the checkpoint seam of the engine-driven models
-	// (see checkpoint.go): periodic resumable snapshots out, an optional
-	// warm start in.
+	// ck is the checkpoint seam of the checkpointing models (see
+	// checkpoint.go): periodic resumable snapshots out, an optional warm
+	// start in. Runs built by newRun always carry one.
 	ck *ckptSeam
 
 	// exchange, when non-nil, is the federation seam (see federate.go):
@@ -366,43 +366,64 @@ func Solve(ctx context.Context, spec Spec) (*Result, error) {
 	return solve(ctx, spec, nil, nil, nil)
 }
 
-// solve is Solve with the progress, durability and federation seams:
-// emit, when non-nil, receives the run's typed events (the Service wires
-// a Job's fan-out here); ck, when non-nil, threads checkpointing into the
-// engine-driven models (the Service and SolveWithCheckpoints wire it);
-// ex, when non-nil, is the migrant exchange shard runs ship elites
-// through (the Service wires its Exchange here).
-func solve(ctx context.Context, spec Spec, emit func(Event), ck *ckptSeam, ex MigrantExchange) (*Result, error) {
+// newRun resolves a spec into the Run its model solves: validation,
+// defaults, instance, objective, encoding, model and RNG, with ck (nil for
+// none) as the run's checkpoint seam. solve and ValidateCheckpoint share
+// it, so the gate resolves a resume exactly as the run does.
+func newRun(spec Spec, ck *ckptSeam) (*Run, Model, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	var seam ckptSeam
 	if ck != nil {
-		if ck.resume != nil && !SupportsCheckpoint(spec.Model) {
-			return nil, fmt.Errorf("solver: model %q cannot resume from a checkpoint", spec.Model)
-		}
-		if !ck.active() && ck.resume == nil {
-			ck = nil
-		}
+		seam = *ck
 	}
-	if ctx == nil {
-		ctx = context.Background()
+	if seam.resume != nil && !SupportsCheckpoint(spec.Model) {
+		return nil, nil, fmt.Errorf("solver: model %q cannot resume from a checkpoint", spec.Model)
 	}
 	spec = spec.normalized()
 	in, err := BuildInstance(spec.Problem)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	obj, err := objectiveByName(spec.Objective)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	enc, err := resolveEncoding(spec.Encoding, in)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	model, ok := Lookup(spec.Model)
 	if !ok {
-		return nil, fmt.Errorf("solver: unknown model %q (registered: %v)", spec.Model, Names())
+		return nil, nil, fmt.Errorf("solver: unknown model %q (registered: %v)", spec.Model, Names())
+	}
+	// A federated shard draws its RNG from the job seed split FedNodes
+	// ways at its rank — the engine's substream discipline lifted to the
+	// fleet: every node's streams are disjoint, and a federated run is
+	// replayable for a fixed fleet shape and seed.
+	r := rng.New(spec.Seed)
+	if n := spec.Params.FedNodes; n > 1 {
+		r = r.SplitN(n)[spec.Params.FedRank]
+	}
+	run := &Run{Spec: spec, Instance: in, Objective: obj, Encoding: enc, RNG: r, ck: &seam}
+	return run, model, nil
+}
+
+// solve is Solve with the progress, durability and federation seams:
+// emit, when non-nil, receives the run's typed events (the Service wires
+// a Job's fan-out here); ck, when non-nil, threads checkpointing into the
+// checkpointing models (the Service and SolveWithCheckpoints wire it);
+// ex, when non-nil, is the migrant exchange shard runs ship elites
+// through (the Service wires its Exchange here).
+func solve(ctx context.Context, spec Spec, emit func(Event), ck *ckptSeam, ex MigrantExchange) (*Result, error) {
+	run, model, err := newRun(spec, ck)
+	if err != nil {
+		return nil, err
+	}
+	spec, in, enc := run.Spec, run.Instance, run.Encoding
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	// Enforce the wall budget as a context deadline so it reaches every
 	// model through the Stop hook (the epoch-structured models never see
@@ -413,33 +434,17 @@ func solve(ctx context.Context, spec Spec, emit func(Event), ck *ckptSeam, ex Mi
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(w)*time.Millisecond)
 		defer cancel()
 	}
-	// A federated shard draws its RNG from the job seed split FedNodes
-	// ways at its rank — the PR 5 substream discipline lifted to the
-	// fleet: every node's streams are disjoint, and a federated run is
-	// replayable for a fixed fleet shape and seed.
-	r := rng.New(spec.Seed)
-	if n := spec.Params.FedNodes; n > 1 {
-		r = r.SplitN(n)[spec.Params.FedRank]
-	}
-	run := &Run{
-		Spec:      spec,
-		Instance:  in,
-		Objective: obj,
-		Encoding:  enc,
-		RNG:       r,
-		emit:      emit,
-		ck:        ck,
-		exchange:  ex,
-		stop: func() bool {
-			select {
-			case <-ctx.Done():
-				return true
-			default:
-				return false
-			}
-		},
+	run.emit, run.exchange = emit, ex
+	run.stop = func() bool {
+		select {
+		case <-ctx.Done():
+			return true
+		default:
+			return false
+		}
 	}
 	start := time.Now()
+	run.ck.start = start
 	res, err := model.Solve(ctx, run)
 	if err != nil {
 		return nil, fmt.Errorf("solver: model %s: %w", spec.Model, err)
