@@ -84,6 +84,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -451,7 +452,7 @@ func (n *Node) checkBatch(b *serve.MigrantBatch) error {
 
 // handleInfo: GET /v1/federation/info.
 func (n *Node) handleInfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, n.Info())
+	serve.WriteJSON(w, http.StatusOK, n.Info())
 }
 
 // handleRebind: POST /v1/federation/rebind — the owner moved a shard rank
@@ -462,17 +463,17 @@ func (n *Node) handleRebind(w http.ResponseWriter, r *http.Request) {
 	var req serve.RebindRequest
 	body := http.MaxBytesReader(w, r.Body, 1<<16)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorBody{Error: "parsing rebind: " + err.Error()})
+		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("parsing rebind: %w", err))
 		return
 	}
 	if req.Key == "" || len(req.Key) > 200 ||
 		req.Rank < 0 || req.Rank >= len(n.peers) ||
 		req.Node < 0 || req.Node >= len(n.peers) || req.Epoch < 0 {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorBody{Error: "federation: rebind coordinates outside fleet"})
+		serve.WriteError(w, http.StatusBadRequest, errors.New("federation: rebind coordinates outside fleet"))
 		return
 	}
 	n.applyRebind(req.Key, req.Rank, req.Node)
-	writeJSON(w, http.StatusOK, struct{}{})
+	serve.WriteJSON(w, http.StatusOK, struct{}{})
 }
 
 // applyRebind routes future batches for (key, rank) to the given fleet
@@ -509,12 +510,12 @@ func (n *Node) handleResubmit(w http.ResponseWriter, r *http.Request) {
 	var req serve.ResubmitRequest
 	body := http.MaxBytesReader(w, r.Body, MaxBatchBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorBody{Error: "parsing resubmit: " + err.Error()})
+		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("parsing resubmit: %w", err))
 		return
 	}
 	spec := req.Spec
 	if spec.Params.FedKey == "" || req.Checkpoint == nil || req.FleetEpoch < 0 {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorBody{Error: "federation: resubmit needs a shard spec, a checkpoint and a fleet epoch"})
+		serve.WriteError(w, http.StatusBadRequest, errors.New("federation: resubmit needs a shard spec, a checkpoint and a fleet epoch"))
 		return
 	}
 	if err := serve.ValidateSpec(spec); err != nil {
@@ -535,7 +536,7 @@ func (n *Node) handleResubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	n.logf("federation: resumed shard %d of %s from epoch %d as job %s",
 		spec.Params.FedRank, spec.Params.FedKey, req.Checkpoint.Epoch, job.ID())
-	writeJSON(w, http.StatusCreated, serve.ResubmitResponse{ID: job.ID()})
+	serve.WriteJSON(w, http.StatusCreated, serve.ResubmitResponse{ID: job.ID()})
 }
 
 // setFastForward pre-registers the fleet epoch a resubmitted shard should
@@ -549,12 +550,6 @@ func (n *Node) setFastForward(key string, rank, epoch int) {
 		n.fastFwd[key] = m
 	}
 	m[rank] = epoch
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // deliver routes an inbound batch to every local run of its key (except

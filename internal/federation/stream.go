@@ -392,16 +392,16 @@ func (n *Node) Close() {
 // and read here, on the request's goroutine, until it closes.
 func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Upgrade") != serve.MigrantStreamProtocol {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorBody{Error: "federation: the stream needs Upgrade: " + serve.MigrantStreamProtocol})
+		serve.WriteError(w, http.StatusBadRequest, errors.New("federation: the stream needs Upgrade: "+serve.MigrantStreamProtocol))
 		return
 	}
 	if n.isClosed() {
-		writeJSON(w, http.StatusServiceUnavailable, serve.ErrorBody{Error: "federation: node is shutting down"})
+		serve.WriteError(w, http.StatusServiceUnavailable, errors.New("federation: node is shutting down"))
 		return
 	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, serve.ErrorBody{Error: "federation: connection cannot be upgraded"})
+		serve.WriteError(w, http.StatusInternalServerError, errors.New("federation: connection cannot be upgraded"))
 		return
 	}
 	conn, brw, err := hj.Hijack()

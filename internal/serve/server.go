@@ -317,8 +317,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON writes a JSON response with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes a JSON response with the given status; the daemon's
+// and the federation node's handlers all reply through it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
@@ -334,7 +335,7 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 	if errors.As(err, &verr) {
 		body.Fields = verr.Fields
 	}
-	writeJSON(w, status, body)
+	WriteJSON(w, status, body)
 }
 
 // jobInfo assembles the wire form of a job.
@@ -425,12 +426,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Location", "/v1/jobs/"+job.ID())
 	if existed {
 		// Idempotent replay of an already-accepted submit: same job, 200.
-		writeJSON(w, http.StatusOK, s.jobInfo(job))
+		WriteJSON(w, http.StatusOK, s.jobInfo(job))
 		return
 	}
 	s.track(job, idemKey)
 	s.prune()
-	writeJSON(w, http.StatusCreated, s.jobInfo(job))
+	WriteJSON(w, http.StatusCreated, s.jobInfo(job))
 }
 
 // submitKeyed submits the spec, deduplicating on the client's idempotency
@@ -504,7 +505,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		out.Jobs = append(out.Jobs, s.jobInfo(j))
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // lookup resolves the {id} path value or 404s.
@@ -520,7 +521,7 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*solver.Job, bo
 // handleGet: GET /v1/jobs/{id}.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if job, ok := s.lookup(w, r); ok {
-		writeJSON(w, http.StatusOK, s.jobInfo(job))
+		WriteJSON(w, http.StatusOK, s.jobInfo(job))
 	}
 }
 
@@ -533,7 +534,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job.Cancel()
-	writeJSON(w, http.StatusAccepted, s.jobInfo(job))
+	WriteJSON(w, http.StatusAccepted, s.jobInfo(job))
 }
 
 // sseWindow bounds how long a progress frame may wait in an event
@@ -730,7 +731,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	for _, n := range names {
 		out = append(out, ModelInfo{Name: n})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // handleInstances: GET /v1/instances.
@@ -748,7 +749,7 @@ func (s *Server) handleInstances(w http.ResponseWriter, r *http.Request) {
 			Note:      b.Note,
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // handleHealth: GET /healthz.
@@ -760,5 +761,5 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			active++
 		}
 	}
-	writeJSON(w, http.StatusOK, Health{Status: "ok", Jobs: len(jobs), Active: active})
+	WriteJSON(w, http.StatusOK, Health{Status: "ok", Jobs: len(jobs), Active: active})
 }
