@@ -29,10 +29,10 @@
 // crash-safe internal/jobstore persists per-job records with atomic
 // renames and CRC-checksummed checkpoint frames (torn or corrupt frames
 // are quarantined, never fatal), the checkpointable models snapshot
-// their full state — flat population for serial/ms, a per-deme layout
-// (population, objectives, incumbent, RNG stream, epoch counter) for
-// the epoch models island/hybrid — through solver.SolveWithCheckpoints
-// / Service.OnCheckpoint, and a
+// their full state in one per-deme layout (population, objectives,
+// incumbent, RNG streams; serial/ms as one deme, island/hybrid one per
+// island or grid plus the epoch counter) through
+// solver.SolveWithCheckpoints / Service.OnCheckpoint, and a
 // restarted daemon replays the store: terminal jobs served from disk,
 // in-flight jobs resumed bit-identically from their newest checkpoint
 // with the wall budget they had left (cold restart is the validated
