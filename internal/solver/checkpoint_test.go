@@ -211,7 +211,7 @@ func TestCheckpointResumeIslandAcrossWorkerCounts(t *testing.T) {
 }
 
 // Damaged per-deme state is a resume error through the same per-encoding
-// validators as flat checkpoints — never a crash.
+// validators as serial/ms checkpoints — never a crash.
 func TestCheckpointIslandValidation(t *testing.T) {
 	spec := ckSpec("island", EncSeq, ProblemSpec{Instance: "ft06"})
 	_, cps := collectCheckpoints(t, spec, 10, nil)
@@ -299,8 +299,8 @@ func TestCheckpointResumeRejectsUnsupportedModel(t *testing.T) {
 	if saved != 0 {
 		t.Fatalf("cellular saved %d checkpoints", saved)
 	}
-	// A flat (serial-shaped) checkpoint must not resume an epoch model:
-	// the deme layout is missing and the model pin mismatches.
+	// A serial checkpoint must not resume an epoch model: the model pin
+	// mismatches, and it holds one deme, not one per island.
 	island := spec
 	island.Model = "island"
 	if _, err := SolveWithCheckpoints(context.Background(), island, CheckpointOptions{Resume: cps[0]}); err == nil {
