@@ -350,7 +350,7 @@ func (e *Engine[G]) Snapshot() Snapshot[G] {
 // so snapshots never need to carry it), generation/evaluation/stagnation
 // counters, and the random streams. The engine's wall clock restarts at
 // Restore — callers that budget wall time across restarts shrink the
-// budget by the time already consumed instead (the serving layer does).
+// budget by the time already consumed instead (the solver's resume does).
 // Restore fails, leaving the engine unchanged, when the snapshot's shape
 // does not fit: wrong population size, or a shard-stream count other than
 // ShardCount(Pop).

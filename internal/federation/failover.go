@@ -181,46 +181,36 @@ func (n *Node) failover(ctx context.Context, rank int, shard solver.Spec, cause 
 		rank, k, n.peers[rank], cp.Epoch, n.peers[target])
 	n.broadcastRebind(ctx, k, rank, target, fleetEpoch)
 
-	rspec := shard
-	if w := rspec.Budget.WallMillis; w > 0 {
-		// The lost shard already spent cp.ElapsedMS of its wall budget.
-		rem := w - cp.ElapsedMS
-		if rem < 1 {
-			rem = 1
-		}
-		rspec.Budget.WallMillis = rem
-	}
 	if target == n.rank {
-		if err := solver.ValidateCheckpoint(rspec, cp); err != nil {
-			return nil, fmt.Errorf("checkpoint rejected: %w", err)
-		}
-		n.setFastForward(k, rank, fleetEpoch)
-		job, jerr := n.svc.SubmitOpts(ctx, rspec, solver.SubmitOptions{Resume: cp})
-		if jerr != nil {
-			return nil, jerr
+		job, err := n.resumeLocal(ctx, shard, cp, fleetEpoch)
+		if err != nil {
+			return nil, err
 		}
 		n.failovers.Add(1)
 		return job.Await(ctx)
 	}
-	c := n.clients[target]
-	resp, err := c.Resubmit(ctx, serve.ResubmitRequest{Spec: rspec, Checkpoint: cp, FleetEpoch: fleetEpoch})
+	resp, err := n.clients[target].Resubmit(ctx, serve.ResubmitRequest{Spec: shard, Checkpoint: cp, FleetEpoch: fleetEpoch})
 	if err != nil {
 		return nil, err
 	}
 	n.failovers.Add(1)
-	info, err := c.Await(ctx, resp.ID)
-	if err != nil {
-		// Cancellation propagates best-effort, exactly like runShard's
-		// primary path.
-		if ctx.Err() != nil {
-			cctx, cancel := context.WithTimeout(context.Background(), n.cfg.PushTimeout)
-			_, _ = c.Cancel(cctx, resp.ID)
-			cancel()
-		}
+	return n.awaitRemote(ctx, target, resp.ID)
+}
+
+// resumeLocal starts a lost shard on this node, warm from its checkpoint:
+// the owner's failover onto its own node and POST
+// /v1/federation/resubmit both come here. The spec passes the same gate
+// as POST /v1/jobs and the checkpoint the same gate as restart recovery,
+// so a damaged one is an error, never a crash; the shard then replays to
+// fleetEpoch without barrier waits. The solver grants the resumed shard
+// what its checkpoint left of the wall budget.
+func (n *Node) resumeLocal(ctx context.Context, spec solver.Spec, cp *solver.Checkpoint, fleetEpoch int) (*solver.Job, error) {
+	if err := serve.ValidateSpec(spec); err != nil {
 		return nil, err
 	}
-	if info.Error != "" {
-		return nil, fmt.Errorf("resumed shard %s on %s failed: %s", resp.ID, n.peers[target], info.Error)
+	if err := solver.ValidateCheckpoint(spec, cp); err != nil {
+		return nil, err
 	}
-	return info.Result, nil
+	n.setFastForward(spec.Params.FedKey, spec.Params.FedRank, fleetEpoch)
+	return n.svc.SubmitOpts(ctx, spec, solver.SubmitOptions{Resume: cp})
 }

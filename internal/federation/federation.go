@@ -68,12 +68,15 @@
 // owner health-probes the peer (bounded retries); if the peer is
 // confirmed dead and a checkpoint exists, the owner resubmits the shard
 // — resumed warm from that checkpoint — onto the least-loaded surviving
-// node, and broadcasts the rebinding so the survivors clear the rank's
-// degradation and re-route its batches. The resumed shard replays its
-// checkpointed epochs without waiting at barriers the fleet has already
-// passed (fast-forward), then rejoins the exchange; with the lag, its
-// barriers wait only for batches sent at or after the fast-forward
-// epoch, since the older ones went to the dead host. Only a shard that
+// node (the owner's own included), and broadcasts the rebinding so the
+// survivors clear the rank's degradation and re-route its batches. The
+// shard spec travels with the budget it was submitted with; the solver
+// grants the resumed shard only what its checkpoint left of the wall
+// budget. The resumed shard replays its checkpointed epochs without
+// waiting at barriers the fleet has already passed (fast-forward), then
+// rejoins the exchange; with the lag, its barriers wait only for batches
+// sent at or after the fast-forward epoch, since the older ones went to
+// the dead host. Only a shard that
 // never checkpointed (died during epoch 0, or its node runs without
 // failover), a peer that is merely slow (probe succeeds), or a failed
 // resubmission falls back to degradation.
@@ -503,9 +506,8 @@ func (n *Node) applyRebind(key string, rank, node int) {
 }
 
 // handleResubmit: POST /v1/federation/resubmit — run a lost shard here,
-// warm from its checkpoint. The checkpoint passes the same semantic
-// validation gate as restart recovery before the job is accepted; a
-// damaged one is a 400, never a crash.
+// warm from its checkpoint (resumeLocal). A spec or checkpoint the gates
+// reject is a 400, a service that takes no job a 422.
 func (n *Node) handleResubmit(w http.ResponseWriter, r *http.Request) {
 	var req serve.ResubmitRequest
 	body := http.MaxBytesReader(w, r.Body, MaxBatchBytes)
@@ -518,20 +520,15 @@ func (n *Node) handleResubmit(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, errors.New("federation: resubmit needs a shard spec, a checkpoint and a fleet epoch"))
 		return
 	}
-	if err := serve.ValidateSpec(spec); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := solver.ValidateCheckpoint(spec, req.Checkpoint); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	n.setFastForward(spec.Params.FedKey, spec.Params.FedRank, req.FleetEpoch)
 	// The job outlives the request — it runs under the service's
 	// lifetime, like any submitted job.
-	job, err := n.svc.SubmitOpts(context.Background(), spec, solver.SubmitOptions{Resume: req.Checkpoint})
-	if err != nil {
+	job, err := n.resumeLocal(context.Background(), spec, req.Checkpoint, req.FleetEpoch)
+	switch {
+	case errors.Is(err, solver.ErrDraining) || errors.Is(err, solver.ErrBusy):
 		serve.WriteError(w, http.StatusUnprocessableEntity, err)
+		return
+	case err != nil:
+		serve.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	n.logf("federation: resumed shard %d of %s from epoch %d as job %s",

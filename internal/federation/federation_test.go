@@ -478,6 +478,99 @@ func TestFederatedFailover(t *testing.T) {
 	}
 }
 
+// TestFederatedFailoverToOwner: on a two-node fleet the only survivor
+// of the non-owner's death is the owner itself, so the owner resumes the
+// lost shard on its own node; the run completes with zero degraded nodes
+// and one failover.
+func TestFederatedFailoverToOwner(t *testing.T) {
+	fleet := newFleet(t, 2, federation.Config{
+		FailoverEnabled: true,
+		EpochTimeout:    500 * time.Millisecond,
+		PushTimeout:     250 * time.Millisecond,
+		MaxRetries:      -1,
+		RetryBackoff:    10 * time.Millisecond,
+		ProbeRetries:    2,
+		ProbeInterval:   20 * time.Millisecond,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	spec := fedSpec(23)
+	spec.Budget = solver.Budget{Generations: 600} // keep the run in flight across the kill
+	owner, victim := fleet[0], fleet[1]
+	job, err := owner.Node.SubmitFederated(ctx, spec)
+	if err != nil {
+		t.Fatalf("SubmitFederated: %v", err)
+	}
+	go func() {
+		for range job.Events() {
+		}
+	}()
+	// From epoch 1 on, each of the victim's batches to the owner carries
+	// a checkpoint.
+	waitFor(t, "the victim shard's migrants", func() bool { return victim.Node.Counters().MigrantsSent >= 4 })
+	victim.Kill()
+
+	res, err := job.Await(ctx)
+	if err != nil {
+		t.Fatalf("Await: %v", err)
+	}
+	if len(res.Nodes) != 2 {
+		t.Fatalf("Nodes provenance: %+v", res.Nodes)
+	}
+	for _, nr := range res.Nodes {
+		if nr.Degraded {
+			t.Errorf("node %s (rank %d) degraded despite failover: %+v", nr.Node, nr.Rank, nr)
+		}
+	}
+	if got := owner.Node.Counters().Failovers; got != 1 {
+		t.Errorf("owner recorded %d failovers, want 1", got)
+	}
+	// The owner ran its own shard and the resumed one.
+	if got := owner.Node.Counters().Shards; got < 2 {
+		t.Errorf("owner ran %d shard(s), want 2 (its own + the resumed one)", got)
+	}
+	if res.Schedule == nil {
+		t.Fatal("failover run lacks a schedule")
+	} else if err := res.Schedule.Validate(); err != nil {
+		t.Errorf("failover schedule invalid: %v", err)
+	}
+}
+
+// TestFederatedResultMatchesLocal: a federated job reports the header a
+// local solve of the same spec does — the resolved instance name, kind,
+// encoding and seed, and the same reference — because both finish
+// through the solver.
+func TestFederatedResultMatchesLocal(t *testing.T) {
+	fleet := newFleet(t, 2, federation.Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	spec := fedSpec(0) // seed 0 resolves to the default seed
+	spec.Problem = solver.ProblemSpec{Kind: "job", Jobs: 6, Machines: 4}
+
+	job, err := fleet[0].Node.SubmitFederated(ctx, spec)
+	if err != nil {
+		t.Fatalf("SubmitFederated: %v", err)
+	}
+	fed, err := job.Await(ctx)
+	if err != nil {
+		t.Fatalf("Await: %v", err)
+	}
+	if len(fed.Nodes) != 2 {
+		t.Fatalf("job did not federate: %+v", fed.Nodes)
+	}
+	local, err := solver.Solve(ctx, spec)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if fed.Instance != local.Instance || fed.Kind != local.Kind || fed.Encoding != local.Encoding ||
+		fed.Seed != local.Seed || fed.Reference != local.Reference || fed.RefKind != local.RefKind {
+		t.Errorf("federated header {%q %q %q seed %d ref %v %q}, local {%q %q %q seed %d ref %v %q}",
+			fed.Instance, fed.Kind, fed.Encoding, fed.Seed, fed.Reference, fed.RefKind,
+			local.Instance, local.Kind, local.Encoding, local.Seed, local.Reference, local.RefKind)
+	}
+}
+
 // TestFederationInboxOverflow: flooding one key's pending inbox past its
 // cap drops batches into the counter (and the stats text) instead of
 // silently vanishing.

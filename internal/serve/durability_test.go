@@ -628,6 +628,97 @@ func TestServerResumeDeadlineClamped(t *testing.T) {
 	}
 }
 
+// TestServerResumeBudgetAcrossTwoRestarts: the wall budget is the job's,
+// across every restart. A checkpoint's ElapsedMS already sums the earlier
+// run segments, so the persisted spec must keep the submitted budget: a
+// restart that persisted the remainder would have the next restart
+// subtract the first segment a second time. Here the first crash came at
+// 30 s of a 60 s budget; after a second crash about 30 s remain, while a
+// double count would leave 1 ms and finish the job at once.
+func TestServerResumeBudgetAcrossTwoRestarts(t *testing.T) {
+	const id = "j000012"
+	base := durableSpec(30)
+	cp, _ := midCheckpoint(t, base, 5)
+	spec := base
+	spec.Budget = solver.Budget{Generations: 1 << 30, WallMillis: 60_000}
+	cp.ElapsedMS = 30_000
+	dir := t.TempDir()
+	seedRunningJob(t, openStore(t, dir), id, spec, cp)
+	ctx := testCtx(t)
+
+	budgetOf := func(st jobstore.Store, c *client.Client) (rec, live int64) {
+		t.Helper()
+		r, err := st.GetRecord(id)
+		if err != nil {
+			t.Fatalf("GetRecord: %v", err)
+		}
+		info, err := c.Job(ctx, id)
+		if err != nil {
+			t.Fatalf("Job: %v", err)
+		}
+		return r.Spec.Budget.WallMillis, info.Spec.Budget.WallMillis
+	}
+
+	// Restart 1 resumes warm and checkpoints on; appends run one at a
+	// time from the job's generation loop, so a second append means the
+	// first is on disk.
+	fs := jobstore.NewFaultStore(openStore(t, dir))
+	logs := &logBuf{}
+	srv1, c1 := newTestServer(t, serve.Config{Store: fs, CheckpointEvery: 5, Logf: logs.Logf})
+	for deadline := time.Now().Add(30 * time.Second); fs.Calls(jobstore.OpAppend) < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("restart 1 wrote no checkpoint: %q", logs.all())
+		}
+	}
+	if rec, live := budgetOf(fs, c1); rec != 60_000 || live != 60_000 {
+		t.Errorf("after restart 1 the record reads wall_ms %d and the job %d, want the submitted 60000", rec, live)
+	}
+	// Crash: no further store write lands, so the store keeps the
+	// running record and restart 1's newest checkpoint.
+	fs.FailNext(jobstore.OpPut, 1<<20)
+	fs.FailNext(jobstore.OpAppend, 1<<20)
+	if _, err := c1.Cancel(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv1.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	data, err := fs.LoadCheckpoint(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp1 solver.Checkpoint
+	if err := json.Unmarshal(data, &cp1); err != nil {
+		t.Fatal(err)
+	}
+	if cp1.Generation <= cp.Generation || cp1.ElapsedMS < cp.ElapsedMS {
+		t.Fatalf("restart 1 checkpoint at generation %d, elapsed %d ms; want past generation %d and the cumulative >= %d ms",
+			cp1.Generation, cp1.ElapsedMS, cp.Generation, cp.ElapsedMS)
+	}
+
+	// Restart 2 resumes with about 30 s left, not 1 ms.
+	st2 := openStore(t, dir)
+	logs2 := &logBuf{}
+	_, c2 := newTestServer(t, serve.Config{Store: st2, Logf: logs2.Logf})
+	time.Sleep(300 * time.Millisecond)
+	info, err := c2.Job(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !logs2.contains("resumed job " + id) {
+		t.Fatalf("restart 2 did not resume warm: %q", logs2.all())
+	}
+	if info.State != solver.JobRunning {
+		t.Errorf("restart 2: job %s after 300 ms with ~30 s of budget left (result %+v)", info.State, info.Result)
+	}
+	if rec, live := budgetOf(st2, c2); rec != 60_000 || live != 60_000 {
+		t.Errorf("after restart 2 the record reads wall_ms %d and the job %d, want the submitted 60000", rec, live)
+	}
+	if _, err := c2.Cancel(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServerStoreFaultsDegradeDurabilityNotAvailability: injected store
 // failures (record writes, checkpoint appends) are logged and absorbed —
 // the job still runs to completion and is queryable.

@@ -213,13 +213,13 @@ func (s *Server) record(job *solver.Job, idemKey string) *jobstore.Record {
 }
 
 // recover replays the store into the fresh service: terminal jobs become
-// served-from-disk history, in-flight jobs are re-submitted. A job whose
-// model supports checkpointing resumes warm from its newest intact
-// checkpoint — with the wall budget it had left at that checkpoint, so a
-// crash-restart loop can never extend a job's deadline — and anything
-// wrong with the checkpoint (quarantined by the store's checksum, or
-// rejected by semantic validation) downgrades to a cold start rather than
-// losing the job.
+// served-from-disk history, in-flight jobs are re-submitted with the spec
+// they were submitted with. A job whose model supports checkpointing
+// resumes warm from its newest intact checkpoint (the solver grants it
+// only the wall budget left at that checkpoint, so a crash-restart loop
+// can never extend a job's deadline); anything wrong with the checkpoint
+// (quarantined by the store's checksum, or rejected by semantic
+// validation) downgrades to a cold start rather than losing the job.
 func (s *Server) recover() error {
 	recs, err := s.store.ListRecords()
 	if err != nil {
@@ -237,19 +237,7 @@ func (s *Server) recover() error {
 			continue
 		}
 		resume := s.loadResume(rec)
-		spec := rec.Spec
-		if resume != nil {
-			// Satellite of the durability story: the resumed job's wall
-			// budget is what remained at the checkpoint, not a fresh grant.
-			if w := spec.Budget.WallMillis; w > 0 {
-				rem := w - resume.ElapsedMS
-				if rem < 1 {
-					rem = 1
-				}
-				spec.Budget.WallMillis = rem
-			}
-		}
-		job, err := s.svc.SubmitOpts(context.Background(), spec, solver.SubmitOptions{
+		job, err := s.svc.SubmitOpts(context.Background(), rec.Spec, solver.SubmitOptions{
 			ID: rec.ID, Resume: resume, Submitted: rec.Submitted,
 		})
 		if err != nil && resume != nil {

@@ -36,8 +36,8 @@ type Checkpoint struct {
 	Generation  int   `json:"generation"`
 	Evaluations int64 `json:"evaluations"`
 	// ElapsedMS accumulates wall time spent across every run segment up to
-	// this snapshot, so a serving layer can re-derive the remaining wall
-	// budget after a crash instead of granting the full budget again.
+	// this snapshot, so a resume grants only the remaining wall budget
+	// instead of the full budget again.
 	ElapsedMS int64 `json:"elapsed_ms,omitempty"`
 	// EventSeq is the job's event sequence number at snapshot time (stamped
 	// by the Service); a resumed job continues numbering from it so SSE
@@ -99,7 +99,9 @@ type CheckpointOptions struct {
 	Save func(*Checkpoint)
 	// Resume, when set, warm-starts the run from a prior snapshot instead
 	// of a fresh population. The spec's model and encoding must match the
-	// checkpoint's, and the model must support checkpointing.
+	// checkpoint's, and the model must support checkpointing. The spec's
+	// wall budget is the whole job's: the resumed run gets what is left of
+	// it after the checkpoint's ElapsedMS, at least 1 ms.
 	Resume *Checkpoint
 }
 

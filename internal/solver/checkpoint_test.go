@@ -597,3 +597,32 @@ func FuzzCheckpoint(f *testing.F) {
 		}
 	})
 }
+
+// TestResumeGrantsRemainingWallBudget: a resumed run's wall budget is
+// what the checkpoint's cumulative ElapsedMS left of the spec's, at least
+// 1 ms; a spec without a wall budget gets none, and the spec itself is
+// left as submitted.
+func TestResumeGrantsRemainingWallBudget(t *testing.T) {
+	spec := smallSpec("ms")
+	spec.Budget = Budget{Generations: 10, WallMillis: 60_000}
+	for _, c := range []struct{ elapsed, want int64 }{{0, 60_000}, {10_000, 50_000}, {60_000, 1}, {90_000, 1}} {
+		run, _, err := newRun(spec, &ckptSeam{resume: &Checkpoint{ElapsedMS: c.elapsed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := run.Spec.Budget.WallMillis; got != c.want {
+			t.Errorf("elapsed %d ms: granted %d ms, want %d", c.elapsed, got, c.want)
+		}
+	}
+	if spec.Budget.WallMillis != 60_000 {
+		t.Errorf("resume rewrote the caller's spec: wall_ms %d", spec.Budget.WallMillis)
+	}
+	spec.Budget.WallMillis = 0
+	run, _, err := newRun(spec, &ckptSeam{resume: &Checkpoint{ElapsedMS: 10_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run.Spec.Budget.WallMillis; got != 0 {
+		t.Errorf("no wall budget: resume granted %d ms", got)
+	}
+}

@@ -139,3 +139,32 @@ func flexEncoding(run *Run) (encoding[shopga.FlexGenome], error) {
 		pack: pack, unpack: unpack,
 	}, nil
 }
+
+// decodeGenome rebuilds the schedule of a packed genome under the run's
+// encoding, through the same strict unpack as a checkpoint resume: a
+// damaged genome is an error, never a crash in a decode kernel.
+func (run *Run) decodeGenome(g Genome) (*shop.Schedule, error) {
+	switch run.Encoding {
+	case EncKeys:
+		enc, err := keysEncoding(run)
+		return decodeWith(enc, err, g)
+	case EncFlex:
+		enc, err := flexEncoding(run)
+		return decodeWith(enc, err, g)
+	default: // EncSeq, EncPerm
+		enc, err := seqEncoding(run)
+		return decodeWith(enc, err, g)
+	}
+}
+
+// decodeWith unpacks g through enc, or passes on err from building enc.
+func decodeWith[G any](enc encoding[G], err error, g Genome) (*shop.Schedule, error) {
+	if err != nil {
+		return nil, err
+	}
+	gen, err := enc.unpack(g)
+	if err != nil {
+		return nil, err
+	}
+	return enc.schedule(gen), nil
+}

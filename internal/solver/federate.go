@@ -3,17 +3,17 @@ package solver
 import (
 	"context"
 	"fmt"
-
-	"repro/internal/shop"
+	"sort"
 )
 
 // This file is the solver side of the distributed island federation: the
 // exchange seam a federation layer plugs into the Service, the wire form
-// of a migrant, and the helpers the owner node uses to reduce a fleet of
-// shard Results into one terminal Result. The federation layer itself
-// (peer discovery, HTTP transport, epoch barriers) lives in
-// internal/federation; this package only defines the contract so the
-// island runner can ship and absorb migrants without knowing about HTTP.
+// of a migrant, the split of a federated spec into shard specs, and the
+// reduction of the shard Results into the job's one terminal Result. The
+// federation layer itself (peer discovery, HTTP transport, epoch
+// barriers) lives in internal/federation; this package only defines the
+// contract so the island runner can ship and absorb migrants without
+// knowing about HTTP.
 
 // Migrant is the wire form of one elite crossing a node boundary: the
 // encoding-agnostic packed genome plus the objective it scored on its
@@ -90,78 +90,94 @@ type NodeResult struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// ReconstructSchedule decodes a packed winning genome under the spec's
-// instance and encoding and returns the validated schedule with its
-// objective. The federation owner uses it to rebuild the fleet winner's
-// schedule from the wire form (Result.Schedule does not cross HTTP), with
-// the same strict validation as checkpoint resume: a damaged genome is an
-// error, never a crash in a decode kernel.
-func ReconstructSchedule(spec Spec, g Genome) (*shop.Schedule, float64, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, 0, err
+// ShardSpecs splits a federated island spec (Params.Federate) into one
+// shard spec per rank of a fleet of the given size, stamped with the
+// run key: shard rank r holds a contiguous slice of the island count
+// (remainder islands to the low ranks) and the matching exact-sum slice
+// of the population, and carries the FedKey/FedNodes/FedRank coordinates
+// newRun turns into its RNG substream. The fan-out spans min(fleet,
+// islands) ranks; with nothing to federate over (a fleet of one, or one
+// island) it returns no shards and the job runs locally. Every shard is
+// validated, so a malformed split fails the submission synchronously,
+// not a remote node asynchronously.
+func ShardSpecs(spec Spec, key string, fleet int) ([]Spec, error) {
+	islands := spec.Params.Islands
+	if islands <= 0 {
+		islands = defaultIslands
 	}
-	norm := spec.normalized()
-	in, err := BuildInstance(norm.Problem)
-	if err != nil {
-		return nil, 0, err
+	nodes := min(fleet, islands)
+	if nodes <= 1 {
+		return nil, nil
 	}
-	obj, err := objectiveByName(norm.Objective)
-	if err != nil {
-		return nil, 0, err
+	pop := spec.Params.Pop
+	if pop <= 0 {
+		pop = defaultPop
 	}
-	encName, err := resolveEncoding(norm.Encoding, in)
-	if err != nil {
-		return nil, 0, err
+	base, rem := islands/nodes, islands%nodes
+	shards := make([]Spec, nodes)
+	cum := 0 // islands assigned to ranks < r
+	for r := range shards {
+		si := base
+		if r < rem {
+			si++
+		}
+		sp := spec
+		sp.Params.Federate = false
+		sp.Params.FedKey = key
+		sp.Params.FedNodes = nodes
+		sp.Params.FedRank = r
+		sp.Params.Islands = si
+		sp.Params.Pop = pop*(cum+si)/islands - pop*cum/islands
+		cum += si
+		if err := sp.Validate(); err != nil {
+			return nil, fmt.Errorf("solver: shard %d spec invalid: %w", r, err)
+		}
+		shards[r] = sp
 	}
-	run := &Run{Spec: norm, Instance: in, Objective: obj, Encoding: encName}
-	var sched *shop.Schedule
-	switch encName {
-	case EncPerm, EncSeq:
-		enc, eerr := seqEncoding(run)
-		if eerr != nil {
-			return nil, 0, eerr
-		}
-		gen, uerr := enc.unpack(g)
-		if uerr != nil {
-			return nil, 0, fmt.Errorf("solver: federated winner genome: %w", uerr)
-		}
-		sched = enc.schedule(gen)
-	case EncKeys:
-		enc, eerr := keysEncoding(run)
-		if eerr != nil {
-			return nil, 0, eerr
-		}
-		gen, uerr := enc.unpack(g)
-		if uerr != nil {
-			return nil, 0, fmt.Errorf("solver: federated winner genome: %w", uerr)
-		}
-		sched = enc.schedule(gen)
-	case EncFlex:
-		enc, eerr := flexEncoding(run)
-		if eerr != nil {
-			return nil, 0, eerr
-		}
-		gen, uerr := enc.unpack(g)
-		if uerr != nil {
-			return nil, 0, fmt.Errorf("solver: federated winner genome: %w", uerr)
-		}
-		sched = enc.schedule(gen)
-	default:
-		return nil, 0, fmt.Errorf("solver: unknown encoding %q", encName)
-	}
-	if err := sched.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("solver: federated winner schedule: %w", err)
-	}
-	return sched, obj(sched), nil
+	return shards, nil
 }
 
-// ReferenceKind resolves the spec's reference objective and its kind
-// without running anything — the federation owner embeds the gap into its
-// reduced Result the same way Solve does.
-func ReferenceKind(spec Spec) (float64, RefKind, error) {
-	in, err := BuildInstance(spec.Problem)
+// ReduceShards is the best-of-fleet reduction that finishes a federated
+// job: shards holds the shard Results by rank, nil where a shard returned
+// none. Evaluations sum, generations take the maximum, and a cancelled
+// shard marks the whole run cancelled. The winner is the first shard, by
+// best objective with the lower rank first on ties, whose schedule is in
+// hand (a shard run on this node) or whose packed BestGenome rebuilds
+// into a valid schedule with the objective it claimed; a damaged or
+// stale genome is never decoded blind, it passes the win on. The spec
+// resolves through newRun and the Result is finished like Solve's.
+func ReduceShards(spec Spec, shards []*Result) (*Result, error) {
+	run, _, err := newRun(spec, nil)
 	if err != nil {
-		return 0, RefHeuristic, err
+		return nil, err
 	}
-	return ReferenceKindFor(in, spec.Objective)
+	res := &Result{}
+	var order []int
+	for r, s := range shards {
+		if s == nil {
+			continue
+		}
+		order = append(order, r)
+		res.Evaluations += s.Evaluations
+		res.Generations = max(res.Generations, s.Generations)
+		res.Canceled = res.Canceled || s.Canceled
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		return shards[order[i]].BestObjective < shards[order[j]].BestObjective
+	})
+	for _, r := range order {
+		s := shards[r]
+		sched := s.Schedule
+		if sched == nil && s.BestGenome != nil {
+			g, derr := run.decodeGenome(*s.BestGenome)
+			if derr == nil && g.Validate() == nil && run.Objective(g) == s.BestObjective {
+				sched = g
+			}
+		}
+		if sched != nil {
+			res.BestObjective, res.Schedule = s.BestObjective, sched
+			return run.finish(res)
+		}
+	}
+	return nil, fmt.Errorf("solver: no shard returned a usable schedule")
 }

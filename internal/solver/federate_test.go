@@ -3,6 +3,8 @@ package solver
 import (
 	"context"
 	"testing"
+
+	"repro/internal/shop"
 )
 
 // TestStallGenerations: the spec-level stall terminator stops an
@@ -175,9 +177,12 @@ func TestValidateFederationFields(t *testing.T) {
 	}
 }
 
-// TestReconstructSchedule: a packed genome round-trips into a validated
-// schedule with the objective it claimed, and a damaged one is rejected.
-func TestReconstructSchedule(t *testing.T) {
+// TestReduceShards: the owner's reduction rebuilds a remote winner's
+// packed genome into a validated schedule with the objective it claimed,
+// never decodes a damaged or stale genome blind (the win passes to the
+// next shard in objective order), and finishes the Result with the header
+// a local solve of the same spec reports.
+func TestReduceShards(t *testing.T) {
 	spec := smallSpec("island")
 	res, err := Solve(context.Background(), spec)
 	if err != nil {
@@ -188,36 +193,85 @@ func TestReconstructSchedule(t *testing.T) {
 	// with the same seed and no fleet is the same run.
 	shard := spec
 	shard.Params.FedKey, shard.Params.FedNodes, shard.Params.FedRank = "k", 1, 0
-	var got *Result
-	got, err = solve(context.Background(), shard, nil, nil, nopExchange{})
+	got, err := solve(context.Background(), shard, nil, nil, nopExchange{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.BestGenome == nil {
 		t.Fatal("shard run did not pack its best genome")
 	}
-	sched, obj, err := ReconstructSchedule(spec, *got.BestGenome)
-	if err != nil {
-		t.Fatalf("ReconstructSchedule: %v", err)
-	}
-	if obj != got.BestObjective {
-		t.Errorf("reconstructed objective %v, want %v", obj, got.BestObjective)
-	}
-	if err := sched.Validate(); err != nil {
-		t.Errorf("reconstructed schedule invalid: %v", err)
-	}
 	if res.BestObjective != got.BestObjective {
 		t.Errorf("fleetless shard diverged from plain solve: %v vs %v", got.BestObjective, res.BestObjective)
 	}
+	// What crosses the wire: no schedule, only the packed genome.
+	remote := *got
+	remote.Schedule = nil
 
-	// A damaged genome must be rejected, not decoded blind.
+	red, err := ReduceShards(spec, []*Result{nil, &remote})
+	if err != nil {
+		t.Fatalf("ReduceShards: %v", err)
+	}
+	if err := red.Schedule.Validate(); err != nil {
+		t.Errorf("rebuilt schedule invalid: %v", err)
+	}
+	if obj := shop.Makespan(red.Schedule); obj != got.BestObjective || red.BestObjective != got.BestObjective {
+		t.Errorf("rebuilt objective %v (reported %v), want %v", obj, red.BestObjective, got.BestObjective)
+	}
+	if red.Instance != res.Instance || red.Kind != res.Kind || red.Encoding != res.Encoding || red.Seed != res.Seed ||
+		red.Reference != res.Reference || red.RefKind != res.RefKind || red.Gap != res.Gap {
+		t.Errorf("reduced header %+v, local solve %+v", red, res)
+	}
+	if red.Evaluations != got.Evaluations || red.Generations != got.Generations {
+		t.Errorf("reduced counters %d evals %d gens, want %d/%d", red.Evaluations, red.Generations, got.Evaluations, got.Generations)
+	}
+
+	// A damaged genome claiming a better objective must be rejected, not
+	// decoded blind: the win passes to the intact shard behind it, and
+	// alone it leaves nothing to reduce. So must a valid genome that does
+	// not score the objective it claims.
+	damaged := remote
 	bad := *got.BestGenome
 	bad.Seq = append([]int(nil), bad.Seq...)
-	if len(bad.Seq) > 0 {
-		bad.Seq[0] = -99
+	bad.Seq[0] = -99
+	damaged.BestGenome, damaged.BestObjective = &bad, got.BestObjective-1
+	stale := remote
+	stale.BestObjective = got.BestObjective - 2
+	red, err = ReduceShards(spec, []*Result{&stale, &damaged, &remote})
+	if err != nil {
+		t.Fatalf("ReduceShards past a damaged genome: %v", err)
 	}
-	if _, _, err := ReconstructSchedule(spec, bad); err == nil {
-		t.Error("damaged genome reconstructed without error")
+	if red.BestObjective != got.BestObjective {
+		t.Errorf("winner objective %v, want the intact shard's %v", red.BestObjective, got.BestObjective)
+	}
+	if red.Evaluations != 3*got.Evaluations {
+		t.Errorf("evaluations %d, want the sum over all three shards %d", red.Evaluations, 3*got.Evaluations)
+	}
+	if _, err := ReduceShards(spec, []*Result{&damaged}); err == nil {
+		t.Error("damaged genome reduced without error")
+	}
+}
+
+// TestShardSpecs: the split covers every island and the exact population
+// once, remainders to the low ranks, and a fleet of one federates nothing.
+func TestShardSpecs(t *testing.T) {
+	spec := smallSpec("island")
+	spec.Params.Federate, spec.Params.Islands, spec.Params.Pop = true, 5, 0
+	shards, err := ShardSpecs(spec, "k", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][2]int{{2, 32}, {2, 32}, {1, 16}} // islands, pop of the default 80
+	if len(shards) != len(want) {
+		t.Fatalf("%d shards, want %d", len(shards), len(want))
+	}
+	for r, sp := range shards {
+		p := sp.Params
+		if p.Islands != want[r][0] || p.Pop != want[r][1] || p.FedKey != "k" || p.FedNodes != 3 || p.FedRank != r || p.Federate {
+			t.Errorf("shard %d params %+v, want islands/pop %v", r, p, want[r])
+		}
+	}
+	if shards, err := ShardSpecs(spec, "k", 1); shards != nil || err != nil {
+		t.Errorf("fleet of one: %d shards, err %v; want none", len(shards), err)
 	}
 }
 

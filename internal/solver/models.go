@@ -78,6 +78,10 @@ func engineConfig[G any](run *Run, enc encoding[G]) core.Config[G] {
 	}
 }
 
+// defaultIslands is the island model's deme count when Params.Islands is
+// unset; ShardSpecs splits the same count over a fleet.
+const defaultIslands = 4
+
 // islandCount returns the configured island/grid/agent count.
 func islandCount(run *Run, def int) int {
 	if n := run.Spec.Params.Islands; n > 0 {
@@ -256,7 +260,7 @@ func runMasterSlave[G any](_ context.Context, run *Run, enc encoding[G]) (*Resul
 // per-encoding validators as checkpoints (damaged migrants are rejected,
 // never decoded blind) and injected in peer-rank order.
 func runIsland[G any](ctx context.Context, run *Run, enc encoding[G]) (*Result, error) {
-	n := islandCount(run, 4)
+	n := islandCount(run, defaultIslands)
 	iv := interval(run, 5)
 	topo, err := topologyByName(run.Spec.Params.Topology)
 	if err != nil {
@@ -523,15 +527,11 @@ func (qgaModel) Name() string { return "qga" }
 
 // Solve implements Model.
 func (qgaModel) Solve(_ context.Context, run *Run) (*Result, error) {
+	// Spec.Validate already rejected an encoding and a non-makespan
+	// objective; a file-path instance's kind is known only once built.
 	in := run.Instance
 	if in.Kind != shop.JobShop {
 		return nil, fmt.Errorf("qga requires a job shop instance, got %s", in.Kind)
-	}
-	if o := run.Spec.Objective; o != "" && o != "makespan" {
-		return nil, fmt.Errorf("qga optimises the expected makespan only, got objective %q", o)
-	}
-	if e := run.Spec.Encoding; e != "" {
-		return nil, fmt.Errorf("qga uses its own Q-bit encoding; leave Spec.Encoding empty, got %q", e)
 	}
 	p := run.Spec.Params
 	scenarios := p.Scenarios

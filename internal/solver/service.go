@@ -154,7 +154,9 @@ type SubmitOptions struct {
 	ID string
 	// Resume warm-starts the job from a checkpoint (the model must support
 	// checkpointing; see SupportsCheckpoint). The job's event numbering
-	// continues from the checkpoint's EventSeq.
+	// continues from the checkpoint's EventSeq, and the run gets what the
+	// checkpoint's ElapsedMS left of the spec's wall budget; the job's
+	// spec keeps the submitted budget.
 	Resume *Checkpoint
 	// Submitted backdates the job's submission time to the original one
 	// (zero: now).

@@ -91,8 +91,8 @@ type Params struct {
 	// locally — the degenerate fleet of one.
 	Federate bool `json:"federate,omitempty"`
 
-	// FedKey, FedNodes and FedRank are the shard coordinates the
-	// federation layer stamps on the per-node shard jobs it distributes;
+	// FedKey, FedNodes and FedRank are the shard coordinates ShardSpecs
+	// stamps on the per-node shard jobs the federation layer distributes;
 	// user submissions leave them zero. FedKey identifies the federated
 	// job fleet-wide, FedNodes is the active fleet size and FedRank this
 	// shard's rank in [0, FedNodes). A shard derives its RNG from the job
@@ -200,7 +200,7 @@ type Result struct {
 	// BestGenome is the packed wire form of the winning chromosome, set
 	// only by federated shard runs (Params.FedKey): Schedule does not
 	// cross HTTP, so the owner node rebuilds the fleet winner's schedule
-	// from this via ReconstructSchedule.
+	// from this in ReduceShards.
 	BestGenome *Genome `json:"best_genome,omitempty"`
 
 	// Nodes is the per-node provenance of a federated Result: one entry
@@ -307,13 +307,17 @@ func objectiveByName(name string) (shop.Objective, error) {
 	}
 }
 
+// defaultPop is the total population when Params.Pop is unset;
+// ShardSpecs splits the same population over a fleet.
+const defaultPop = 80
+
 // normalized applies the spec-level defaults shared by all models.
 func (s Spec) normalized() Spec {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
 	if s.Params.Pop <= 0 {
-		s.Params.Pop = 80
+		s.Params.Pop = defaultPop
 	}
 	b := &s.Budget
 	// StallGenerations is sugar for Budget.Stagnation; an explicit
@@ -368,8 +372,10 @@ func Solve(ctx context.Context, spec Spec) (*Result, error) {
 
 // newRun resolves a spec into the Run its model solves: validation,
 // defaults, instance, objective, encoding, model and RNG, with ck (nil for
-// none) as the run's checkpoint seam. solve and ValidateCheckpoint share
-// it, so the gate resolves a resume exactly as the run does.
+// none) as the run's checkpoint seam. A resumed run's wall budget is what
+// its checkpoint left of the spec's. solve, ValidateCheckpoint and
+// ReduceShards share it, so the gate resolves a resume exactly as the run
+// does and a federated job resolves exactly as a local one.
 func newRun(spec Spec, ck *ckptSeam) (*Run, Model, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
@@ -382,6 +388,12 @@ func newRun(spec Spec, ck *ckptSeam) (*Run, Model, error) {
 		return nil, nil, fmt.Errorf("solver: model %q cannot resume from a checkpoint", spec.Model)
 	}
 	spec = spec.normalized()
+	if cp := seam.resume; cp != nil && spec.Budget.WallMillis > 0 {
+		// The wall budget is the job's, not the segment's: a resume gets
+		// what was left at its checkpoint, whose ElapsedMS sums every
+		// earlier segment, so a crash-restart loop never extends it.
+		spec.Budget.WallMillis = max(spec.Budget.WallMillis-cp.ElapsedMS, 1)
+	}
 	in, err := BuildInstance(spec.Problem)
 	if err != nil {
 		return nil, nil, err
@@ -421,7 +433,7 @@ func solve(ctx context.Context, spec Spec, emit func(Event), ck *ckptSeam, ex Mi
 	if err != nil {
 		return nil, err
 	}
-	spec, in, enc := run.Spec, run.Instance, run.Encoding
+	spec = run.Spec
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -449,19 +461,28 @@ func solve(ctx context.Context, spec Spec, emit func(Event), ck *ckptSeam, ex Mi
 	if err != nil {
 		return nil, fmt.Errorf("solver: model %s: %w", spec.Model, err)
 	}
+	res.Elapsed = time.Since(start)
+	// A run stopped by its own wall budget completed normally; Canceled
+	// reports only caller-initiated cancellation.
+	res.Canceled = userCtx.Err() != nil
+	return run.finish(res)
+}
+
+// finish completes a Result from the resolved run: the header (model,
+// instance, kind, encoding, seed), the Table I check of its schedule, and
+// the embedded reference and gap. solve and ReduceShards share it, so a
+// federated job reports exactly what the same spec solved locally does.
+func (run *Run) finish(res *Result) (*Result, error) {
+	spec, in := run.Spec, run.Instance
 	res.Model = spec.Model
 	res.Instance = in.Name
 	res.Kind = in.Kind.String()
 	if res.Encoding == "" {
 		// Models with a private representation (qga's Q-bits) set their
 		// own; everything else reports the resolved encoding it ran.
-		res.Encoding = enc
+		res.Encoding = run.Encoding
 	}
 	res.Seed = spec.Seed
-	res.Elapsed = time.Since(start)
-	// A run stopped by its own wall budget completed normally; Canceled
-	// reports only caller-initiated cancellation.
-	res.Canceled = userCtx.Err() != nil
 	if res.Schedule == nil {
 		return nil, fmt.Errorf("solver: model %s returned no schedule", spec.Model)
 	}
