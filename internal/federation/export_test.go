@@ -12,9 +12,9 @@ import (
 func (n *Node) TrackedCheckpointRanks() map[string][]int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make(map[string][]int, len(n.ckpts))
-	for key, km := range n.ckpts {
-		for r := range km {
+	out := map[string][]int{}
+	for key, k := range n.keys {
+		for r := range k.ckpts {
 			out[key] = append(out[key], r)
 		}
 		sort.Ints(out[key])
@@ -27,7 +27,17 @@ func (n *Node) TrackedCheckpointRanks() map[string][]int {
 func (n *Node) PendingBatches(key string) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.pending[key])
+	if k := n.keys[key]; k != nil {
+		return len(k.early)
+	}
+	return 0
+}
+
+// KeyStates is the number of run keys this node holds any state for.
+func (n *Node) KeyStates() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.keys)
 }
 
 // ServeStream runs the inbound stream reader over r, as handleStream does

@@ -20,34 +20,6 @@ import (
 	"repro/internal/solver"
 )
 
-// registerOwned marks a run key as owned by this node: inbound batch
-// checkpoints for it are tracked for failover.
-func (n *Node) registerOwned(key string) {
-	n.mu.Lock()
-	n.owned[key] = true
-	n.mu.Unlock()
-}
-
-// unregisterOwned releases a finished owner run's failover state.
-func (n *Node) unregisterOwned(key string) {
-	n.mu.Lock()
-	delete(n.owned, key)
-	delete(n.ckpts, key)
-	delete(n.fastFwd, key)
-	if len(n.runs[key]) == 0 {
-		delete(n.routes, key)
-	}
-	n.mu.Unlock()
-}
-
-// checkpointFor returns the newest tracked checkpoint of one shard rank,
-// or nil.
-func (n *Node) checkpointFor(key string, rank int) *solver.Checkpoint {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ckpts[key][rank]
-}
-
 // probeDead health-probes a fleet node with bounded retries and backoff;
 // true means every probe failed and the node is treated as dead. A
 // cancelled context reports alive — cancellation must not trigger
@@ -107,26 +79,6 @@ func (n *Node) pickSurvivor(ctx context.Context, dead int) (int, error) {
 	return best, nil
 }
 
-// localEpoch is the newest barrier epoch across this node's live runs of
-// the key — the owner's view of how far the fleet has advanced.
-func (n *Node) localEpoch(key string) int {
-	n.mu.Lock()
-	sts := make([]*run, 0, 1)
-	for _, st := range n.runs[key] {
-		sts = append(sts, st)
-	}
-	n.mu.Unlock()
-	e := 0
-	for _, st := range sts {
-		st.mu.Lock()
-		if st.epoch > e {
-			e = st.epoch
-		}
-		st.mu.Unlock()
-	}
-	return e
-}
-
 // broadcastRebind applies the new route locally, then announces it to
 // every fleet node but the dead one and waits for the announcements:
 // survivors must clear the rank's degradation and re-route its batches
@@ -163,7 +115,8 @@ func (n *Node) failover(ctx context.Context, rank int, shard solver.Spec, cause 
 	if !n.probeDead(ctx, rank) {
 		return nil, fmt.Errorf("peer %s answers health probes; shard failed for its own reasons: %v", n.peers[rank], cause)
 	}
-	cp := n.checkpointFor(k, rank)
+	var cp *solver.Checkpoint
+	n.withKey(k, func(ks *keyState) { cp = ks.ckpts[rank] })
 	if cp == nil {
 		return nil, fmt.Errorf("no checkpoint for shard %d (lost before its first epoch checkpoint)", rank)
 	}
@@ -171,12 +124,17 @@ func (n *Node) failover(ctx context.Context, rank int, shard solver.Spec, cause 
 	if err != nil {
 		return nil, err
 	}
-	// Fast-forward past both the fleet's barrier and the checkpoint's own
-	// epoch: the resumed shard replays up to here without barrier waits.
-	fleetEpoch := n.localEpoch(k) + 1
-	if cp.Epoch+1 > fleetEpoch {
-		fleetEpoch = cp.Epoch + 1
-	}
+	// Fast-forward past both the fleet's barrier (as this node's runs of
+	// the key see it) and the checkpoint's own epoch: the resumed shard
+	// replays up to here without barrier waits.
+	fleetEpoch := cp.Epoch + 1
+	n.withKey(k, func(ks *keyState) {
+		for _, st := range ks.runs {
+			st.mu.Lock()
+			fleetEpoch = max(fleetEpoch, st.epoch+1)
+			st.mu.Unlock()
+		}
+	})
 	n.logf("federation: shard %d of %s lost with %s; resuming from epoch %d on %s",
 		rank, k, n.peers[rank], cp.Epoch, n.peers[target])
 	n.broadcastRebind(ctx, k, rank, target, fleetEpoch)
@@ -211,6 +169,11 @@ func (n *Node) resumeLocal(ctx context.Context, spec solver.Spec, cp *solver.Che
 	if err := solver.ValidateCheckpoint(spec, cp); err != nil {
 		return nil, err
 	}
-	n.setFastForward(spec.Params.FedKey, spec.Params.FedRank, fleetEpoch)
-	return n.svc.SubmitOpts(ctx, spec, solver.SubmitOptions{Resume: cp})
+	key, rank := spec.Params.FedKey, spec.Params.FedRank
+	n.setFastForward(key, rank, fleetEpoch)
+	job, err := n.svc.SubmitOpts(ctx, spec, solver.SubmitOptions{Resume: cp})
+	if err != nil {
+		n.withKey(key, func(k *keyState) { delete(k.fastFwd, rank) })
+	}
+	return job, err
 }

@@ -19,9 +19,11 @@
 // every peer it sends to (stream.go): a shard writes its epoch batches
 // and its final Done notice onto it from its own goroutine, nothing is
 // acknowledged, and the peer delivers the frames in the order written.
-// The inbox stamps each batch's arrival, which splits a barrier's wait
-// into the peer's lateness and the wake-up (barrier_late_ns and
-// barrier_wake_ns).
+// A batch for a key whose shard has not started here is buffered until
+// it starts; once the key's shards here have finished, its peers' final
+// batches are dropped until their Done notices have arrived. The inbox
+// stamps each batch's arrival, which splits a barrier's wait into the
+// peer's lateness and the wake-up (barrier_late_ns and barrier_wake_ns).
 //
 // Determinism. Each shard derives its RNG from the job seed split
 // FedNodes ways at its rank (the same rng.SplitN discipline the sharded
@@ -91,6 +93,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -118,7 +121,8 @@ const (
 	// batch may run; beyond it the sender has long since degraded us.
 	epochWindow = 16
 	// maxPendingBatches bounds batches buffered for keys whose shard has
-	// not started yet (the peer submitted and raced ahead).
+	// not started yet (the peer submitted and raced ahead), together with
+	// the records of keys finished here whose peers' Done is still due.
 	maxPendingBatches = 512
 )
 
@@ -177,23 +181,11 @@ type Node struct {
 	streams []*peerStream    // outbound migrant streams by rank; nil at self
 	logf    func(format string, args ...any)
 
-	mu sync.Mutex
-	// runs is keyed (run key, shard rank): after a failover two shards of
-	// one key may be co-hosted on one node.
-	runs map[string]map[int]*run
-	// routes maps a shard rank to the fleet rank currently hosting it,
-	// for keys this node participates in; absent means identity (shard r
-	// on node r). Rebind broadcasts populate it.
-	routes map[string]map[int]int
-	// owned marks keys whose owner job runs here; ckpts tracks, for owned
-	// keys only, the newest piggybacked checkpoint per shard rank.
-	owned map[string]bool
-	ckpts map[string]map[int]*solver.Checkpoint
-	// fastFwd pre-registers the fleet epoch a resubmitted shard should
-	// fast-forward to; consumed by ShardStarted.
-	fastFwd    map[string]map[int]int
-	pending    map[string][]*serve.MigrantBatch
-	pendingN   int
+	// mu guards the fields below; a run's own mu nests inside it. parked
+	// sums keyState.held, bounded by maxPendingBatches.
+	mu         sync.Mutex
+	keys       map[string]*keyState
+	parked     int
 	dropLogged bool // inbox-overflow drops log once per process, count always
 	// conns holds every live migrant stream connection, inbound and
 	// outbound, for Close; closed refuses new ones. streamers counts the
@@ -224,6 +216,38 @@ type Node struct {
 	barrierLateNS  atomic.Int64
 	barrierWakeNS  atomic.Int64
 	barriers       atomic.Int64
+}
+
+// keyState is everything a node tracks for one run key. withKey creates
+// it on first use; settle releases it.
+type keyState struct {
+	// runs holds the key's live shard runs here by shard rank: after a
+	// failover two shards of one key may be co-hosted on one node.
+	runs map[int]*run
+	// routes maps a shard rank to the fleet rank hosting it; absent means
+	// identity (shard r on node r). Rebind broadcasts populate it.
+	routes map[int]int
+	// owned marks a key whose owner job runs here; ckpts holds, for an
+	// owned key, the newest piggybacked checkpoint per shard rank.
+	owned bool
+	ckpts map[int]*solver.Checkpoint
+	// fastFwd pre-registers the fleet epoch a resubmitted shard rank
+	// replays to without barrier waits; consumed by ShardStarted.
+	fastFwd map[int]int
+	// early buffers batches that arrived before a local shard started.
+	early []*serve.MigrantBatch
+	// doneDue is set when the key's last local run ends: the peer ranks,
+	// neither degraded nor finished then, whose Done is still due here.
+	doneDue map[int]bool
+	// held is what the key counts against maxPendingBatches: its early
+	// batches, or one for a finished key's record.
+	held int
+}
+
+// finished reports whether the key's runs here all ended and none can
+// start again: nothing here injects the peers' batches that still come.
+func (k *keyState) finished() bool {
+	return k.doneDue != nil && len(k.runs) == 0 && len(k.fastFwd) == 0 && !k.owned
 }
 
 // run is the exchange state of one live shard: the inbox of peer batches
@@ -301,12 +325,7 @@ func New(cfg Config) (*Node, error) {
 		clients: make([]*client.Client, len(peers)),
 		streams: make([]*peerStream, len(peers)),
 		logf:    cfg.Logf,
-		runs:    map[string]map[int]*run{},
-		routes:  map[string]map[int]int{},
-		owned:   map[string]bool{},
-		ckpts:   map[string]map[int]*solver.Checkpoint{},
-		fastFwd: map[string]map[int]int{},
-		pending: map[string][]*serve.MigrantBatch{},
+		keys:    map[string]*keyState{},
 		conns:   map[io.Closer]struct{}{},
 		nonce:   newNonce(),
 	}
@@ -459,9 +478,8 @@ func (n *Node) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRebind: POST /v1/federation/rebind — the owner moved a shard rank
-// onto a new host. Applied only to keys this node already participates in
-// (live runs or ownership); anything else is acknowledged and ignored, so
-// strays cannot grow unbounded routing state.
+// onto a new host. A rebind for a key this node holds no state for leaves
+// none, so strays cannot grow routing state.
 func (n *Node) handleRebind(w http.ResponseWriter, r *http.Request) {
 	var req serve.RebindRequest
 	body := http.MaxBytesReader(w, r.Body, 1<<16)
@@ -481,28 +499,20 @@ func (n *Node) handleRebind(w http.ResponseWriter, r *http.Request) {
 
 // applyRebind routes future batches for (key, rank) to the given fleet
 // node and clears the rank's degradation in live local runs of the key,
-// so barriers wait for the resumed shard again.
+// so barriers wait for the resumed shard again. A rebind onto this node
+// re-opens a finished key.
 func (n *Node) applyRebind(key string, rank, node int) {
-	n.mu.Lock()
-	km := n.runs[key]
-	if len(km) > 0 || n.owned[key] {
-		rm := n.routes[key]
-		if rm == nil {
-			rm = map[int]int{}
-			n.routes[key] = rm
+	n.withKey(key, func(k *keyState) {
+		if node == n.rank {
+			k.doneDue = nil
 		}
-		rm[rank] = node
-	}
-	sts := make([]*run, 0, len(km))
-	for _, st := range km {
-		sts = append(sts, st)
-	}
-	n.mu.Unlock()
-	for _, st := range sts {
-		st.mu.Lock()
-		delete(st.degraded, rank)
-		st.mu.Unlock()
-	}
+		k.routes[rank] = node
+		for _, st := range k.runs {
+			st.mu.Lock()
+			delete(st.degraded, rank)
+			st.mu.Unlock()
+		}
+	})
 }
 
 // handleResubmit: POST /v1/federation/resubmit — run a lost shard here,
@@ -539,70 +549,95 @@ func (n *Node) handleResubmit(w http.ResponseWriter, r *http.Request) {
 // setFastForward pre-registers the fleet epoch a resubmitted shard should
 // replay to without barrier waits; ShardStarted consumes it.
 func (n *Node) setFastForward(key string, rank, epoch int) {
+	n.withKey(key, func(k *keyState) { k.fastFwd[rank] = epoch })
+}
+
+// withKey runs fn on key's state under n.mu, creating the state first,
+// and then settles it: a state fn leaves empty is released at once.
+func (n *Node) withKey(key string, fn func(*keyState)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	m := n.fastFwd[key]
-	if m == nil {
-		m = map[int]int{}
-		n.fastFwd[key] = m
+	k := n.keys[key]
+	if k == nil {
+		k = &keyState{runs: map[int]*run{}, routes: map[int]int{}, ckpts: map[int]*solver.Checkpoint{}, fastFwd: map[int]int{}}
+		n.keys[key] = k
 	}
-	m[rank] = epoch
+	fn(k)
+	n.settle(key, k)
+}
+
+// settle is the one place a key's state is released; callers hold n.mu
+// and call it after changing k. A finished key drops its early batches,
+// a key that takes the node past the cap evicts another's, and the state
+// goes once no run, ownership, fast-forward, batch or due Done is left.
+func (n *Node) settle(key string, k *keyState) {
+	held := len(k.early)
+	if k.finished() {
+		k.early, held = nil, min(len(k.doneDue), 1)
+	}
+	n.parked += held - k.held
+	k.held = held
+	if held == 0 && len(k.runs) == 0 && !k.owned && len(k.fastFwd) == 0 {
+		delete(n.keys, key)
+	}
+	if n.parked > maxPendingBatches {
+		n.evict(key)
+	}
+}
+
+// evict makes room under maxPendingBatches for key, dropping another
+// key's finished record (a Done lost with its frame) before any key's
+// early batches. False when no other key holds any. Callers hold n.mu.
+func (n *Node) evict(key string) bool {
+	var v *keyState
+	vkey := ""
+	for kk, k := range n.keys {
+		if kk != key && k.held > 0 && (v == nil || len(v.early) > 0) {
+			v, vkey = k, kk
+		}
+	}
+	if v != nil {
+		v.early, v.doneDue = nil, nil
+		n.settle(vkey, v)
+	}
+	return v != nil
 }
 
 // deliver routes an inbound batch to every local run of its key (except
-// the sender's own), records its piggybacked checkpoint when this node
-// owns the key, or buffers it when no local shard has started yet.
+// the sender's own) and records its piggybacked checkpoint when this node
+// owns the key. With no run to take it, a batch with migrants or a Done is
+// buffered until a shard of the key starts here, unless the key finished.
 func (n *Node) deliver(b *serve.MigrantBatch) {
-	n.mu.Lock()
-	if b.Checkpoint != nil && n.cfg.FailoverEnabled && n.owned[b.Key] {
-		km := n.ckpts[b.Key]
-		if km == nil {
-			km = map[int]*solver.Checkpoint{}
-			n.ckpts[b.Key] = km
+	logDrop := false
+	n.withKey(b.Key, func(k *keyState) {
+		if b.Checkpoint != nil && n.cfg.FailoverEnabled && k.owned {
+			k.ckpts[b.From] = b.Checkpoint
 		}
-		km[b.From] = b.Checkpoint
-	}
-	var targets []*run
-	for _, st := range n.runs[b.Key] {
-		if st.rank != b.From {
-			targets = append(targets, st)
-		}
-	}
-	if len(targets) == 0 {
-		// No local shard yet. For owned keys the checkpoint above was the
-		// batch's payload of interest; still buffer migrants in case a
-		// failover co-hosts a shard here later. The buffer also collects
-		// strays for keys that already finished (late Done notices,
-		// post-finish pushes), so at capacity we evict some other key's
-		// strays first — a genuine race is milliseconds old, a stray can
-		// be arbitrarily stale.
-		if n.pendingN >= maxPendingBatches {
-			for k, bs := range n.pending {
-				if k != b.Key {
-					delete(n.pending, k)
-					n.pendingN -= len(bs)
-					break
-				}
+		// Delivering under n.mu orders a Done against ShardFinished's
+		// record of the Done notices still due.
+		delivered := false
+		for _, st := range k.runs {
+			if st.rank != b.From {
+				st.deliver(b)
+				delivered = true
 			}
 		}
-		if n.pendingN >= maxPendingBatches {
+		if b.Done {
+			delete(k.doneDue, b.From)
+		}
+		switch {
+		case delivered, k.finished():
+		case !b.Done && len(b.Migrants) == 0:
+			// A checkpoint-only batch: nothing in it would be injected.
+		case n.parked >= maxPendingBatches && !n.evict(b.Key):
 			n.inboxDropped.Add(1)
-			logIt := !n.dropLogged
-			n.dropLogged = true
-			n.mu.Unlock()
-			if logIt {
-				n.logf("federation: pending inbox full, dropping batch %s/%d from %d (counted in inbox_dropped; logged once)", b.Key, b.Epoch, b.From)
-			}
-			return
+			logDrop, n.dropLogged = !n.dropLogged, true
+		default:
+			k.early = append(k.early, b)
 		}
-		n.pending[b.Key] = append(n.pending[b.Key], b)
-		n.pendingN++
-		n.mu.Unlock()
-		return
-	}
-	n.mu.Unlock()
-	for _, st := range targets {
-		st.deliver(b)
+	})
+	if logDrop {
+		n.logf("federation: pending inbox full, dropping batch %s/%d from %d (counted in inbox_dropped; logged once)", b.Key, b.Epoch, b.From)
 	}
 }
 
@@ -660,32 +695,23 @@ func (n *Node) ShardStarted(key string, rank, nodes int, epochTimeoutMS int64) (
 		finished: map[int]time.Time{},
 		degraded: map[int]bool{},
 	}
-	n.mu.Lock()
-	km := n.runs[key]
-	if km == nil {
-		km = map[int]*run{}
-		n.runs[key] = km
-	}
-	km[rank] = st
-	if ff := n.fastFwd[key]; ff != nil {
-		if e, ok := ff[rank]; ok {
+	var hosts []int
+	n.withKey(key, func(k *keyState) {
+		k.runs[rank] = st
+		k.doneDue = nil
+		if e, ok := k.fastFwd[rank]; ok {
 			st.fastForward = e
-			delete(ff, rank)
-			if len(ff) == 0 {
-				delete(n.fastFwd, key)
+			delete(k.fastFwd, rank)
+		}
+		for _, b := range k.early {
+			if b.From != rank {
+				st.deliver(b)
 			}
 		}
-	}
-	early := n.pending[key]
-	delete(n.pending, key)
-	n.pendingN -= len(early)
-	n.mu.Unlock()
-	for _, b := range early {
-		if b.From != rank {
-			st.deliver(b)
-		}
-	}
-	for _, h := range n.peerHosts(key, st, nil) {
+		k.early = nil
+		hosts = n.peerHosts(k, st, nil)
+	})
+	for _, h := range hosts {
 		if h != n.rank {
 			n.streams[h].predial()
 		}
@@ -702,32 +728,30 @@ func (n *Node) MigrantRejected(string) { n.rejected.Add(1) }
 // wait for this shard at any further barrier, then drop the inbox. The
 // Done notice follows the shard's final batch on each stream.
 func (n *Node) ShardFinished(key string, rank int) {
-	n.mu.Lock()
-	km := n.runs[key]
-	var st *run
-	if km != nil {
-		st = km[rank]
-		delete(km, rank)
-		if len(km) == 0 {
-			delete(n.runs, key)
-			if !n.owned[key] {
-				delete(n.routes, key)
+	var done *serve.MigrantBatch
+	var hosts []int
+	n.withKey(key, func(k *keyState) {
+		st := k.runs[rank]
+		if st == nil {
+			return
+		}
+		delete(k.runs, rank)
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		done = &serve.MigrantBatch{Key: key, Epoch: st.epoch, From: rank, Done: true}
+		hosts = n.peerHosts(k, st, st.degraded)
+		if len(k.runs) == 0 {
+			// No co-hosted shard is left to tell.
+			hosts = slices.DeleteFunc(hosts, func(h int) bool { return h == n.rank })
+			k.doneDue = map[int]bool{}
+			for r := 0; r < st.nodes && r < len(n.peers); r++ {
+				if _, ok := st.finished[r]; r != st.rank && !ok && !st.degraded[r] {
+					k.doneDue[r] = true
+				}
 			}
 		}
-	}
-	n.mu.Unlock()
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	epoch := st.epoch
-	degraded := make(map[int]bool, len(st.degraded))
-	for r := range st.degraded {
-		degraded[r] = true
-	}
-	st.mu.Unlock()
-	done := &serve.MigrantBatch{Key: key, Epoch: epoch, From: st.rank, Done: true}
-	for _, h := range n.peerHosts(key, st, degraded) {
+	})
+	for _, h := range hosts {
 		n.send(h, done)
 	}
 }
@@ -735,23 +759,19 @@ func (n *Node) ShardFinished(key string, rank int) {
 // peerHosts resolves the distinct fleet nodes currently hosting the
 // run's other live shard ranks, mapping ranks through failover rebinds
 // (identity by default). A co-hosted shard resolves to self — the caller
-// delivers locally instead of pushing.
-func (n *Node) peerHosts(key string, st *run, degraded map[int]bool) []int {
-	n.mu.Lock()
-	route := n.routes[key]
-	n.mu.Unlock()
-	seen := map[int]bool{}
+// delivers locally instead of pushing. Callers hold n.mu, and st.mu when
+// degraded is the run's own set.
+func (n *Node) peerHosts(k *keyState, st *run, degraded map[int]bool) []int {
 	var out []int
 	for r := 0; r < st.nodes && r < len(n.peers); r++ {
 		if r == st.rank || degraded[r] {
 			continue
 		}
 		h := r
-		if v, ok := route[r]; ok {
+		if v, ok := k.routes[r]; ok {
 			h = v
 		}
-		if !seen[h] {
-			seen[h] = true
+		if !slices.Contains(out, h) {
 			out = append(out, h)
 		}
 	}
@@ -795,12 +815,12 @@ func (n *Node) clientRetries() int {
 // fast-forward epoch collects without waiting.
 func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int, out []solver.Migrant, cp *solver.Checkpoint) solver.ExchangeReport {
 	n.mu.Lock()
-	st := n.runs[key][rank]
-	n.mu.Unlock()
-	if st == nil {
+	k := n.keys[key]
+	if k == nil || k.runs[rank] == nil {
+		n.mu.Unlock()
 		return solver.ExchangeReport{}
 	}
-
+	st := k.runs[rank]
 	st.mu.Lock()
 	st.epoch = epoch
 	// in is the epoch whose batches this barrier injects; need is the one
@@ -815,11 +835,9 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 			waiting = append(waiting, r)
 		}
 	}
-	degraded := make(map[int]bool, len(st.degraded))
-	for r := range st.degraded {
-		degraded[r] = true
-	}
+	hosts := n.peerHosts(k, st, st.degraded)
 	st.mu.Unlock()
+	n.mu.Unlock()
 
 	// Ship our elites first, in order, each send bounded by PushTimeout:
 	// the barrier depends on the peers' batches, not on any answer to
@@ -828,7 +846,7 @@ func (n *Node) ExchangeMigrants(ctx context.Context, key string, rank, epoch int
 	// dedicated empty batch otherwise.
 	owner := n.ownerRank(key)
 	ownerServed := false
-	for _, h := range n.peerHosts(key, st, degraded) {
+	for _, h := range hosts {
 		b := &serve.MigrantBatch{Key: key, Epoch: epoch, From: st.rank, Migrants: out}
 		if h == owner {
 			b.Checkpoint = cp

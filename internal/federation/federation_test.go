@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -611,6 +612,40 @@ func TestFederationInboxOverflow(t *testing.T) {
 	}
 }
 
+// TestFederationInboxEvictsFinishedFirst: once a key's shard finished
+// here, a peer's late batch for it is dropped, not buffered; and when the
+// pending cap fills, the key's record of the Done notice still due goes
+// before any key's early batch.
+func TestFederationInboxEvictsFinishedFirst(t *testing.T) {
+	node := streamNode(t, federation.Config{})
+	send := func(key string, epoch int) {
+		t.Helper()
+		frame, err := federation.AppendFrame(nil, &serve.MigrantBatch{
+			Key: key, Epoch: epoch, From: 1 - node.Rank(),
+			Migrants: []solver.Migrant{{Genome: solver.Genome{Seq: []int{0}}, Obj: 1}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := node.ServeStream(bytes.NewReader(frame)); err != io.EOF {
+			t.Fatalf("ServeStream: %v", err)
+		}
+	}
+	node.ShardStarted("f0-done-1", node.Rank(), 2, 0)
+	node.ShardFinished("f0-done-1", node.Rank())
+	send("f0-done-1", 3) // the peer's final batch
+	if got := node.PendingBatches("f0-done-1"); got != 0 || node.KeyStates() != 1 {
+		t.Fatalf("finished key: %d batches buffered, %d key states; want 0 and its record", got, node.KeyStates())
+	}
+	for e := 0; e < 512; e++ {
+		send("flood", e)
+	}
+	if got := node.PendingBatches("flood"); got != 512 || node.KeyStates() != 1 || node.Counters().InboxDropped != 0 {
+		t.Errorf("cap reached: %d early batches, %d key states, %d dropped; want 512, 1, 0",
+			got, node.KeyStates(), node.Counters().InboxDropped)
+	}
+}
+
 // TestFederatedSingleNode: a fleet of one degrades to a plain local
 // island run — no shard coordinates, no provenance, no waiting.
 func TestFederatedSingleNode(t *testing.T) {
@@ -854,4 +889,133 @@ func TestResubmitRejectsInstancePath(t *testing.T) {
 			t.Errorf("rejected resubmit left %d %s jobs", n, state)
 		}
 	}
+}
+
+// TestFederatedKeyStateReleased: whatever path a run key takes, once the
+// peers' Done notices have arrived no surviving node holds state for it.
+// The cases run in turn through one three-node fleet with failover on:
+// healthy jobs owned by each node, whose later finishers' final batches
+// and Done notices reach nodes whose own shards already finished;
+// rebinds for a finished key and a never-seen one; a failed-over job; a
+// job degraded by the dead node; and a resubmit the service refuses.
+func TestFederatedKeyStateReleased(t *testing.T) {
+	// The default epoch timeout: a live peer that misses a barrier under
+	// load is degraded and sends this node no Done, so its record would
+	// wait for the cap instead.
+	fleet := newFleet(t, 3, federation.Config{
+		FailoverEnabled: true,
+		PushTimeout:     250 * time.Millisecond,
+		MaxRetries:      -1,
+		RetryBackoff:    10 * time.Millisecond,
+		ProbeRetries:    2,
+		ProbeInterval:   20 * time.Millisecond,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	survivors := fleet
+	released := func(what string) {
+		t.Helper()
+		for _, fn := range survivors {
+			waitFor(t, what+": no key state left on "+fn.URL, func() bool { return fn.Node.KeyStates() == 0 })
+		}
+	}
+	// solve runs one federated job owned by owner, calling during while it
+	// is in flight, and returns the nodes its result marks degraded.
+	solve := func(owner *fleetNode, spec solver.Spec, during func()) map[string]bool {
+		t.Helper()
+		job, err := owner.Node.SubmitFederated(ctx, spec)
+		if err != nil {
+			t.Fatalf("SubmitFederated: %v", err)
+		}
+		go func() {
+			for range job.Events() {
+			}
+		}()
+		if during != nil {
+			during()
+		}
+		res, err := job.Await(ctx)
+		if err != nil {
+			t.Fatalf("Await: %v", err)
+		}
+		degraded := map[string]bool{}
+		for _, nr := range res.Nodes {
+			if nr.Degraded {
+				degraded[nr.Node] = true
+			}
+		}
+		return degraded
+	}
+
+	for i, owner := range fleet {
+		for j := 0; j < 3; j++ {
+			if d := solve(owner, fedSpec(uint64(10*i+j+1)), nil); len(d) != 0 {
+				t.Errorf("healthy job owned by %s: degraded %v", owner.URL, d)
+			}
+		}
+	}
+	released("healthy jobs")
+
+	// A rebind for a key that finished here, onto this node or another,
+	// and one for a key never seen here.
+	var finished string
+	for _, j := range fleet[1].Srv.Service().Jobs() {
+		if k := j.Spec().Params.FedKey; k != "" {
+			finished = k
+		}
+	}
+	if finished == "" {
+		t.Fatal("no shard job on the second node")
+	}
+	c := &client.Client{BaseURL: fleet[1].URL}
+	for _, key := range []string{finished, "f0-never-1"} {
+		for _, node := range []int{fleet[1].Node.Rank(), fleet[2].Node.Rank()} {
+			if err := c.Rebind(ctx, serve.RebindRequest{Key: key, Rank: fleet[2].Node.Rank(), Node: node, Epoch: 1}); err != nil {
+				t.Fatalf("Rebind %s onto rank %d: %v", key, node, err)
+			}
+		}
+	}
+	released("rebinds")
+
+	owner, victim := fleet[0], fleet[1]
+	failovers := owner.Node.Counters().Failovers
+	spec := fedSpec(21)
+	spec.Budget = solver.Budget{Generations: 600} // keep the run in flight across the kill
+	d := solve(owner, spec, func() {
+		sent := victim.Node.Counters().MigrantsSent
+		waitFor(t, "the victim shard's migrants", func() bool { return victim.Node.Counters().MigrantsSent >= sent+8 })
+		victim.Kill()
+	})
+	if len(d) != 0 || owner.Node.Counters().Failovers != failovers+1 {
+		t.Errorf("failed-over job: degraded %v, %d failovers, want none and 1", d, owner.Node.Counters().Failovers-failovers)
+	}
+	survivors = []*fleetNode{fleet[0], fleet[2]}
+	released("failed-over job")
+
+	if d := solve(owner, fedSpec(31), nil); len(d) != 1 || !d[victim.URL] {
+		t.Errorf("job with a dead peer: degraded %v, want only %s", d, victim.URL)
+	}
+	released("degraded job")
+
+	// A valid resubmit to a node whose service takes no more jobs is
+	// refused with 422, after its fast-forward was registered.
+	shards, err := solver.ShardSpecs(fedSpec(41), "f0-refused-1", len(fleet))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := shards[fleet[2].Node.Rank()]
+	var cp *solver.Checkpoint
+	if _, err := solver.SolveWithCheckpoints(ctx, shard, solver.CheckpointOptions{
+		Every: shard.Params.Interval, Save: func(c *solver.Checkpoint) { cp = c },
+	}); err != nil || cp == nil {
+		t.Fatalf("solving the shard for a checkpoint: %v (checkpoint %v)", err, cp != nil)
+	}
+	fleet[2].Srv.Service().Close()
+	_, err = (&client.Client{BaseURL: fleet[2].URL, MaxRetries: -1}).Resubmit(ctx,
+		serve.ResubmitRequest{Spec: shard, Checkpoint: cp, FleetEpoch: cp.Epoch + 1})
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("resubmit to a closed service: %v, want 422", err)
+	}
+	released("refused resubmit")
 }

@@ -56,9 +56,14 @@ func (n *Node) SubmitFederated(ctx context.Context, spec solver.Spec) (*solver.J
 func (n *Node) runFederated(ctx context.Context, spec solver.Spec, key string, shards []solver.Spec, emit func(solver.Event)) (*solver.Result, error) {
 	start := time.Now()
 	// Own the key for the run's lifetime: inbound batches carry shard
-	// checkpoints that failover resumes lost shards from.
-	n.registerOwned(key)
-	defer n.unregisterOwned(key)
+	// checkpoints that failover resumes lost shards from. No shard of the
+	// key starts here after the run, so its early batches go with it.
+	n.withKey(key, func(k *keyState) { k.owned = true })
+	defer n.withKey(key, func(k *keyState) {
+		k.owned, k.early = false, nil
+		clear(k.ckpts)
+		clear(k.fastFwd)
+	})
 	outs := make([]*solver.Result, len(shards))
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
