@@ -403,6 +403,39 @@ func TestShardedBatchSeamTrajectoryInvariance(t *testing.T) {
 	}
 }
 
+// TestShardedCrossIntoTrajectoryInvariance: an operator bundle with only
+// the allocating Cross must step exactly the trajectory of one whose
+// recycling CrossInto matches it — the engine may route offspring through
+// either form without drawing different randomness.
+func TestShardedCrossIntoTrajectoryInvariance(t *testing.T) {
+	run := func(ops Operators[[]int], workers int, imm Immigration) Result[[]int] {
+		eng := New(shardedProblem(11), rng.New(43), Config[[]int]{
+			Pop: 36, Workers: workers, Ops: ops, Immigration: imm,
+			Term: Termination{MaxGenerations: 25},
+		})
+		defer eng.Close()
+		return eng.Run()
+	}
+	crossOnly := shardedOps()
+	crossOnly.CrossInto = nil
+	imms := []Immigration{{}, {Enabled: true, BestFrac: 0.25, CrossFrac: 0.5, RandomFrac: 0.25}}
+	for _, imm := range imms {
+		for _, workers := range []int{0, 1, 4} {
+			with, without := run(shardedOps(), workers, imm), run(crossOnly, workers, imm)
+			if with.Best.Obj != without.Best.Obj || with.Evaluations != without.Evaluations {
+				t.Errorf("workers=%d immigration=%v: CrossInto changed trajectory: (%v,%d) vs (%v,%d)",
+					workers, imm.Enabled, with.Best.Obj, with.Evaluations, without.Best.Obj, without.Evaluations)
+			}
+			for i := range with.Best.Genome {
+				if with.Best.Genome[i] != without.Best.Genome[i] {
+					t.Errorf("workers=%d immigration=%v: best genome diverges at %d", workers, imm.Enabled, i)
+					break
+				}
+			}
+		}
+	}
+}
+
 // TestShardedStepAllocs is the zero-alloc guard of the pipeline: once
 // warm, a full Step must stay within a small constant allocation budget
 // independent of the population size and of the worker count, the inline

@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
@@ -244,32 +245,84 @@ func TestInvalidSpecs(t *testing.T) {
 	}
 }
 
-// TestTrace: tracing is off by default and monotone when requested.
+// TestTrace: tracing is off by default; when requested, every model that
+// records a trace gives one point per generation, monotone and ending at
+// the result's best, and neither checkpoint saving nor a Service job with
+// a subscriber changes a single point of it.
 func TestTrace(t *testing.T) {
-	spec := smallSpec("serial")
-	res, err := Solve(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace) != 0 {
-		t.Errorf("trace recorded without Trace: %d points", len(res.Trace))
-	}
-	spec.Trace = true
-	res, err = Solve(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace) != 20 {
-		t.Fatalf("trace has %d points, want 20", len(res.Trace))
-	}
-	for i := 1; i < len(res.Trace); i++ {
-		if res.Trace[i].BestObj > res.Trace[i-1].BestObj {
-			t.Errorf("best-so-far worsened at %d: %v -> %v",
-				i, res.Trace[i-1].BestObj, res.Trace[i].BestObj)
+	ctx := context.Background()
+	viaCheckpoints := func(spec Spec) (*Result, error) {
+		saves := 0
+		res, err := SolveWithCheckpoints(ctx, spec, CheckpointOptions{Every: 5, Save: func(*Checkpoint) { saves++ }})
+		if err == nil && saves == 0 {
+			t.Error("checkpointed run saved no checkpoint")
 		}
+		return res, err
 	}
-	if last := res.Trace[len(res.Trace)-1].BestObj; last != res.BestObjective {
-		t.Errorf("trace ends at %v, result is %v", last, res.BestObjective)
+	viaService := func(spec Spec) (*Result, error) {
+		svc := NewService(1)
+		defer svc.Close()
+		job, err := svc.Submit(ctx, spec)
+		if err != nil {
+			return nil, err
+		}
+		events := 0
+		for range job.Events() {
+			events++
+		}
+		if events == 0 {
+			t.Error("subscriber saw no event")
+		}
+		return job.Await(ctx)
+	}
+	cases := []struct {
+		name, model string
+		solve       func(Spec) (*Result, error) // nil: only the plain Solve
+	}{
+		{"serial", "serial", nil},
+		{"serial-checkpoints", "serial", viaCheckpoints},
+		{"serial-service", "serial", viaService},
+		{"ms", "ms", nil},
+		{"cellular", "cellular", nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec := smallSpec(c.model)
+			res, err := Solve(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Trace) != 0 {
+				t.Errorf("trace recorded without Trace: %d points", len(res.Trace))
+			}
+			spec.Trace = true
+			want, err := Solve(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Trace) != want.Generations {
+				t.Fatalf("trace has %d points for %d generations", len(want.Trace), want.Generations)
+			}
+			for i := 1; i < len(want.Trace); i++ {
+				if want.Trace[i].BestObj > want.Trace[i-1].BestObj {
+					t.Errorf("best-so-far worsened at %d: %v -> %v",
+						i, want.Trace[i-1].BestObj, want.Trace[i].BestObj)
+				}
+			}
+			if last := want.Trace[len(want.Trace)-1].BestObj; last != want.BestObjective {
+				t.Errorf("trace ends at %v, result is %v", last, want.BestObjective)
+			}
+			if c.solve == nil {
+				return
+			}
+			got, err := c.solve(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Trace, want.Trace) {
+				t.Errorf("trace differs from the plain Solve's:\n got %v\nwant %v", got.Trace, want.Trace)
+			}
+		})
 	}
 }
 
