@@ -77,7 +77,7 @@
 // Both fall back to the scalar kernel for the irregular kinds and for
 // instances whose completion times could overflow int32. Property and fuzz tests pin each rung to the
 // one below bit for bit, and BENCH_hotpath.json records the measured gaps.
-// Problems expose the batch rung through core.BatchEvalProblem, the
+// Problems expose the batch rung through core.Problem.BatchEvaluator, the
 // engine's only evaluation seam, and keep Evaluate as the concurrency-safe
 // scalar oracle.
 // Above the kernels, every core.Engine step is the sharded generation

@@ -128,8 +128,7 @@ type Config[G any] struct {
 	// statistic (premature-convergence experiments).
 	GenomeInts func(G) []int
 
-	OnGeneration  func(GenStats)
-	RecordHistory bool
+	OnGeneration func(GenStats)
 }
 
 // Result reports a cellular run.
@@ -139,7 +138,6 @@ type Result[G any] struct {
 	Evaluations   int64
 	VirtualTime   float64
 	VirtualSerial float64
-	History       []GenStats
 }
 
 // Model is a configured fine-grained GA.
@@ -151,7 +149,6 @@ type Model[G any] struct {
 	evals int64
 	best  core.Individual[G]
 	seed  uint64
-	hist  []GenStats
 
 	// exec (Partitions wide) runs part, bound once at New, for every band
 	// of the synchronous update, filling next.
@@ -321,7 +318,7 @@ func (m *Model[G]) Step() {
 }
 
 func (m *Model[G]) record() {
-	if m.cfg.OnGeneration == nil && !m.cfg.RecordHistory {
+	if m.cfg.OnGeneration == nil {
 		return
 	}
 	var sum float64
@@ -332,19 +329,13 @@ func (m *Model[G]) record() {
 			bestGen = c.Obj
 		}
 	}
-	gs := GenStats{
+	m.cfg.OnGeneration(GenStats{
 		Generation: m.gen,
 		BestObj:    bestGen,
 		BestSoFar:  m.best.Obj,
 		MeanObj:    sum / float64(len(m.cells)),
 		Diversity:  m.Diversity(),
-	}
-	if m.cfg.RecordHistory {
-		m.hist = append(m.hist, gs)
-	}
-	if m.cfg.OnGeneration != nil {
-		m.cfg.OnGeneration(gs)
-	}
+	})
 }
 
 // Diversity returns the positional entropy of the grid population, or -1
@@ -457,6 +448,5 @@ func (m *Model[G]) Run() Result[G] {
 		Evaluations:   m.evals,
 		VirtualTime:   m.virtualTime,
 		VirtualSerial: m.virtualSerial,
-		History:       m.hist,
 	}
 }

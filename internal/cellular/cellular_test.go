@@ -83,17 +83,18 @@ func TestNeighborsTorusWrap(t *testing.T) {
 
 func TestRunImprovesAndTracksBest(t *testing.T) {
 	cfg := baseConfig()
-	cfg.RecordHistory = true
+	var history []GenStats
+	cfg.OnGeneration = func(gs GenStats) { history = append(history, gs) }
 	m := New(sortProblem(10), rng.New(7), cfg)
 	res := m.Run()
 	if res.Best.Obj > 5 {
 		t.Errorf("cellular GA made little progress: %v", res.Best.Obj)
 	}
-	if res.Generations != 30 || len(res.History) != 30 {
-		t.Errorf("generations/history: %d/%d", res.Generations, len(res.History))
+	if res.Generations != 30 || len(history) != 30 {
+		t.Errorf("generations/history: %d/%d", res.Generations, len(history))
 	}
-	prev := res.History[0].BestSoFar
-	for _, h := range res.History[1:] {
+	prev := history[0].BestSoFar
+	for _, h := range history[1:] {
 		if h.BestSoFar > prev {
 			t.Fatalf("best-so-far worsened at gen %d", h.Generation)
 		}
@@ -165,11 +166,12 @@ func TestDiversityTracking(t *testing.T) {
 	cfg := baseConfig()
 	cfg.GenomeInts = func(g []int) []int { return g }
 	cfg.Generations = 40
-	cfg.RecordHistory = true
+	var history []GenStats
+	cfg.OnGeneration = func(gs GenStats) { history = append(history, gs) }
 	m := New(sortProblem(8), rng.New(13), cfg)
 	initial := m.Diversity()
-	res := m.Run()
-	final := res.History[len(res.History)-1].Diversity
+	m.Run()
+	final := history[len(history)-1].Diversity
 	if initial <= 0 || initial > 1 {
 		t.Fatalf("initial diversity out of range: %v", initial)
 	}

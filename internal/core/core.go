@@ -12,7 +12,8 @@
 //	8: end while
 //
 // The engine is generic over the genome type G. A Problem[G] supplies
-// random initialisation, objective evaluation (minimised), and cloning.
+// random initialisation, objective evaluation (minimised, one genome or a
+// batch), and cloning (fresh or into recycled storage).
 // Fitness transforms implement the paper's equations (1) and (2). Every
 // generation runs through one sharded pipeline whose executor count
 // (Config.Workers) parallelises steps 4-7 without touching the algorithm:
@@ -45,35 +46,25 @@ type Problem[G any] interface {
 	Evaluate(g G) float64
 	// Clone returns an independent deep copy of g.
 	Clone(g G) G
-}
-
-// CloneIntoProblem is the optional recycling extension of Problem: CloneInto
-// returns a deep copy of src that may reuse dst's storage capacity. The
-// engine detects it and feeds dead genomes from retired generations back as
-// dst, so steady-state genome copies stop allocating. Implementations must
-// leave the result independent of src (mutating it must not affect src) and
-// must accept the zero value of G as dst.
-type CloneIntoProblem[G any] interface {
-	Problem[G]
+	// CloneInto returns a deep copy of src that may reuse dst's storage
+	// capacity. The engine feeds dead genomes from retired generations
+	// back as dst, so steady-state genome copies stop allocating. The
+	// result must be independent of src (mutating it must not affect src),
+	// and dst may be the zero value of G.
 	CloneInto(dst, src G) G
-}
-
-// BatchEvalProblem is the optional batch-evaluation extension of Problem:
-// BatchEvaluator returns a closure that fills out[i] with the objective of
-// genomes[i] for a whole contiguous span in one call. The closure may own
-// private scratch (a decode.BatchScratch, say) and is only safe on one
-// goroutine at a time; the engine builds one per executor. Seeing the whole
-// span lets implementations amortise instance tables and decode genomes in
-// lockstep. Closures must compute exactly what Evaluate computes, genome
-// for genome. Problems without the extension are evaluated by a loop over
-// Evaluate.
-type BatchEvalProblem[G any] interface {
-	Problem[G]
+	// BatchEvaluator returns a closure that fills out[i] with the
+	// objective of genomes[i] for a whole contiguous span in one call. The
+	// closure may own private scratch (a decode.BatchScratch, say) and is
+	// only safe on one goroutine at a time; the engine builds one per
+	// executor. Seeing the whole span lets implementations amortise
+	// instance tables and decode genomes in lockstep. Closures must compute
+	// exactly what Evaluate computes, genome for genome.
 	BatchEvaluator() func(genomes []G, out []float64)
 }
 
-// FuncProblem adapts three closures to the Problem interface, plus
-// optional extras for the CloneIntoProblem and BatchEvalProblem seams.
+// FuncProblem adapts closures to the Problem interface. The recycling and
+// batch closures are optional; without them the seams fall back to Clone
+// and to a loop over Evaluate.
 type FuncProblem[G any] struct {
 	RandomFn   func(r *rng.RNG) G
 	EvaluateFn func(g G) float64
@@ -96,8 +87,8 @@ func (p FuncProblem[G]) Evaluate(g G) float64 { return p.EvaluateFn(g) }
 // Clone implements Problem.
 func (p FuncProblem[G]) Clone(g G) G { return p.CloneFn(g) }
 
-// CloneInto implements CloneIntoProblem, falling back to Clone when no
-// CloneIntoFn was provided.
+// CloneInto implements Problem, falling back to Clone when no CloneIntoFn
+// was provided.
 func (p FuncProblem[G]) CloneInto(dst, src G) G {
 	if p.CloneIntoFn == nil {
 		return p.CloneFn(src)
@@ -105,20 +96,15 @@ func (p FuncProblem[G]) CloneInto(dst, src G) G {
 	return p.CloneIntoFn(dst, src)
 }
 
-// BatchEvaluator implements BatchEvalProblem, falling back to a loop over
+// BatchEvaluator implements Problem, falling back to a loop over
 // EvaluateFn when no BatchEvalFn was provided.
 func (p FuncProblem[G]) BatchEvaluator() func(genomes []G, out []float64) {
 	if p.BatchEvalFn != nil {
 		return p.BatchEvalFn()
 	}
-	return evalLoop(p.EvaluateFn)
-}
-
-// evalLoop adapts a scalar evaluation to the batch closure shape.
-func evalLoop[G any](eval func(G) float64) func(genomes []G, out []float64) {
 	return func(genomes []G, out []float64) {
 		for i, g := range genomes {
-			out[i] = eval(g)
+			out[i] = p.EvaluateFn(g)
 		}
 	}
 }
@@ -183,6 +169,6 @@ type Operators[G any] struct {
 	// per executor so the scratch is never shared between goroutines. Steps
 	// route offspring through it to reuse the retired generation's genome
 	// storage, which is what drops steady-state crossover allocations to
-	// zero.
+	// zero. Without it the engine calls Cross and the children allocate.
 	CrossInto func() CrossoverInto[G]
 }

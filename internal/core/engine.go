@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/rng"
 )
@@ -12,12 +11,11 @@ import (
 // criterion stops the run. Zero values disable a criterion (except
 // MaxGenerations, which defaults to 100 when everything is disabled).
 type Termination struct {
-	MaxGenerations int           // stop after this many generations
-	MaxEvaluations int64         // stop once this many objective evaluations were spent
-	MaxStagnation  int           // stop after this many generations without improvement
-	Target         float64       // stop once best objective <= Target ...
-	TargetSet      bool          // ... if TargetSet
-	WallClock      time.Duration // stop after this much real time
+	MaxGenerations int     // stop after this many generations
+	MaxEvaluations int64   // stop once this many objective evaluations were spent
+	MaxStagnation  int     // stop after this many generations without improvement
+	Target         float64 // stop once best objective <= Target ...
+	TargetSet      bool    // ... if TargetSet
 
 	// Stop, when set, is polled between generations; returning true stops
 	// the run. It is the seam external cancellation (a context's Done
@@ -57,7 +55,6 @@ type Config[G any] struct {
 	Term          Termination
 	Immigration   Immigration
 	OnGeneration  func(GenStats) // optional per-generation hook
-	RecordHistory bool           // keep GenStats of every generation in Result
 
 	// Workers is the number of executors of the sharded generation
 	// pipeline (see sharded.go): Step partitions the next generation into
@@ -83,8 +80,6 @@ type Result[G any] struct {
 	Best        Individual[G]
 	Generations int
 	Evaluations int64
-	Elapsed     time.Duration
-	History     []GenStats
 }
 
 // Engine runs the Table II loop. It is deterministic given the seed stream
@@ -100,22 +95,19 @@ type Engine[G any] struct {
 	best       Individual[G]
 	bestValid  bool
 	stagnation int
-	started    time.Time
-	history    []GenStats
 
 	// Generation double-buffering: Step writes the next generation into
 	// spare and swaps, so the per-generation individual slice is allocated
 	// once and reused for the whole run.
 	spare []Individual[G]
 
-	// Genome recycling through the CloneIntoProblem seam: free holds the
-	// master's dead genomes (retired elite slots, children displaced by
-	// elitism), which cloneInto reuses for the elite copies; the shards
-	// keep their own free lists (see sharded.go). Nobody can reference a
-	// retired genome any more — elites and the incumbent best are always
-	// cloned, migration clones before injecting.
-	free      []G
-	cloneInto func(dst, src G) G
+	// Genome recycling through Problem.CloneInto: free holds the master's
+	// dead genomes (retired elite slots, children displaced by elitism),
+	// which cloneGenome reuses for the elite copies; the shards keep their
+	// own free lists (see sharded.go). Nobody can reference a retired
+	// genome any more — elites and the incumbent best are always cloned,
+	// migration clones before injecting.
+	free []G
 
 	// ordA, ordB are the reused index buffers of the elitism/immigration
 	// rankings, keeping the per-generation ranking allocation-free.
@@ -159,7 +151,7 @@ func New[G any](p Problem[G], r *rng.RNG, cfg Config[G]) *Engine[G] {
 		panic("core: Config.Ops must provide Select, Cross and Mutate")
 	}
 	if cfg.Term.MaxGenerations == 0 && cfg.Term.MaxEvaluations == 0 &&
-		cfg.Term.MaxStagnation == 0 && !cfg.Term.TargetSet && cfg.Term.WallClock == 0 {
+		cfg.Term.MaxStagnation == 0 && !cfg.Term.TargetSet {
 		cfg.Term.MaxGenerations = 100
 	}
 	if cfg.Immigration.Enabled {
@@ -168,10 +160,7 @@ func New[G any](p Problem[G], r *rng.RNG, cfg Config[G]) *Engine[G] {
 			panic(fmt.Sprintf("core: immigration fractions sum to %v, want 1", sum))
 		}
 	}
-	e := &Engine[G]{prob: p, cfg: cfg, rng: r, started: time.Now()}
-	if ci, ok := p.(CloneIntoProblem[G]); ok {
-		e.cloneInto = ci.CloneInto
-	}
+	e := &Engine[G]{prob: p, cfg: cfg, rng: r}
 	e.pop = make([]Individual[G], cfg.Pop)
 	genomes := make([]G, cfg.Pop)
 	for i := range e.pop {
@@ -196,12 +185,7 @@ func (e *Engine[G]) refreshBest() {
 		if !e.bestValid || ind.Obj < e.best.Obj {
 			// The incumbent best genome is engine-owned (Best() hands out
 			// clones), so its capacity can be recycled for the new copy.
-			g := e.best.Genome
-			if e.cloneInto != nil {
-				g = e.cloneInto(g, ind.Genome)
-			} else {
-				g = e.prob.Clone(ind.Genome)
-			}
+			g := e.prob.CloneInto(e.best.Genome, ind.Genome)
 			e.best = Individual[G]{Genome: g, Obj: ind.Obj, Fit: ind.Fit}
 			e.bestValid = true
 			improved = true
@@ -215,14 +199,14 @@ func (e *Engine[G]) refreshBest() {
 }
 
 // cloneGenome deep-copies src for the next generation, reusing the capacity
-// of a retired genome when the problem supports CloneInto.
+// of a retired genome when one is free.
 func (e *Engine[G]) cloneGenome(src G) G {
-	if e.cloneInto != nil && len(e.free) > 0 {
-		dst := e.free[len(e.free)-1]
-		e.free = e.free[:len(e.free)-1]
-		return e.cloneInto(dst, src)
+	var dst G
+	if k := len(e.free); k > 0 {
+		dst = e.free[k-1]
+		e.free = e.free[:k-1]
 	}
-	return e.prob.Clone(src)
+	return e.prob.CloneInto(dst, src)
 }
 
 // Generation returns the current generation counter.
@@ -288,9 +272,6 @@ func (e *Engine[G]) Done() bool {
 	if t.TargetSet && e.bestValid && e.best.Obj <= t.Target {
 		return true
 	}
-	if t.WallClock > 0 && time.Since(e.started) >= t.WallClock {
-		return true
-	}
 	if t.Stop != nil && t.Stop() {
 		return true
 	}
@@ -348,12 +329,9 @@ func (e *Engine[G]) Snapshot() Snapshot[G] {
 // of the same configuration: population and incumbent best (genomes are
 // deep-copied in; fitness is recomputed through the engine's own transform,
 // so snapshots never need to carry it), generation/evaluation/stagnation
-// counters, and the random streams. The engine's wall clock restarts at
-// Restore — callers that budget wall time across restarts shrink the
-// budget by the time already consumed instead (the solver's resume does).
-// Restore fails, leaving the engine unchanged, when the snapshot's shape
-// does not fit: wrong population size, or a shard-stream count other than
-// ShardCount(Pop).
+// counters, and the random streams. Restore fails, leaving the engine
+// unchanged, when the snapshot's shape does not fit: wrong population
+// size, or a shard-stream count other than ShardCount(Pop).
 func (e *Engine[G]) Restore(s Snapshot[G]) error {
 	if len(s.Pop) != e.cfg.Pop {
 		return fmt.Errorf("core: restore: snapshot population %d, engine expects %d", len(s.Pop), e.cfg.Pop)
@@ -397,9 +375,7 @@ func (e *Engine[G]) applyElitism(next []Individual[G]) {
 	for i := 0; i < k; i++ {
 		eliteIdx, worstIdx := e.ordA[i], e.ordB[i]
 		if e.pop[eliteIdx].Obj < next[worstIdx].Obj {
-			if e.cloneInto != nil {
-				e.free = append(e.free, next[worstIdx].Genome)
-			}
+			e.free = append(e.free, next[worstIdx].Genome)
 			next[worstIdx] = Individual[G]{
 				Genome: e.cloneGenome(e.pop[eliteIdx].Genome),
 				Obj:    e.pop[eliteIdx].Obj,
@@ -442,7 +418,7 @@ func rankedIndices[G any](buf []int, pop []Individual[G], k int, worst bool) []i
 }
 
 func (e *Engine[G]) record() {
-	if e.cfg.OnGeneration == nil && !e.cfg.RecordHistory {
+	if e.cfg.OnGeneration == nil {
 		return
 	}
 	// Mean and sample std in stats.Summarize's summation order, so
@@ -464,20 +440,14 @@ func (e *Engine[G]) record() {
 		}
 		std = math.Sqrt(ss / float64(len(e.pop)-1))
 	}
-	gs := GenStats{
+	e.cfg.OnGeneration(GenStats{
 		Generation:  e.gen,
 		BestObj:     bestGen,
 		BestSoFar:   e.best.Obj,
 		MeanObj:     mean,
 		StdObj:      std,
 		Evaluations: e.evals,
-	}
-	if e.cfg.RecordHistory {
-		e.history = append(e.history, gs)
-	}
-	if e.cfg.OnGeneration != nil {
-		e.cfg.OnGeneration(gs)
-	}
+	})
 }
 
 // Run executes Step until Done and returns the Result, releasing any
@@ -492,7 +462,5 @@ func (e *Engine[G]) Run() Result[G] {
 		Best:        e.Best(),
 		Generations: e.gen,
 		Evaluations: e.evals,
-		Elapsed:     time.Since(e.started),
-		History:     e.history,
 	}
 }

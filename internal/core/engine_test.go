@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -76,7 +75,7 @@ func TestEngineSolvesSortProblem(t *testing.T) {
 	if res.Generations >= 300 {
 		t.Errorf("target termination did not fire early (gen=%d)", res.Generations)
 	}
-	if res.Evaluations <= 0 || res.Elapsed <= 0 {
+	if res.Evaluations <= 0 {
 		t.Errorf("bookkeeping broken: %+v", res)
 	}
 }
@@ -101,21 +100,22 @@ func TestEngineDeterministic(t *testing.T) {
 }
 
 func TestBestNeverWorsens(t *testing.T) {
+	var history []GenStats
 	e := New(sortProblem(10), rng.New(3), Config[[]int]{
 		Pop: 20, Ops: permOps(), Term: Termination{MaxGenerations: 60},
-		RecordHistory: true,
+		OnGeneration: func(gs GenStats) { history = append(history, gs) },
 	})
 	res := e.Run()
 	prev := math.Inf(1)
-	for _, gs := range res.History {
+	for _, gs := range history {
 		if gs.BestSoFar > prev {
 			t.Fatalf("best-so-far worsened at generation %d: %v > %v",
 				gs.Generation, gs.BestSoFar, prev)
 		}
 		prev = gs.BestSoFar
 	}
-	if len(res.History) != res.Generations {
-		t.Fatalf("history has %d entries for %d generations", len(res.History), res.Generations)
+	if len(history) != res.Generations {
+		t.Fatalf("history has %d entries for %d generations", len(history), res.Generations)
 	}
 }
 
@@ -156,11 +156,6 @@ func TestTerminationCriteria(t *testing.T) {
 	e.Run()
 	if e.Generation() >= 10000 {
 		t.Error("MaxStagnation never fired")
-	}
-	e = mk(Termination{WallClock: time.Nanosecond, MaxGenerations: 1 << 30})
-	e.Run()
-	if e.Generation() > 100000 {
-		t.Error("WallClock never fired")
 	}
 }
 

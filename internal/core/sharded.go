@@ -35,7 +35,7 @@ import (
 //     worst children on the master afterwards.
 //   - Memory: each shard owns the free list of retired genomes from its own
 //     slot range and each executor owns its batch-evaluation closure
-//     (private decode scratch via the BatchEvalProblem seam) and its
+//     (private decode scratch via Problem.BatchEvaluator) and its
 //     recycling crossover instance (private operator scratch via
 //     Operators.CrossInto), so the steady-state step performs no
 //     allocation, and every executor writes a contiguous span of the next
@@ -146,15 +146,16 @@ func newShardedState[G any](e *Engine[G], workers int) *shardedState[G] {
 	sh.cross = make([]CrossoverInto[G], workers)
 	sh.gbuf = make([][]G, workers)
 	sh.obuf = make([][]float64, workers)
-	bep, isBatch := e.prob.(BatchEvalProblem[G])
 	for k := range sh.batch {
-		if isBatch {
-			sh.batch[k] = bep.BatchEvaluator()
-		} else {
-			sh.batch[k] = evalLoop(e.prob.Evaluate)
-		}
+		sh.batch[k] = e.prob.BatchEvaluator()
 		if e.cfg.Ops.CrossInto != nil {
 			sh.cross[k] = e.cfg.Ops.CrossInto()
+		} else {
+			// A bundle without the recycling form allocates its children
+			// and ignores the destinations; both forms draw the same
+			// randomness, so the trajectory is the same.
+			cross := e.cfg.Ops.Cross
+			sh.cross[k] = func(r *rng.RNG, a, b, _, _ G) (G, G) { return cross(r, a, b) }
 		}
 		sh.gbuf[k] = make([]G, 0, shardSize)
 		sh.obuf[k] = make([]float64, shardSize)
@@ -202,7 +203,7 @@ func (e *Engine[G]) Step() {
 	// Harvest the retired generation: the master recycles the elite slots,
 	// and shard s the rest of its own slot range, so the free lists need
 	// no cross-worker synchronisation.
-	if e.cloneInto != nil && len(e.spare) > 0 {
+	if len(e.spare) > 0 {
 		e.free = e.free[:0]
 		for i := 0; i < sh.nBest && i < len(e.spare); i++ {
 			e.free = append(e.free, e.spare[i].Genome)
@@ -270,24 +271,14 @@ func (e *Engine[G]) runShard(s, exec int) {
 		i1 := e.cfg.Ops.Select(r, e.pop)
 		i2 := e.cfg.Ops.Select(r, e.pop)
 		p1, p2 := e.pop[i1].Genome, e.pop[i2].Genome
-		var c1, c2 G
+		var c1, c2, d1, d2 G
+		d1, d2, free = take2(free)
 		// Under Huang's scheme every offspring pair recombines.
 		if e.cfg.Immigration.Enabled || r.Bool(e.cfg.CrossoverRate) {
-			if cross != nil {
-				var d1, d2 G
-				d1, d2, free = take2(free)
-				c1, c2 = cross(r, p1, p2, d1, d2)
-			} else {
-				c1, c2 = e.cfg.Ops.Cross(r, p1, p2)
-			}
-		} else if e.cloneInto != nil {
-			var d1, d2 G
-			d1, d2, free = take2(free)
-			c1 = e.cloneInto(d1, p1)
-			c2 = e.cloneInto(d2, p2)
+			c1, c2 = cross(r, p1, p2, d1, d2)
 		} else {
-			c1 = e.prob.Clone(p1)
-			c2 = e.prob.Clone(p2)
+			c1 = e.prob.CloneInto(d1, p1)
+			c2 = e.prob.CloneInto(d2, p2)
 		}
 		if r.Bool(e.cfg.MutationRate) {
 			e.cfg.Ops.Mutate(r, c1)
@@ -298,7 +289,7 @@ func (e *Engine[G]) runShard(s, exec int) {
 		sh.next[i].Genome = c1
 		if i+1 < end {
 			sh.next[i+1].Genome = c2
-		} else if e.cloneInto != nil {
+		} else {
 			// The pair straddles the offspring range's end: recycle the
 			// second child's storage.
 			free = append(free, c2)

@@ -354,18 +354,10 @@ func TestShardedClaimCoverage(t *testing.T) {
 	}
 }
 
-// noSeamProblem hides every optional seam of a FuncProblem (CloneInto,
-// BatchEvaluator), leaving only the base Problem interface.
-type noSeamProblem struct{ p FuncProblem[[]int] }
-
-func (n noSeamProblem) Random(r *rng.RNG) []int  { return n.p.Random(r) }
-func (n noSeamProblem) Evaluate(g []int) float64 { return n.p.Evaluate(g) }
-func (n noSeamProblem) Clone(g []int) []int      { return n.p.Clone(g) }
-
-// TestShardedBatchSeamTrajectoryInvariance: routing evaluation through the
-// BatchEvalProblem seam (whole-shard batch calls after the variation loop)
-// must not change a single trajectory — evaluation draws no randomness and
-// batch closures return exactly the scalar objectives.
+// TestShardedBatchSeamTrajectoryInvariance: a span closure of its own
+// (whole-shard batch calls after the variation loop) must step exactly the
+// trajectory of FuncProblem's scalar loop over Evaluate — evaluation draws
+// no randomness and batch closures return exactly the scalar objectives.
 func TestShardedBatchSeamTrajectoryInvariance(t *testing.T) {
 	run := func(p Problem[[]int], workers int, imm Immigration) Result[[]int] {
 		eng := New(p, rng.New(41), Config[[]int]{
@@ -375,7 +367,8 @@ func TestShardedBatchSeamTrajectoryInvariance(t *testing.T) {
 		defer eng.Close()
 		return eng.Run()
 	}
-	fp := shardedProblem(11)
+	scalar := shardedProblem(11)
+	fp := scalar
 	// A span closure with its own evaluation order, so the batch call is a
 	// genuinely different code path from the scalar loop.
 	fp.BatchEvalFn = func() func([][]int, []float64) {
@@ -388,7 +381,7 @@ func TestShardedBatchSeamTrajectoryInvariance(t *testing.T) {
 	imms := []Immigration{{}, {Enabled: true, BestFrac: 0.25, CrossFrac: 0.5, RandomFrac: 0.25}}
 	for _, imm := range imms {
 		for _, workers := range []int{0, 1, 4} {
-			with, without := run(fp, workers, imm), run(noSeamProblem{fp}, workers, imm)
+			with, without := run(fp, workers, imm), run(scalar, workers, imm)
 			if with.Best.Obj != without.Best.Obj || with.Evaluations != without.Evaluations {
 				t.Errorf("workers=%d immigration=%v: batch seam changed trajectory: (%v,%d) vs (%v,%d)",
 					workers, imm.Enabled, with.Best.Obj, with.Evaluations, without.Best.Obj, without.Evaluations)

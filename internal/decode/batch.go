@@ -56,8 +56,8 @@ type flowRow [flowBlock + 1]int32
 // precomputed once at construction, plus per-slot decode state. All
 // storage is allocated up front: batch calls never allocate, for any batch
 // size. A BatchScratch is not safe for concurrent use; parallel executors
-// hold one per worker (the core.BatchEvalProblem seam hands each
-// persistent worker its own).
+// hold one per worker (core.Problem.BatchEvaluator hands each persistent
+// worker its own).
 //
 // The flow-shop sweep reads durations from flowTab, block-major:
 // flowTab[blk*n+j][k] is job j's duration on stage blk*flowBlock+k, zero

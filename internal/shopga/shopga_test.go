@@ -105,7 +105,7 @@ func TestProblemsMatchOracleDecoders(t *testing.T) {
 // a CloneInto result must not leak into the source genome.
 func TestCloneIntoIndependence(t *testing.T) {
 	in := shop.FT06()
-	p := JobShopProblem(in, shop.Makespan).(core.CloneIntoProblem[[]int])
+	p := JobShopProblem(in, shop.Makespan)
 	r := rng.New(5)
 	src := decode.RandomOpSequence(in, r)
 	orig := append([]int(nil), src...)
@@ -118,7 +118,7 @@ func TestCloneIntoIndependence(t *testing.T) {
 		}
 	}
 
-	fp := FlexibleProblem(shop.GenerateFlexibleJobShop("ci-fj", 4, 3, 3, 2, 9), shop.Makespan).(core.CloneIntoProblem[FlexGenome])
+	fp := FlexibleProblem(shop.GenerateFlexibleJobShop("ci-fj", 4, 3, 3, 2, 9), shop.Makespan)
 	a := FlexGenome{Assign: []int{1, 2, 3}, Seq: []int{0, 1, 2}}
 	got := fp.CloneInto(FlexGenome{}, a)
 	got.Assign[0], got.Seq[0] = 9, 9

@@ -74,7 +74,6 @@ func engineConfig[G any](run *Run, enc encoding[G]) core.Config[G] {
 		MutationRate:  p.MutationRate,
 		Ops:           enc.ops,
 		Term:          run.termination(),
-		RecordHistory: run.Spec.Trace,
 	}
 }
 
@@ -181,41 +180,32 @@ func gridDims(run *Run, defSide int) (w, h int) {
 	return side, side
 }
 
-// coreResult converts a core.Result into the unified Result.
-func coreResult[G any](enc encoding[G], res core.Result[G]) *Result {
-	out := &Result{
-		BestObjective: res.Best.Obj,
-		Evaluations:   res.Evaluations,
-		Generations:   res.Generations,
-		Schedule:      enc.schedule(res.Best.Genome),
-	}
-	for _, gs := range res.History {
-		out.Trace = append(out.Trace, TracePoint{
-			Generation: gs.Generation, Evaluations: gs.Evaluations, BestObj: gs.BestSoFar,
-		})
-	}
-	return out
-}
-
 // runEngine is the shared body of the engine-driven models (serial, ms):
 // build the engine, optionally warm-start it from a checkpoint, run, and
-// convert the result. With saving configured, the per-generation hook
-// snapshots the engine on the seam's cadence. The engine is built fresh
-// even when resuming — core.New's construction draws and initial
-// evaluations are then overwritten wholesale by Restore, whose RNG states
-// make the resumed trajectory bit-identical to the uninterrupted one.
+// convert the result. The per-generation hook emits progress events,
+// records the trace when asked, and with saving configured snapshots the
+// engine on the seam's cadence; without any of them the engine runs
+// unobserved. The engine is built fresh even when resuming — core.New's
+// construction draws and initial evaluations are then overwritten
+// wholesale by Restore, whose RNG states make the resumed trajectory
+// bit-identical to the uninterrupted one.
 func runEngine[G any](run *Run, enc encoding[G], workers int) (*Result, error) {
 	cfg := engineConfig(run, enc)
 	cfg.Workers = workers
-	genHook := run.genHook()
-	cfg.OnGeneration = genHook
+	out := &Result{}
+	genHook, ck, trace := run.genHook(), run.ck, run.Spec.Trace
 	var eng *core.Engine[G]
-	if ck := run.ck; ck.active() {
+	if genHook != nil || trace || ck.active() {
 		// eng is captured before assignment: the engine only invokes the
 		// hook from Step, after New returned.
 		cfg.OnGeneration = func(gs core.GenStats) {
 			if genHook != nil {
 				genHook(gs)
+			}
+			if trace {
+				out.Trace = append(out.Trace, TracePoint{
+					Generation: gs.Generation, Evaluations: gs.Evaluations, BestObj: gs.BestSoFar,
+				})
 			}
 			if ck.due(gs.Generation, 1) {
 				ck.save(ck.stamp(packEngineCheckpoint(run, enc, eng.Snapshot())))
@@ -228,7 +218,9 @@ func runEngine[G any](run *Run, enc encoding[G], workers int) (*Result, error) {
 		return nil, err
 	}
 	res := eng.Run()
-	return coreResult(enc, res), nil
+	out.BestObjective, out.Evaluations, out.Generations = res.Best.Obj, res.Evaluations, res.Generations
+	out.Schedule = enc.schedule(res.Best.Genome)
+	return out, nil
 }
 
 // runSerial is the panmictic Table II GA: the engine's pipeline on one
@@ -403,30 +395,24 @@ func runCellular[G any](_ context.Context, run *Run, enc encoding[G]) (*Result, 
 		Partitions:      p.Workers,
 		Generations:     b.Generations,
 		Target:          b.Target, TargetSet: b.TargetSet,
-		Stop:          run.stop,
-		RecordHistory: run.Spec.Trace,
+		Stop: run.stop,
 	}
-	if run.emit != nil {
+	out := &Result{}
+	if run.emit != nil || run.Spec.Trace {
 		cells := int64(w * h)
 		ccfg.OnGeneration = func(gs cellular.GenStats) {
-			run.observe(gs.Generation, cells*int64(gs.Generation+1), gs.BestSoFar)
+			evals := cells * int64(gs.Generation+1)
+			if run.emit != nil {
+				run.observe(gs.Generation, evals, gs.BestSoFar)
+			}
+			if run.Spec.Trace {
+				out.Trace = append(out.Trace, TracePoint{Generation: gs.Generation, Evaluations: evals, BestObj: gs.BestSoFar})
+			}
 		}
 	}
 	res := cellular.New(enc.problem, run.RNG, ccfg).Run()
-	out := &Result{
-		BestObjective: res.Best.Obj,
-		Evaluations:   res.Evaluations,
-		Generations:   res.Generations,
-		Schedule:      enc.schedule(res.Best.Genome),
-	}
-	cells := int64(w * h)
-	for _, gs := range res.History {
-		out.Trace = append(out.Trace, TracePoint{
-			Generation:  gs.Generation,
-			Evaluations: cells * int64(gs.Generation+1),
-			BestObj:     gs.BestSoFar,
-		})
-	}
+	out.BestObjective, out.Evaluations, out.Generations = res.Best.Obj, res.Evaluations, res.Generations
+	out.Schedule = enc.schedule(res.Best.Genome)
 	return out, nil
 }
 

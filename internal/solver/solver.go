@@ -353,7 +353,6 @@ func (r *Run) termination() core.Termination {
 		MaxStagnation:  b.Stagnation,
 		Target:         b.Target,
 		TargetSet:      b.TargetSet,
-		WallClock:      time.Duration(b.WallMillis) * time.Millisecond,
 		Stop:           r.stop,
 	}
 }
@@ -438,8 +437,7 @@ func solve(ctx context.Context, spec Spec, emit func(Event), ck *ckptSeam, ex Mi
 		ctx = context.Background()
 	}
 	// Enforce the wall budget as a context deadline so it reaches every
-	// model through the Stop hook (the epoch-structured models never see
-	// the engine-level WallClock criterion).
+	// model through the Stop hook.
 	userCtx := ctx
 	if w := spec.Budget.WallMillis; w > 0 {
 		var cancel context.CancelFunc

@@ -354,9 +354,8 @@ func TestSolveCancellation(t *testing.T) {
 }
 
 // TestWallClockBudget: the wall budget alone terminates a run with no
-// generation bound — including the epoch-structured models, which never
-// see the engine-level WallClock criterion and rely on the solver-layer
-// deadline.
+// generation bound, for every model: the solver turns it into a context
+// deadline that reaches each model through its Stop hook.
 func TestWallClockBudget(t *testing.T) {
 	for _, model := range []string{"serial", "cellular", "island", "hybrid", "agents", "qga"} {
 		t.Run(model, func(t *testing.T) {
